@@ -10,7 +10,7 @@ provider.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .catalog import FeatureCatalog, FeatureSpec
 from .flows import FlowRecord, validate_record
@@ -108,7 +108,6 @@ class IpKnowledge:
     geo: GeoInfo | None
     threat: ThreatIntel | None
     history: tuple[FlowHistoryEntry, ...]
-    history_trimmed: int = 0
 
 
 @dataclass(frozen=True)
@@ -280,45 +279,3 @@ def build_context(
     )
     return builder.build(record)
 
-
-def drop_oldest_history(context: EnrichmentContext) -> EnrichmentContext | None:
-    """Remove the single oldest history entry across both endpoints.
-
-    Returns the reduced context, or None when no history remains. Used by
-    the prompt budget enforcement, which trims history before anything
-    else.
-    """
-    candidates: list[tuple[int, int, str, int]] = []
-    for side_name, side in (("src", context.src), ("dst", context.dst)):
-        if side.history:
-            idx = len(side.history) - 1  # lists are newest-first
-            oldest = side.history[idx]
-            candidates.append((oldest.timestamp, 0 if side_name == "src" else 1, side_name, idx))
-    if not candidates:
-        return None
-    candidates.sort()
-    _, _, side_name, idx = candidates[0]
-    side = getattr(context, side_name)
-    reduced = replace(
-        side,
-        history=side.history[:idx],
-        history_trimmed=side.history_trimmed + 1,
-    )
-    return replace(context, **{side_name: reduced})
-
-
-def drop_spec_entry(context: EnrichmentContext, feature_name: str) -> EnrichmentContext:
-    """Remove one feature's specification entry from the context."""
-    return replace(
-        context,
-        spec_entries=tuple(s for s in context.spec_entries if s.name != feature_name),
-    )
-
-
-def drop_protocol_descriptions(context: EnrichmentContext) -> EnrichmentContext:
-    """Strip the prose descriptions from both protocol entries."""
-    return replace(
-        context,
-        l4=context.l4.without_description(),
-        l7=context.l7.without_description(),
-    )

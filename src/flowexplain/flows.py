@@ -145,8 +145,6 @@ def _check_numeric_range(value: int | Decimal, spec: FeatureSpec) -> None:
 
 def format_value(value: FlowValue) -> str:
     """Canonical text form of a typed value; inverse of :func:`parse_value`."""
-    if isinstance(value, Decimal):
-        return str(value)
     return str(value)
 
 

@@ -196,44 +196,32 @@ class PipelineConfig:
             raise ConfigError("temperature must be within [0, 2]")
 
 
-def _build_geo_provider(config: dict):
+#: provider family -> (name in error messages, fixture class, HTTP class)
+_PROVIDER_FAMILIES = {
+    "geo": ("geolocation", FixtureGeoProvider, HTTPGeoProvider),
+    "cti": ("threat-intel", FixtureThreatProvider, HTTPThreatProvider),
+}
+
+
+def _build_provider(family: str, config: dict):
+    label, fixture_class, http_class = _PROVIDER_FAMILIES[family]
     kind = config.get("kind", "disabled")
     if kind == "disabled":
-        return DisabledProvider("geo-disabled")
+        return DisabledProvider(f"{family}-disabled")
     if kind == "fixture":
-        return FixtureGeoProvider(
-            config["fixture"], provider_id=config.get("provider_id", "fixture-geo")
+        return fixture_class(
+            config["fixture"], provider_id=config.get("provider_id", f"fixture-{family}")
         )
     if kind == "http":
         profile = HTTPProviderProfile(
-            provider_id=config.get("provider_id", "http-geo"),
+            provider_id=config.get("provider_id", f"http-{family}"),
             url_template=config["url_template"],
             field_paths=config.get("field_paths", {}),
             auth_env=config.get("auth_env"),
             timeout_ms=int(config.get("timeout_ms", 5000)),
         )
-        return HTTPGeoProvider(profile)
-    raise ConfigError(f"unknown geolocation provider kind {kind!r}")
-
-
-def _build_cti_provider(config: dict):
-    kind = config.get("kind", "disabled")
-    if kind == "disabled":
-        return DisabledProvider("cti-disabled")
-    if kind == "fixture":
-        return FixtureThreatProvider(
-            config["fixture"], provider_id=config.get("provider_id", "fixture-cti")
-        )
-    if kind == "http":
-        profile = HTTPProviderProfile(
-            provider_id=config.get("provider_id", "http-cti"),
-            url_template=config["url_template"],
-            field_paths=config.get("field_paths", {}),
-            auth_env=config.get("auth_env"),
-            timeout_ms=int(config.get("timeout_ms", 5000)),
-        )
-        return HTTPThreatProvider(profile)
-    raise ConfigError(f"unknown threat-intel provider kind {kind!r}")
+        return http_class(profile)
+    raise ConfigError(f"unknown {label} provider kind {kind!r}")
 
 
 def build_backend(config: dict):
@@ -313,9 +301,7 @@ class Runtime:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.catalog: FeatureCatalog = (
-            load_catalog(config.catalog) if config.catalog else default_catalog()
-        )
+        self.catalog: FeatureCatalog = _catalog_for(config)
         self.basic_template: PromptTemplate = (
             load_template(config.basic_template, "basic-custom", ("flow",))
             if config.basic_template
@@ -330,9 +316,11 @@ class Runtime:
             if config.augmented_template
             else default_augmented_template()
         )
+        self.geo_provider = _build_provider("geo", config.geo_provider)
+        self.cti_provider = _build_provider("cti", config.cti_provider)
+        self.backend = build_backend(config.backend)
+        # opened last, so that a bad provider or backend config leaks no store
         self.store = FlowHistoryStore(config.store, max_entries=config.store_max_entries)
-        self.geo_provider = _build_geo_provider(config.geo_provider)
-        self.cti_provider = _build_cti_provider(config.cti_provider)
         self.context_builder = ContextBuilder(
             self.catalog,
             store=self.store,
@@ -341,7 +329,6 @@ class Runtime:
             k=config.k_history,
             history_labels=None if config.history_include_benign else ("malicious", "unlabeled"),
         )
-        self.backend = build_backend(config.backend)
         self.gateway = Gateway(self.backend, max_in_flight=config.max_in_flight)
         self.pricing = pricing_from_config(config.pricing)
         self._sequence_lock = threading.Lock()
@@ -576,8 +563,7 @@ def run_explain(
         log_path = config.output_dir / f"{run_id}.jsonl"
         ledger_path = config.output_dir / f"{run_id}.ledger.json"
 
-        def explain_one(item: tuple[int, FlowRecord]) -> dict:
-            index, record = item
+        def explain_one(record: FlowRecord) -> dict:
             explanation_id = f"{run_id}:{record.flow_id}"
             try:
                 return runtime.explain_record(record, mode, explanation_id)
@@ -594,24 +580,17 @@ def run_explain(
                 }
 
         written = failed = 0
-        with open(log_path, "w", encoding="utf-8") as log:
-            if config.workers > 1 and len(selected) > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    outcomes = pool.map(explain_one, enumerate(selected))
-                    for outcome in outcomes:
-                        log.write(json.dumps(outcome, sort_keys=True) + "\n")
-                        written += 1
-                        failed += outcome["status"] != "ok"
-                        if progress:
-                            progress(outcome["flow_id"])
-            else:
-                for item in enumerate(selected):
-                    outcome = explain_one(item)
-                    log.write(json.dumps(outcome, sort_keys=True) + "\n")
-                    written += 1
-                    failed += outcome["status"] != "ok"
-                    if progress:
-                        progress(outcome["flow_id"])
+        parallel = config.workers > 1 and len(selected) > 1
+        # the pool starts threads only when tasks are submitted to it
+        with open(log_path, "w", encoding="utf-8") as log, ThreadPoolExecutor(
+            max_workers=max(config.workers, 1)
+        ) as pool:
+            for outcome in (pool.map if parallel else map)(explain_one, selected):
+                log.write(json.dumps(outcome, sort_keys=True) + "\n")
+                written += 1
+                failed += outcome["status"] != "ok"
+                if progress:
+                    progress(outcome["flow_id"])
 
         ledger_path.write_text(
             json.dumps(runtime.gateway.ledger.to_dict(), indent=2), encoding="utf-8"

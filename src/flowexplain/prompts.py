@@ -9,21 +9,16 @@ or availability markers.
 
 from __future__ import annotations
 
+import heapq
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .catalog import UNIT_LABELS, FeatureCatalog, FeatureSpec
-from .enrichment import (
-    EnrichmentContext,
-    IpKnowledge,
-    drop_oldest_history,
-    drop_protocol_descriptions,
-    drop_spec_entry,
-)
+from .catalog import UNIT_LABELS, FeatureCatalog
+from .enrichment import EnrichmentContext, IpKnowledge
 from .flows import FlowRecord, render_flow_text
 
 MODE_BASIC = "basic"
@@ -142,18 +137,6 @@ def count_tokens(text: str, tokenizer: Tokenizer | None = None) -> int:
 
 
 @dataclass(frozen=True)
-class BuildInputs:
-    """Everything needed to rebuild a bundle, kept for budget trimming."""
-
-    record: FlowRecord
-    catalog: FeatureCatalog
-    template: PromptTemplate
-    context: EnrichmentContext | None = None
-    augmented_template: PromptTemplate | None = None
-    tokenizer: Tokenizer | None = None
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     """Final prompt text with its section map and build metadata."""
 
@@ -163,14 +146,15 @@ class PromptBundle:
     mode: str
     flow_id: str
     metadata: dict[str, object]
-    build_inputs: BuildInputs | None = field(default=None, repr=False, compare=False)
+    # The pre-rendered augmented prompt that budget fitting trims.
+    _layout: "_Layout | None" = field(default=None, repr=False, compare=False)
 
     def section_text(self, section_id: str) -> str:
         offset, length = self.sections[section_id]
         return self.text[offset : offset + length]
 
     def to_record(self) -> dict:
-        """Serializable form for audit logs (build inputs excluded)."""
+        """Serializable form for audit logs."""
         return {
             "text": self.text,
             "sections": {k: list(v) for k, v in self.sections.items()},
@@ -179,17 +163,6 @@ class PromptBundle:
             "flow_id": self.flow_id,
             "metadata": self.metadata,
         }
-
-
-def _check_tiling(sections: dict[str, tuple[int, int]], total_length: int) -> None:
-    spans = sorted(sections.values())
-    cursor = 0
-    for offset, length in spans:
-        if offset != cursor or length < 0:
-            raise AssertionError("prompt sections must tile the text exactly")
-        cursor = offset + length
-    if cursor != total_length:
-        raise AssertionError("prompt sections must cover the whole text")
 
 
 def build_basic_prompt(
@@ -211,14 +184,12 @@ def build_basic_prompt(
     instruction = template.pieces[0]
     flow_block = render_flow_text(record, catalog)
     text = instruction + flow_block
-    sections = {
-        SECTION_INSTRUCTION: (0, len(instruction)),
-        SECTION_FLOW: (len(instruction), len(flow_block)),
-    }
-    _check_tiling(sections, len(text))
     return PromptBundle(
         text=text,
-        sections=sections,
+        sections={
+            SECTION_INSTRUCTION: (0, len(instruction)),
+            SECTION_FLOW: (len(instruction), len(flow_block)),
+        },
         token_count=count_tokens(text, tokenizer),
         mode=MODE_BASIC,
         flow_id=record.flow_id,
@@ -227,38 +198,37 @@ def build_basic_prompt(
             "template_id": template.template_id,
             "trims": [],
         },
-        build_inputs=BuildInputs(record=record, catalog=catalog, template=template,
-                                 tokenizer=tokenizer),
     )
 
 
-def _render_spec_entries(entries: tuple[FeatureSpec, ...]) -> str:
-    if not entries:
-        return "- (all feature specifications omitted to fit the prompt budget)"
-    return "\n".join(
-        f"- {spec.name}: {spec.definition} [{UNIT_LABELS[spec.unit]}]" for spec in entries
-    )
+_TRIM_HISTORY = "history_entry"
+_TRIM_SPEC = "spec_entry:"
+_TRIM_PROTOCOLS = "protocol_descriptions"
+
+_NO_SPEC_ENTRIES = "- (all feature specifications omitted to fit the prompt budget)"
 
 
-def _format_l7_code(numeric_id) -> str:
+def _format_code(numeric_id) -> str:
     if isinstance(numeric_id, tuple):
         master, sub = numeric_id
         return f"{master}.{sub}" if sub else str(master)
     return str(numeric_id)
 
 
-def _render_protocols(context: EnrichmentContext) -> str:
-    l4, l7 = context.l4, context.l7
-    l4_line = f"- Transport protocol {l4.numeric_id}: {l4.name}"
-    if l4.description:
-        l4_line += f" ({l4.description})"
-    l7_line = f"- Application protocol {_format_l7_code(l7.numeric_id)}: {l7.name}"
-    if l7.description:
-        l7_line += f" ({l7.description})"
-    return l4_line + "\n" + l7_line
+def _render_protocols(context: EnrichmentContext, descriptions: bool) -> str:
+    lines = []
+    for kind, info in (("Transport", context.l4), ("Application", context.l7)):
+        line = f"- {kind} protocol {_format_code(info.numeric_id)}: {info.name}"
+        if descriptions and info.description:
+            line += f" ({info.description})"
+        lines.append(line)
+    return "\n".join(lines)
 
 
-def _render_ip_side(title: str, side: IpKnowledge, unavailable: dict[str, str]) -> list[str]:
+def _render_ip_side(
+    title: str, side: IpKnowledge, unavailable: dict[str, str]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The endpoint's fixed lines and its history lines, most recent first."""
     lines = [f"{title} {side.ip}:"]
     lines.append(f"- classification: {side.classification}")
 
@@ -292,32 +262,89 @@ def _render_ip_side(title: str, side: IpKnowledge, unavailable: dict[str, str]) 
 
     if "history" in unavailable:
         lines.append(f"- recent connections unavailable: {unavailable['history']}")
-    elif not side.history and not side.history_trimmed:
+        return tuple(lines), ()
+    if not side.history:
         lines.append("- recent connections: none on record")
-    else:
-        lines.append("- recent connections (most recent first):")
-        for i, entry in enumerate(side.history, start=1):
-            lines.append(
-                f"  {i}. ts={entry.timestamp} {entry.src_ip} -> {entry.dst_ip} "
-                f"proto {entry.l4_protocol_id} [{entry.label}] {entry.summary}"
-            )
-        if side.history_trimmed:
-            lines.append(
-                f"  ({side.history_trimmed} older entr"
-                f"{'y' if side.history_trimmed == 1 else 'ies'} omitted for budget)"
-            )
-    return lines
+        return tuple(lines), ()
+    lines.append("- recent connections (most recent first):")
+    history = tuple(
+        f"  {i}. ts={entry.timestamp} {entry.src_ip} -> {entry.dst_ip} "
+        f"proto {entry.l4_protocol_id} [{entry.label}] {entry.summary}"
+        for i, entry in enumerate(side.history, start=1)
+    )
+    return tuple(lines), history
 
 
-def _render_ip_knowledge(context: EnrichmentContext) -> str:
-    by_side: dict[str, dict[str, str]] = {"src": {}, "dst": {}}
-    for item in context.unavailable:
-        component, _, side = item.component.partition(".")
-        if side in by_side:
-            by_side[side][component] = item.reason
-    lines = _render_ip_side("Source IP", context.src, by_side["src"])
-    lines += _render_ip_side("Destination IP", context.dst, by_side["dst"])
-    return "\n".join(lines)
+def _trimmed_history(history: tuple[str, ...], trimmed: int) -> list[str]:
+    if not trimmed:
+        return list(history)
+    noun = "entry" if trimmed == 1 else "entries"
+    return [*history[: len(history) - trimmed], f"  ({trimmed} older {noun} omitted for budget)"]
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """An augmented prompt rendered once, with the fixed order of its trims.
+
+    ``plan`` lists every trim budget fitting may apply, least essential
+    first: history entries oldest first across both endpoints (ties go to
+    the source), then the spec entries of zero-valued features, then the
+    protocol descriptions. The instruction, the flow block and the
+    availability markers are not in it. :meth:`text` and :meth:`bundle`
+    assemble the prompt with the first ``n`` trims of the plan applied.
+    """
+
+    basic: PromptBundle
+    pieces: tuple[str, ...]
+    spec: tuple[tuple[str, str], ...]  # (trim marker, line) per feature
+    protocols: tuple[str, str]  # with and without descriptions
+    endpoints: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]  # src, dst
+    history_trims: tuple[int, ...]  # endpoint index of each history trim
+    plan: tuple[str, ...]
+    metadata: dict[str, object]
+    tokenizer: Tokenizer | None
+
+    def _segments(self, n: int) -> tuple[str, str, str]:
+        applied = set(self.plan[:n])
+        history_trims = self.history_trims[:n]
+        spec = "\n".join([line for marker, line in self.spec if marker not in applied])
+        ip_lines = []
+        for index, (fixed, history) in enumerate(self.endpoints):
+            ip_lines += fixed
+            ip_lines += _trimmed_history(history, history_trims.count(index))
+        pieces = self.pieces
+        return (
+            "\n\n" + pieces[0] + (spec or _NO_SPEC_ENTRIES),
+            pieces[1] + self.protocols[_TRIM_PROTOCOLS in applied],
+            pieces[2] + "\n".join(ip_lines) + pieces[3],
+        )
+
+    def text(self, n: int) -> str:
+        return self.basic.text + "".join(self._segments(n))
+
+    def bundle(self, n: int, token_count: int | None = None) -> PromptBundle:
+        segments = self._segments(n)
+        text = self.basic.text + "".join(segments)
+        sections = dict(self.basic.sections)
+        offset = len(self.basic.text)
+        for section_id, segment in zip((SECTION_SPEC, SECTION_PROTOCOLS, SECTION_IP), segments):
+            sections[section_id] = (offset, len(segment))
+            offset += len(segment)
+        if token_count is None:
+            token_count = count_tokens(text, self.tokenizer)
+        return PromptBundle(
+            text=text,
+            sections=sections,
+            token_count=token_count,
+            mode=MODE_AUGMENTED,
+            flow_id=self.basic.flow_id,
+            metadata={**self.metadata, "trims": list(self.plan[:n])},
+            _layout=self,
+        )
+
+
+def _is_zero(value) -> bool:
+    return isinstance(value, (int, Decimal)) and not isinstance(value, bool) and value == 0
 
 
 def build_augmented_prompt(
@@ -340,70 +367,51 @@ def build_augmented_prompt(
         )
     basic = build_basic_prompt(record, catalog, basic_template, tokenizer)
 
-    bodies = {
-        "spec": _render_spec_entries(context.spec_entries),
-        "protocols": _render_protocols(context),
-        "ip_knowledge": _render_ip_knowledge(context),
-    }
-    pieces = augmented_template.pieces
-    separator = "\n\n"
-    segments = []
-    for i, slot in enumerate(AUGMENTED_SLOTS):
-        segments.append(pieces[i] + bodies[slot])
-    segments[-1] += pieces[-1]
+    unavailable: dict[str, dict[str, str]] = {"src": {}, "dst": {}}
+    for item in context.unavailable:
+        component, _, side = item.component.partition(".")
+        if side in unavailable:
+            unavailable[side][component] = item.reason
+    endpoints = (context.src, context.dst)
+    oldest_first = [
+        [(entry.timestamp, index) for entry in reversed(endpoint.history)]
+        for index, endpoint in enumerate(endpoints)
+    ]
+    history_trims = tuple(index for _, index in heapq.merge(*oldest_first))
+    spec_trims = tuple(
+        _TRIM_SPEC + spec.name
+        for spec in context.spec_entries
+        if _is_zero(record.values.get(spec.name))
+    )
+    protocol_trims = (
+        (_TRIM_PROTOCOLS,) if context.l4.description or context.l7.description else ()
+    )
 
-    text = basic.text + separator + "".join(segments)
-    offset = len(basic.text)
-    sections = dict(basic.sections)
-    section_ids = (SECTION_SPEC, SECTION_PROTOCOLS, SECTION_IP)
-    lengths = [len(segments[0]) + len(separator), len(segments[1]), len(segments[2])]
-    for section_id, length in zip(section_ids, lengths):
-        sections[section_id] = (offset, length)
-        offset += length
-    _check_tiling(sections, len(text))
-
-    trims = list(context_trims(context))
-    return PromptBundle(
-        text=text,
-        sections=sections,
-        token_count=count_tokens(text, tokenizer),
-        mode=MODE_AUGMENTED,
-        flow_id=record.flow_id,
+    layout = _Layout(
+        basic=basic,
+        pieces=augmented_template.pieces,
+        spec=tuple(
+            (_TRIM_SPEC + spec.name,
+             f"- {spec.name}: {spec.definition} [{UNIT_LABELS[spec.unit]}]")
+            for spec in context.spec_entries
+        ),
+        protocols=(_render_protocols(context, True), _render_protocols(context, False)),
+        endpoints=(
+            _render_ip_side("Source IP", context.src, unavailable["src"]),
+            _render_ip_side("Destination IP", context.dst, unavailable["dst"]),
+        ),
+        history_trims=history_trims,
+        plan=(_TRIM_HISTORY,) * len(history_trims) + spec_trims + protocol_trims,
         metadata={
             "catalog_version": catalog.version,
             "template_id": basic_template.template_id,
             "augmented_template_id": augmented_template.template_id,
             "providers": dict(context.provider_ids),
             "unavailable": [[u.component, u.reason] for u in context.unavailable],
-            "trims": trims,
         },
-        build_inputs=BuildInputs(
-            record=record,
-            catalog=catalog,
-            template=basic_template,
-            context=context,
-            augmented_template=augmented_template,
-            tokenizer=tokenizer,
-        ),
+        tokenizer=tokenizer,
     )
-
-
-def context_trims(context: EnrichmentContext) -> list[str]:
-    """Trim markers already applied to a context (history drops)."""
-    trims = []
-    total = context.src.history_trimmed + context.dst.history_trimmed
-    for _ in range(total):
-        trims.append("history_entry")
-    return trims
-
-
-def _zero_valued_features(record: FlowRecord, entries: tuple[FeatureSpec, ...]) -> list[str]:
-    names = []
-    for spec in entries:
-        value = record.values.get(spec.name)
-        if isinstance(value, (int, Decimal)) and not isinstance(value, bool) and value == 0:
-            names.append(spec.name)
-    return names
+    return layout.bundle(0)
 
 
 def enforce_budget(
@@ -411,62 +419,24 @@ def enforce_budget(
 ) -> PromptBundle:
     """Shrink a bundle to the token budget, or fail if the core cannot fit.
 
-    Trim priority: oldest history entries first, then specification
-    entries for zero-valued features, then protocol descriptions. The
-    instruction, the flow block and availability markers are never
-    removed. Every trim is recorded in the bundle metadata.
+    The result is the bundle with the shortest prefix of its trim plan
+    (see :class:`_Layout`) whose text fits. Prefixes are tried in order
+    and each is counted with the tokenizer, so the rule needs no
+    assumption about how the count changes as text is removed. Every trim
+    is recorded in ``metadata["trims"]``. A basic prompt has nothing to
+    trim.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
-    tokenizer = tokenizer or (bundle.build_inputs.tokenizer if bundle.build_inputs else None)
     if bundle.token_count <= budget:
         return bundle
-    inputs = bundle.build_inputs
-    if inputs is None:
+    layout = bundle._layout
+    if layout is None:
         raise BudgetInfeasibleError(bundle.token_count, budget)
-    if bundle.mode == MODE_BASIC or inputs.context is None:
-        # nothing trimmable in a basic prompt
-        raise BudgetInfeasibleError(bundle.token_count, budget)
-
-    context = inputs.context
-    trims: list[str] = list(context_trims(context))
-
-    def rebuild(ctx: EnrichmentContext) -> PromptBundle:
-        rebuilt = build_augmented_prompt(
-            inputs.record,
-            ctx,
-            inputs.catalog,
-            inputs.template,
-            inputs.augmented_template,
-            tokenizer,
-        )
-        merged = dict(rebuilt.metadata)
-        merged["trims"] = list(trims)
-        return replace(rebuilt, metadata=merged)
-
-    current = bundle
-    # 1. history entries, oldest first
-    while current.token_count > budget:
-        reduced = drop_oldest_history(context)
-        if reduced is None:
-            break
-        context = reduced
-        trims.append("history_entry")
-        current = rebuild(context)
-    # 2. specification entries for zero-valued features
-    if current.token_count > budget:
-        for name in _zero_valued_features(inputs.record, context.spec_entries):
-            context = drop_spec_entry(context, name)
-            trims.append(f"spec_entry:{name}")
-            current = rebuild(context)
-            if current.token_count <= budget:
-                break
-    # 3. protocol descriptions
-    if current.token_count > budget and (context.l4.description or context.l7.description):
-        context = drop_protocol_descriptions(context)
-        trims.append("protocol_descriptions")
-        current = rebuild(context)
-
-    if current.token_count > budget:
-        raise BudgetInfeasibleError(current.token_count, budget)
-    return current
+    tokenizer = tokenizer or layout.tokenizer
+    token_count = bundle.token_count
+    for n in range(len(bundle.metadata["trims"]) + 1, len(layout.plan) + 1):
+        token_count = count_tokens(layout.text(n), tokenizer)
+        if token_count <= budget:
+            return layout.bundle(n, token_count)
+    raise BudgetInfeasibleError(token_count, budget)

@@ -22,9 +22,6 @@ class ProtocolInfo:
     layer: str  # "L4" or "L7"
     description: str
 
-    def without_description(self) -> "ProtocolInfo":
-        return ProtocolInfo(self.numeric_id, self.name, self.layer, "")
-
 
 def _load_registry(resource_name: str) -> dict[int, tuple[str, str]]:
     registry: dict[int, tuple[str, str]] = {}

@@ -52,6 +52,9 @@ class ExplainService:
                 except (ValueError, json.JSONDecodeError):
                     _send(self, 400, {"error": "request body is not valid JSON"})
                     return
+                if not isinstance(body, dict):
+                    _send(self, 400, {"error": "request body must be a JSON object"})
+                    return
                 service._handle_explain(self, body)
 
         self._server = ThreadingHTTPServer((host, port), Handler)

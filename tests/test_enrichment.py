@@ -261,7 +261,7 @@ class _ScriptedGetServer:
 
     def __enter__(self):
         self.thread = self._thread_mod.Thread(
-            target=self.httpd.serve_forever, daemon=True
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self.thread.start()
         return self

@@ -175,7 +175,9 @@ class _ScriptedHTTPServer:
         return f"http://{host}:{port}/v1/chat/completions"
 
     def __enter__(self):
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
         return self
 

@@ -8,6 +8,7 @@ from flowexplain.cli import main
 from flowexplain.pipeline import (
     ConfigError,
     PipelineConfig,
+    Runtime,
     run_cost,
     run_explain,
     run_ingest,
@@ -68,6 +69,14 @@ class TestConfig:
     def test_overrides_win(self, tmp_path):
         config = PipelineConfig.from_file(write_config_file(tmp_path), seed=99)
         assert config.seed == 99
+
+    @pytest.mark.parametrize(
+        "section,label", [("geo_provider", "geolocation"), ("cti_provider", "threat-intel")]
+    )
+    def test_unknown_provider_kind_rejected(self, tmp_path, section, label):
+        config = make_config(tmp_path, **{section: {"kind": "carrier-pigeon"}})
+        with pytest.raises(ConfigError, match=f"unknown {label} provider kind 'carrier-pigeon'"):
+            Runtime(config)
 
 
 class TestIngest:
@@ -142,9 +151,10 @@ class TestSampleAndExplain:
         assert entries[1]["status"] == "ok"
         assert result.failed == 1
 
-    def test_output_order_matches_selection_order(self, tmp_path, records):
+    @pytest.mark.parametrize("workers", [4, 1])
+    def test_output_order_matches_selection_order(self, tmp_path, records, workers):
         malicious = [r.flow_id for r in records if r.label == "malicious"][:6]
-        config = make_config(tmp_path, workers=4)
+        config = make_config(tmp_path, workers=workers)
         run_ingest(config)
         result = run_explain(config, "augmented", flow_ids=malicious, run_id="t3")
         entries = [json.loads(l) for l in result.log_path.read_text().splitlines()]

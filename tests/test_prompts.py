@@ -1,3 +1,5 @@
+import functools
+import json
 from decimal import Decimal
 
 import pytest
@@ -10,6 +12,7 @@ from flowexplain.prompts import (
     AUGMENTED_SLOTS,
     BASIC_SLOTS,
     BudgetInfeasibleError,
+    PromptBundle,
     TemplateError,
     build_augmented_prompt,
     build_basic_prompt,
@@ -21,13 +24,37 @@ from flowexplain.prompts import (
 )
 from flowexplain.providers import FixtureGeoProvider, FixtureThreatProvider
 
-from .conftest import GEO_FIXTURE, CTI_FIXTURE, history_entry, make_record, seeded_store
+from .conftest import (
+    CTI_FIXTURE,
+    DATA_DIR,
+    GEO_FIXTURE,
+    history_entry,
+    make_record,
+    seeded_store,
+)
+from .data.record_budget_golden import (
+    BUDGETS,
+    TOKENIZERS,
+    augmented_bundles,
+    fitted_cases,
+    group_digests,
+    group_key,
+)
 
 SECTION_TITLES = (
     "NetFlow Specification:",
     "Protocol Specific Knowledge:",
     "IP Specific Knowledge:",
 )
+
+
+def assert_tiles(bundle: PromptBundle) -> None:
+    """The sections cover the text exactly, without gaps or overlaps."""
+    cursor = 0
+    for offset, length in sorted(bundle.sections.values()):
+        assert offset == cursor and length >= 0
+        cursor = offset + length
+    assert cursor == len(bundle.text)
 
 
 def _record(catalog, **overrides):
@@ -101,11 +128,7 @@ class TestBasicPrompt:
             build_basic_prompt(_record(catalog), catalog, template)
 
     def test_sections_tile_text(self, catalog):
-        bundle = build_basic_prompt(_record(catalog), catalog, default_basic_template())
-        spans = sorted(bundle.sections.values())
-        assert spans[0][0] == 0
-        assert spans[0][0] + spans[0][1] == spans[1][0]
-        assert spans[1][0] + spans[1][1] == len(bundle.text)
+        assert_tiles(build_basic_prompt(_record(catalog), catalog, default_basic_template()))
 
     def test_token_count_positive(self, catalog):
         bundle = build_basic_prompt(_record(catalog), catalog, default_basic_template())
@@ -163,13 +186,7 @@ class TestAugmentedPrompt:
         assert "- threat intelligence: verdict=benign" in ip_section
 
     def test_sections_tile_text(self, catalog):
-        augmented = _augmented(catalog, _record(catalog))
-        spans = sorted(augmented.sections.values())
-        cursor = 0
-        for offset, length in spans:
-            assert offset == cursor
-            cursor = offset + length
-        assert cursor == len(augmented.text)
+        assert_tiles(_augmented(catalog, _record(catalog)))
 
     def test_flow_id_mismatch_rejected(self, catalog):
         record = _record(catalog)
@@ -289,3 +306,58 @@ class TestEnforceBudget:
             except BudgetInfeasibleError:
                 continue
             assert result.token_count <= budget
+
+
+GOLDEN_GROUPS = [(name, k) for name, (_, depths) in TOKENIZERS.items() for k in depths]
+
+
+class TestBudgetFitGolden:
+    """Fitted prompts of the fixture flows match digests of the rebuild-per-trim fit.
+
+    The digests in ``data/budget_golden.json`` cover every malicious fixture
+    flow with its history ingested, k 0..8 and budgets 600..3000 by 100,
+    and k=5 under a word-count tokenizer; ``data/record_budget_golden.py``
+    records them.
+    """
+
+    golden = json.loads((DATA_DIR / "budget_golden.json").read_text(encoding="utf-8"))
+
+    def test_budget_grid_matches_recording(self):
+        assert self.golden["budgets"] == [BUDGETS.start, BUDGETS.stop, BUDGETS.step]
+
+    @pytest.mark.parametrize("tokenizer_name,k", GOLDEN_GROUPS)
+    def test_outcomes_match_golden_digests(self, tokenizer_name, k):
+        cases = list(fitted_cases(tokenizer_name, k))
+        for _, _, outcome in cases:
+            if isinstance(outcome, PromptBundle):
+                assert_tiles(outcome)
+        assert group_digests(iter(cases)) == self.golden["groups"][group_key(tokenizer_name, k)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_bundles(tokenizer_name: str, k: int) -> tuple[PromptBundle, ...]:
+    return tuple(augmented_bundles(tokenizer_name, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fitted_bundle_properties(data):
+    tokenizer_name, k = data.draw(st.sampled_from(GOLDEN_GROUPS))
+    bundle = data.draw(st.sampled_from(_fixture_bundles(tokenizer_name, k)))
+    budget = data.draw(st.integers(min_value=1, max_value=3500))
+    try:
+        fitted = enforce_budget(bundle, budget)
+    except BudgetInfeasibleError as exc:
+        assert exc.token_count > budget
+        return
+    assert_tiles(fitted)
+    assert fitted.token_count == count_tokens(fitted.text, TOKENIZERS[tokenizer_name][0])
+    assert fitted.token_count <= budget
+    for section_id in ("instruction", "flow"):
+        assert fitted.section_text(section_id) == bundle.section_text(section_id)
+    # trims follow the fixed order: history, then spec entries, then protocols
+    kinds = [
+        0 if trim == "history_entry" else 1 if trim.startswith("spec_entry:") else 2
+        for trim in fitted.metadata["trims"]
+    ]
+    assert kinds == sorted(kinds)

@@ -92,6 +92,17 @@ class TestService:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
 
+    @pytest.mark.parametrize("body", [b"[1,2]", b'"x"', b"3", b"null"])
+    def test_non_object_json_is_400(self, service, body):
+        host, port = service.address
+        req = urllib.request.Request(
+            f"http://{host}:{port}/explain", data=body, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 400
+        assert "JSON object" in json.loads(err.value.read())["error"]
+
     def test_bad_mode_rejected(self, service):
         status, body = _request(
             service, "/explain", {"flow": _dataset_row(), "mode": "verbose"}
