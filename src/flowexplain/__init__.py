@@ -76,7 +76,6 @@ from .history import (
     FlowHistoryEntry,
     FlowHistoryStore,
     HistoryQuery,
-    IpStats,
     StoreError,
 )
 from .pipeline import (

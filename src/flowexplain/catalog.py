@@ -8,6 +8,7 @@ specification section of augmented prompts, and the consistency checkers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -48,6 +49,10 @@ UNIT_LABELS = {
 
 DEFAULT_CATALOG_RESOURCE = "nfv2_catalog.json"
 
+#: Feature names are single identifiers, which is what lets the checkers
+#: find them in prose with one scan over the text's word runs.
+_FEATURE_NAME = re.compile(r"\w+")
+
 
 class CatalogError(ValueError):
     """Raised when a catalog document is malformed or violates its invariants."""
@@ -63,8 +68,10 @@ class FeatureSpec:
     value_kind: str
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise CatalogError("feature name must be non-empty")
+        if not _FEATURE_NAME.fullmatch(self.name):
+            raise CatalogError(
+                f"feature name {self.name!r} must be non-empty letters, digits and underscores"
+            )
         if self.unit not in UNITS:
             raise CatalogError(f"unknown unit tag {self.unit!r} for feature {self.name}")
         if self.value_kind not in VALUE_KINDS:
@@ -88,6 +95,9 @@ class FeatureCatalog:
     _by_name: dict[str, FeatureSpec] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _by_upper_name: dict[str, str] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if not self.version:
@@ -95,11 +105,14 @@ class FeatureCatalog:
         if not self.features:
             raise CatalogError("empty catalog: at least one feature is required")
         by_name: dict[str, FeatureSpec] = {}
+        by_upper_name: dict[str, str] = {}
         for spec in self.features:
             if spec.name in by_name:
                 raise CatalogError(f"duplicate feature name {spec.name!r}")
             by_name[spec.name] = spec
+            by_upper_name.setdefault(spec.name.upper(), spec.name)
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_upper_name", by_upper_name)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -113,6 +126,16 @@ class FeatureCatalog:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(spec.name for spec in self.features)
+
+    def name_for(self, token: str) -> str | None:
+        """The feature name ``token`` spells letter for letter in any case, or None.
+
+        Of names that differ only in case, the first in catalog order wins. A
+        token whose upper-case form is longer than itself spells no name:
+        "\\ufb02OW", with the ligature U+FB02, upper-cases to "FLOW".
+        """
+        name = self._by_upper_name.get(token.upper())
+        return name if name is not None and len(name) == len(token) else None
 
     def get(self, name: str) -> FeatureSpec:
         try:

@@ -203,7 +203,8 @@ _BITSY = {"bits", "bit_rate"}
 _BYTESY = {"bytes", "byte_rate"}
 
 
-_UNKNOWN_FEATURE = re.compile(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b")
+_WORD = re.compile(r"\w+")
+_UNKNOWN_FEATURE = re.compile(r"[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+")
 
 _NUMBER_VALUE = re.compile(
     r"\s*[:=(]\s*(?P<value>-?\d[\d,]*(?:\.\d+)?)(?:\s*(?P<unit>[A-Za-z]+(?:/s)?))?"
@@ -212,52 +213,24 @@ _ADDRESS_VALUE = re.compile(r"\s*[:=(]\s*(?P<value>\d{1,3}(?:\.\d{1,3}){3})")
 
 
 def extract_feature_mentions(text: str, catalog: FeatureCatalog) -> list[FeatureMention]:
-    """Find catalog feature references and catalog-shaped unknown tokens.
+    """Find catalog feature references and catalog-shaped unknown tokens, in text order.
 
-    Adjacent ``name: value``, ``name = value`` and ``name (value)`` forms
-    capture the quoted value and, when present, the unit as written.
+    One scan over the identifiers (``\\w+`` runs) of the text: an identifier
+    that spells a catalog name in any letter case is a known mention; one
+    shaped like a catalog name (upper-case words joined by underscores) is
+    an unknown mention. Adjacent ``name: value``, ``name = value`` and
+    ``name (value)`` forms capture the quoted value and, when present, the
+    unit as written.
     """
     mentions: list[FeatureMention] = []
-    claimed_spans: list[tuple[int, int]] = []
-    pattern = _mention_pattern(catalog)
-
-    for match in pattern.finditer(text):
-        name = _canonical_feature_name(match.group(0), catalog)
-        mention = _mention_with_value(text, match.start(), match.end(), name, True, catalog)
-        mentions.append(mention)
-        claimed_spans.append(mention.span)
-
-    for match in _UNKNOWN_FEATURE.finditer(text):
-        token = match.group(0)
-        if token in catalog:
-            continue
-        if any(s <= match.start() and match.end() <= e for s, e in claimed_spans):
-            continue
-        mentions.append(
-            _mention_with_value(text, match.start(), match.end(), token, False, catalog)
-        )
-    mentions.sort(key=lambda m: m.span)
+    for match in _WORD.finditer(text):
+        token = match.group()
+        name = catalog.name_for(token)
+        if name is not None:
+            mentions.append(_mention_with_value(text, *match.span(), name, True, catalog))
+        elif _UNKNOWN_FEATURE.fullmatch(token):
+            mentions.append(_mention_with_value(text, *match.span(), token, False, catalog))
     return mentions
-
-
-@lru_cache(maxsize=8)
-def _cached_pattern(names: tuple[str, ...]) -> re.Pattern:
-    ordered = sorted(names, key=len, reverse=True)
-    return re.compile(
-        r"\b(?:" + "|".join(re.escape(n) for n in ordered) + r")\b", re.IGNORECASE
-    )
-
-
-def _mention_pattern(catalog: FeatureCatalog) -> re.Pattern:
-    return _cached_pattern(catalog.feature_names)
-
-
-def _canonical_feature_name(token: str, catalog: FeatureCatalog) -> str:
-    upper = token.upper()
-    for name in catalog.feature_names:
-        if name.upper() == upper:
-            return name
-    return token
 
 
 def _mention_with_value(
@@ -418,13 +391,19 @@ def _compare_values(
 
 _NUM = r"\d[\d,]*(?:\.\d+)?"
 
+# A claim may start only where a run of digits and commas begins: starting
+# at every digit inside the run would make a long run cost quadratic time.
+# The leading lookahead adds no condition, as a claim starts with a digit or
+# a comma; it lets the regex engine skip fast to such positions. The unit is
+# matched in ASCII only: ignoring case, U+017F (long s) would match the "s"
+# of "mins", and milliseconds_to converts no such spelling.
 _DURATION_CLAIM = re.compile(
-    rf"(?P<ms>{_NUM})\s*(?:ms|msecs?|milliseconds?)\b"
+    rf"(?=[\d,])(?<![\d,]),*(?P<ms>{_NUM})\s*(?:ms|msecs?|milliseconds?)\b"
     rf"(?:,?\s+which)?\s+"
     rf"(?:is\s+(?:equivalent\s+to\s+|equal\s+to\s+)?|equals?\s+|corresponds?\s+to\s+"
     rf"|translates?\s+(?:in)?to\s+|amounts?\s+to\s+|=\s*|≈\s*|~\s*)"
     rf"(?:about\s+|approximately\s+|roughly\s+|around\s+|~\s*)?"
-    rf"(?P<qty>{_NUM})\s*(?P<unit>seconds?|secs?|minutes?|mins?|hours?|hrs?)\b",
+    rf"(?P<qty>{_NUM})\s*(?P<unit>(?a:seconds?|secs?|minutes?|mins?|hours?|hrs?))\b",
     re.IGNORECASE,
 )
 
@@ -453,7 +432,8 @@ _TCP_FLAGS_CLAIM = re.compile(
     rf"(?P<flags>{_FLAG_LIST})\)?"
 )
 
-_FLAG_SPLIT = re.compile(r"[,+|/&]|\band\b")
+# No flag name contains "and", so it splits "SYNandACK" as well as "SYN and ACK".
+_FLAG_SPLIT = re.compile(r"[,+|/&]|and")
 
 
 def check_factual_claims(
@@ -485,23 +465,19 @@ def check_factual_claims(
                 CheckFinding(
                     kind="arithmetic_error",
                     detail=(
-                        f"{match.group('ms')} ms is {actual.quantize(Decimal('0.01'))} "
+                        f"{match.group('ms')} ms is {actual:.2f} "
                         f"{unit}, not {match.group('qty')}"
                     ),
-                    span=match.span(),
+                    span=(match.start("ms"), match.end()),
                 )
             )
 
-    seen_port_spans: list[tuple[int, int]] = []
     for claim_re in _PORT_CLAIMS:
         for match in claim_re.finditer(text):
             service = match.group("svc").upper()
             expected = port_table.get(service)
             if expected is None:
                 continue
-            if any(s == match.start() and e == match.end() for s, e in seen_port_spans):
-                continue
-            seen_port_spans.append(match.span())
             claimed_port = int(match.group("port"))
             if claimed_port != expected:
                 findings.append(

@@ -8,7 +8,6 @@ address" for the prompt augmenter.
 from __future__ import annotations
 
 import ipaddress
-import json
 import sqlite3
 import threading
 from dataclasses import dataclass
@@ -24,10 +23,13 @@ class StoreError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowHistoryEntry:
-    """One observed flow, indexed by both of its endpoint addresses."""
+    """One observed flow, indexed by both of its endpoint addresses.
+
+    An entry appended with no ``timestamp`` is stamped by the store.
+    """
 
     flow_id: str
-    timestamp: int
+    timestamp: int | None
     src_ip: str
     dst_ip: str
     l4_protocol_id: int
@@ -35,8 +37,6 @@ class FlowHistoryEntry:
     summary: str
 
     def __post_init__(self) -> None:
-        if self.timestamp is None:
-            raise ValueError("history entry requires a timestamp")
         for field_name, ip in (("src_ip", self.src_ip), ("dst_ip", self.dst_ip)):
             try:
                 ipaddress.ip_address(ip)
@@ -46,29 +46,6 @@ class FlowHistoryEntry:
             raise ValueError(f"l4_protocol_id out of range: {self.l4_protocol_id}")
         if self.label not in HISTORY_LABELS:
             raise ValueError(f"label must be one of {HISTORY_LABELS}, got {self.label!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "flow_id": self.flow_id,
-            "timestamp": self.timestamp,
-            "src_ip": self.src_ip,
-            "dst_ip": self.dst_ip,
-            "l4_protocol_id": self.l4_protocol_id,
-            "label": self.label,
-            "summary": self.summary,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlowHistoryEntry":
-        return cls(
-            flow_id=data["flow_id"],
-            timestamp=int(data["timestamp"]),
-            src_ip=data["src_ip"],
-            dst_ip=data["dst_ip"],
-            l4_protocol_id=int(data["l4_protocol_id"]),
-            label=data["label"],
-            summary=data.get("summary", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -82,14 +59,6 @@ class HistoryQuery:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError("k must be non-negative")
-
-
-@dataclass(frozen=True)
-class IpStats:
-    total: int
-    malicious: int
-    first_seen: int | None
-    last_seen: int | None
 
 
 _SCHEMA = """
@@ -107,13 +76,21 @@ CREATE INDEX IF NOT EXISTS idx_history_src ON flow_history (src_ip, timestamp);
 CREATE INDEX IF NOT EXISTS idx_history_dst ON flow_history (dst_ip, timestamp);
 """
 
+_INSERT = (
+    "INSERT INTO flow_history "
+    "(flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
+
 
 class FlowHistoryStore:
     """Append-only flow log, queryable by endpoint address.
 
     A single writer is serialized through an internal lock; readers see a
     consistent snapshot (appends are atomic transactions). ``max_entries``
-    optionally caps the log, evicting oldest rows.
+    optionally caps the log, evicting oldest rows. An entry appended without
+    a timestamp gets one past the newest timestamp this store has held, so
+    stamped entries stay in order across eviction and concurrent appends.
     """
 
     def __init__(self, path: str | Path = ":memory:", max_entries: int | None = None):
@@ -124,8 +101,11 @@ class FlowHistoryStore:
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
+            (newest,) = self._conn.execute("SELECT MAX(timestamp) FROM flow_history").fetchone()
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open history store at {self.path}: {exc}") from exc
+        # kept up to date by every append, so stamping never scans the table
+        self._newest: int = -1 if newest is None else newest
 
     def __enter__(self) -> "FlowHistoryStore":
         return self
@@ -141,20 +121,7 @@ class FlowHistoryStore:
         """Persist one entry; returns its insertion id."""
         with self._lock:
             try:
-                cur = self._conn.execute(
-                    "INSERT INTO flow_history "
-                    "(flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        entry.flow_id,
-                        entry.timestamp,
-                        entry.src_ip,
-                        entry.dst_ip,
-                        entry.l4_protocol_id,
-                        entry.label,
-                        entry.summary,
-                    ),
-                )
+                cur = self._conn.execute(_INSERT, self._row(entry))
                 self._enforce_cap()
                 self._conn.commit()
                 return int(cur.lastrowid)
@@ -163,23 +130,30 @@ class FlowHistoryStore:
 
     def append_many(self, entries: Iterable[FlowHistoryEntry]) -> int:
         """Bulk append; returns the number of entries written."""
-        rows = [
-            (e.flow_id, e.timestamp, e.src_ip, e.dst_ip, e.l4_protocol_id, e.label, e.summary)
-            for e in entries
-        ]
         with self._lock:
+            rows = [self._row(entry) for entry in entries]
             try:
-                self._conn.executemany(
-                    "INSERT INTO flow_history "
-                    "(flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    rows,
-                )
+                self._conn.executemany(_INSERT, rows)
                 self._enforce_cap()
                 self._conn.commit()
             except sqlite3.Error as exc:
                 raise StoreError(f"bulk append failed: {exc}") from exc
         return len(rows)
+
+    def _row(self, entry: FlowHistoryEntry) -> tuple:
+        """Insert parameters of ``entry``, stamped if it has no timestamp; needs the lock."""
+        timestamp = self._newest + 1 if entry.timestamp is None else entry.timestamp
+        if timestamp > self._newest:
+            self._newest = timestamp
+        return (
+            entry.flow_id,
+            timestamp,
+            entry.src_ip,
+            entry.dst_ip,
+            entry.l4_protocol_id,
+            entry.label,
+            entry.summary,
+        )
 
     def _enforce_cap(self) -> None:
         if self.max_entries is None:
@@ -233,26 +207,6 @@ class FlowHistoryStore:
             for r in rows
         ]
 
-    def ip_stats(self, ip: str) -> IpStats:
-        """Counts and first/last timestamps for one address."""
-        with self._lock:
-            try:
-                total, malicious, first_seen, last_seen = self._conn.execute(
-                    "SELECT COUNT(*), "
-                    "COALESCE(SUM(CASE WHEN label = 'malicious' THEN 1 ELSE 0 END), 0), "
-                    "MIN(timestamp), MAX(timestamp) "
-                    "FROM flow_history WHERE src_ip = ? OR dst_ip = ?",
-                    (ip, ip),
-                ).fetchone()
-            except sqlite3.Error as exc:
-                raise StoreError(f"stats query failed: {exc}") from exc
-        return IpStats(
-            total=int(total),
-            malicious=int(malicious),
-            first_seen=first_seen,
-            last_seen=last_seen,
-        )
-
     def count(self) -> int:
         with self._lock:
             (n,) = self._conn.execute("SELECT COUNT(*) FROM flow_history").fetchone()
@@ -264,40 +218,6 @@ class FlowHistoryStore:
             try:
                 self._conn.execute("DELETE FROM flow_history")
                 self._conn.commit()
+                self._newest = -1
             except sqlite3.Error as exc:
                 raise StoreError(f"clear failed: {exc}") from exc
-
-    def export_jsonl(self, path: str | Path) -> int:
-        """Dump all entries, in insertion order, as line-delimited JSON."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary "
-                "FROM flow_history ORDER BY id"
-            ).fetchall()
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in rows:
-                fh.write(
-                    json.dumps(
-                        {
-                            "flow_id": r[0],
-                            "timestamp": r[1],
-                            "src_ip": r[2],
-                            "dst_ip": r[3],
-                            "l4_protocol_id": r[4],
-                            "label": r[5],
-                            "summary": r[6],
-                        }
-                    )
-                    + "\n"
-                )
-        return len(rows)
-
-    def import_jsonl(self, path: str | Path) -> int:
-        """Append entries from a line-delimited JSON export."""
-        entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(FlowHistoryEntry.from_dict(json.loads(line)))
-        return self.append_many(entries)

@@ -10,7 +10,6 @@ annotations into a results table.
 from __future__ import annotations
 
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -259,7 +258,7 @@ def pricing_from_config(config: dict) -> PricingTable:
 
 
 def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
-    """Derive the store entry for one parsed flow."""
+    """Derive the store entry for one parsed flow; the store stamps one without a timestamp."""
     values = record.values
     summary = (
         f"{values.get('IN_BYTES', '?')}B in / {values.get('OUT_BYTES', '?')}B out, "
@@ -267,7 +266,7 @@ def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
     )
     return FlowHistoryEntry(
         flow_id=record.flow_id,
-        timestamp=record.timestamp if record.timestamp is not None else 0,
+        timestamp=record.timestamp,
         src_ip=str(values["IPV4_SRC_ADDR"]),
         dst_ip=str(values["IPV4_DST_ADDR"]),
         l4_protocol_id=int(values["PROTOCOL"]),
@@ -331,7 +330,6 @@ class Runtime:
         )
         self.gateway = Gateway(self.backend, max_in_flight=config.max_in_flight)
         self.pricing = pricing_from_config(config.pricing)
-        self._sequence_lock = threading.Lock()
 
     def close(self) -> None:
         self.store.close()
@@ -378,7 +376,7 @@ class Runtime:
         result = self.gateway.generate(request)
         findings = run_all_checks(result.text, record, self.catalog)
         if append_history:
-            self.store.append(self._entry_for_external(record))
+            self.store.append(history_entry_for(record))
         return {
             "explanation_id": explanation_id,
             "flow_id": record.flow_id,
@@ -396,13 +394,6 @@ class Runtime:
             "error": None,
             "timestamps": {"started": started, "finished": _utc_now()},
         }
-
-    def _entry_for_external(self, record: FlowRecord) -> FlowHistoryEntry:
-        if record.timestamp is not None:
-            return history_entry_for(record)
-        with self._sequence_lock:
-            stats_total = self.store.count()
-        return history_entry_for(record.with_timestamp(stats_total))
 
     def record_from_row(self, row: dict, flow_id: str) -> FlowRecord:
         """Build a validated record from a dataset-shaped column mapping."""

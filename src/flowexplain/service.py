@@ -110,7 +110,10 @@ class ExplainService:
         _send(handler, 200, result)
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll, so that stop() returns promptly
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     def serve_forever(self) -> None:

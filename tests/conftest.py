@@ -100,7 +100,7 @@ def seeded_store(entries: list[FlowHistoryEntry]) -> FlowHistoryStore:
 
 def history_entry(
     flow_id: str = "h-1",
-    timestamp: int = 0,
+    timestamp: int | None = 0,
     src_ip: str = "172.31.69.17",
     dst_ip: str = "8.8.8.8",
     l4_protocol_id: int = 6,

@@ -48,6 +48,23 @@ def test_empty_feature_list_rejected():
         load_catalog(_doc([]))
 
 
+@pytest.mark.parametrize("name", ["IN BYTES", "IN-BYTES", ""])
+def test_feature_name_must_be_an_identifier(name):
+    with pytest.raises(CatalogError, match="letters, digits and underscores"):
+        load_catalog(_doc([_feature(name=name)]))
+
+
+def test_name_for_ignores_letter_case(catalog):
+    assert catalog.name_for("flow_Duration_MILLISECONDS") == "FLOW_DURATION_MILLISECONDS"
+    assert catalog.name_for("\ufb02OW_DURATION_MILLISECONDS") is None  # "fl" ligature
+    assert catalog.name_for("PACKET_ENTROPY") is None
+
+
+def test_name_for_prefers_the_first_of_names_equal_but_for_case():
+    catalog = load_catalog(_doc([_feature(name="in_bytes"), _feature(name="IN_BYTES")]))
+    assert catalog.name_for("IN_BYTES") == "in_bytes"
+
+
 def test_unknown_unit_rejected():
     with pytest.raises(CatalogError, match="unit"):
         load_catalog(_doc([_feature(unit="furlongs")]))

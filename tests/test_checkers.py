@@ -1,3 +1,5 @@
+import json
+import time
 from decimal import Decimal
 
 import pytest
@@ -15,7 +17,19 @@ from flowexplain.checkers import (
     well_known_ports,
 )
 
-from .conftest import make_record
+from .conftest import DATA_DIR, make_record
+from .data.record_checkers_golden import (
+    FUZZ_CASES,
+    FUZZ_CHUNK,
+    FUZZ_SEED,
+    chunk_digests,
+    fixture_records,
+    fuzz_cases,
+    text_cases,
+)
+
+
+GOLDEN = json.loads((DATA_DIR / "checkers_golden.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -106,6 +120,19 @@ class TestExtractMentions:
     def test_address_value_captured(self, catalog):
         mentions = extract_feature_mentions("IPV4_SRC_ADDR: 172.31.69.17 origin", catalog)
         assert mentions[0].value == "172.31.69.17"
+
+    @pytest.mark.parametrize(
+        "text, features",
+        [
+            ("ipv4_src_addr: 1.2.3.4 and In_Bytes: 5", ["IPV4_SRC_ADDR", "IN_BYTES"]),
+            ("IN_BYTES_X: 5 and X_IN_BYTES", ["IN_BYTES_X", "X_IN_BYTES"]),
+            ("5IN_BYTES and in_bytes5", []),
+            ("\ufb02ow_duration_milliseconds: 5 and \u017frc_to_dst_avg_throughput: 5",
+             ["SRC_TO_DST_AVG_THROUGHPUT"]),
+        ],
+    )
+    def test_mentions_are_whole_identifiers(self, catalog, text, features):
+        assert [m.feature for m in extract_feature_mentions(text, catalog)] == features
 
     def test_spans_lie_within_text(self, catalog):
         text = "MIN_TTL: 3, PACKET_ENTROPY (0.4), IN_BYTES=9 bytes"
@@ -280,3 +307,76 @@ class TestRunAllChecks:
         assert kinds == ["value_mismatch", "arithmetic_error", "fact_error"]
         spans = [f.span for f in findings]
         assert spans == sorted(spans)
+
+
+class TestUntrustedText:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "IN_P\u212aTS: 5",  # Kelvin sign for K: upper-cases to no catalog name
+            "\u0130N_BYTES: 3",  # capital I with dot above
+            "4294964 ms is about 71 min\u017f",  # long s in the unit
+        ],
+    )
+    def test_lookalike_letters_yield_no_mention_and_no_error(self, catalog, record, text):
+        assert extract_feature_mentions(text, catalog) == []
+        assert run_all_checks(text, record, catalog) == []
+
+    @pytest.mark.parametrize(
+        "text, kinds",
+        [
+            ("1" * 40 + " ms is 5 seconds", ["arithmetic_error"]),  # past Decimal precision
+            ("TCP flags 18 means SYNandACK", []),
+            ("TCP flags 18 means SYN andRST", ["fact_error"]),
+        ],
+    )
+    def test_odd_claims_are_checked_not_raised(self, record, text, kinds):
+        assert [f.kind for f in check_factual_claims(text, record)] == kinds
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 100_000,
+            "1," * 50_000,
+            "1." + "2" * 99_998,
+            " ".join(entry["text"] for entry in GOLDEN["texts"]["stub"])[:100_000],
+        ],
+        ids=["digit-run", "digit-comma-run", "decimal-run", "stub-answers"],
+    )
+    def test_checks_are_linear_in_text_length(self, catalog, record, text):
+        started = time.perf_counter()
+        run_all_checks(text, record, catalog)
+        assert time.perf_counter() - started < 1.0
+
+    def test_digits_then_duration_claim_still_found(self, record):
+        findings = check_factual_claims(",,4294964 ms is equivalent to 43 minutes", record)
+        assert [f.kind for f in findings] == ["arithmetic_error"]
+        assert findings[0].span[0] == 2
+
+
+class TestCheckersGolden:
+    """Checker output matches digests recorded with the alternation-based extraction.
+
+    ``data/record_checkers_golden.py`` records ``data/checkers_golden.json``
+    from the benchmark stub's answers for every fixture row, the texts of
+    acceptance criterion 3 and seeded fuzz strings. Where the recorded code
+    raised on model output, the current code must return findings instead.
+    """
+
+    def test_fuzz_settings_match_recording(self):
+        assert GOLDEN["fuzz"] == {"seed": FUZZ_SEED, "cases": FUZZ_CASES, "chunk": FUZZ_CHUNK}
+
+    @pytest.mark.parametrize("case_set", ["stub", "faults"])
+    def test_recorded_texts_match_golden_digests(self, catalog, case_set):
+        cases = text_cases(GOLDEN["texts"][case_set], fixture_records(catalog))
+        digests, raised = chunk_digests(cases, catalog, chunk=1)
+        assert raised == []
+        assert digests == GOLDEN["digests"][case_set]
+
+    def test_fuzz_matches_golden_digests(self, catalog):
+        skip = frozenset(GOLDEN["raised"]["fuzz"])
+        assert skip, "the recording raised on some fuzz strings; they must be covered"
+        cases = fuzz_cases(fixture_records(catalog))
+        digests, raised = chunk_digests(cases, catalog, chunk=FUZZ_CHUNK, skip=skip)
+        assert raised == []
+        assert digests == GOLDEN["digests"]["fuzz"]

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,36 +88,6 @@ class TestAppendAndQuery:
             HistoryQuery(ip="8.8.8.8", k=-1)
 
 
-class TestIpStats:
-    def test_empty_store(self):
-        store = FlowHistoryStore(":memory:")
-        stats = store.ip_stats("8.8.8.8")
-        assert (stats.total, stats.malicious) == (0, 0)
-        assert stats.first_seen is None and stats.last_seen is None
-
-    def test_recounted_fixture(self):
-        # 4 entries, 3 malicious; first/last seen recounted by hand
-        store = seeded_store(
-            [
-                history_entry(flow_id="a", timestamp=5, label="malicious"),
-                history_entry(flow_id="b", timestamp=15, label="benign"),
-                history_entry(flow_id="c", timestamp=25, label="malicious"),
-                history_entry(flow_id="d", timestamp=35, label="malicious"),
-            ]
-        )
-        stats = store.ip_stats("8.8.8.8")
-        assert stats.total == 4
-        assert stats.malicious == 3
-        assert stats.first_seen == 5
-        assert stats.last_seen == 35
-
-    def test_append_increments_total_by_one(self):
-        store = seeded_store([history_entry(timestamp=1)])
-        before = store.ip_stats("8.8.8.8").total
-        store.append(history_entry(flow_id="new", timestamp=2))
-        assert store.ip_stats("8.8.8.8").total == before + 1
-
-
 class TestPersistence:
     def test_reopen_preserves_entries(self, tmp_path):
         path = tmp_path / "history.db"
@@ -124,23 +98,68 @@ class TestPersistence:
         assert reopened.count() == 1
         reopened.close()
 
-    def test_export_import_jsonl_roundtrip(self, tmp_path):
-        entries = [history_entry(flow_id=f"e{i}", timestamp=i) for i in range(4)]
-        store = seeded_store(entries)
-        out = tmp_path / "entries.jsonl"
-        assert store.export_jsonl(out) == 4
-        other = FlowHistoryStore(":memory:")
-        assert other.import_jsonl(out) == 4
-        assert other.query_history(HistoryQuery(ip="8.8.8.8", k=10)) == store.query_history(
-            HistoryQuery(ip="8.8.8.8", k=10)
-        )
-
     def test_max_entries_cap_evicts_oldest(self):
         store = FlowHistoryStore(":memory:", max_entries=3)
         for i in range(5):
             store.append(history_entry(flow_id=f"e{i}", timestamp=i))
         remaining = store.query_history(HistoryQuery(ip="8.8.8.8", k=10))
         assert [e.flow_id for e in remaining] == ["e4", "e3", "e2"]
+
+
+class TestStamping:
+    def test_unstamped_entry_follows_the_newest(self):
+        store = seeded_store([history_entry(timestamp=7), history_entry(timestamp=3)])
+        store.append(history_entry(flow_id="new", timestamp=None))
+        newest = store.query_history(HistoryQuery(ip="8.8.8.8", k=1))
+        assert [(e.flow_id, e.timestamp) for e in newest] == [("new", 8)]
+
+    def test_empty_store_stamps_zero(self):
+        store = FlowHistoryStore(":memory:")
+        store.append_many([history_entry(flow_id="a", timestamp=None)] * 2)
+        stamps = [e.timestamp for e in store.query_history(HistoryQuery(ip="8.8.8.8", k=5))]
+        assert stamps == [1, 0]
+
+    def test_stamps_stay_monotone_after_eviction(self):
+        store = FlowHistoryStore(":memory:", max_entries=3)
+        store.append_many(history_entry(flow_id=f"e{i}", timestamp=i) for i in range(10))
+        store.append(history_entry(flow_id="new", timestamp=None))
+        assert store.count() == 3
+        newest = store.query_history(HistoryQuery(ip="8.8.8.8", k=1))[0]
+        assert (newest.flow_id, newest.timestamp) == ("new", 10)
+
+    def test_reopened_store_stamps_past_its_rows(self, tmp_path):
+        path = tmp_path / "history.db"
+        with FlowHistoryStore(path) as store:
+            store.append(history_entry(timestamp=41))
+        with FlowHistoryStore(path) as store:
+            store.append(history_entry(flow_id="new", timestamp=None))
+            newest = store.query_history(HistoryQuery(ip="8.8.8.8", k=1))[0]
+        assert newest.timestamp == 42
+
+    def test_concurrent_appends_get_distinct_stamps(self):
+        store = FlowHistoryStore(":memory:")
+        workers, per_worker = (os.cpu_count() or 1) + 2, 50
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [
+                        store.append(history_entry(timestamp=None)) for _ in range(per_worker)
+                    ]
+                )
+                for _ in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        total = workers * per_worker
+        stamps = [e.timestamp for e in store.query_history(HistoryQuery(ip="8.8.8.8", k=total))]
+        assert sorted(stamps) == list(range(total))
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,8 +175,8 @@ def test_query_size_and_ordering_properties(stamps, k):
         assert len(result) == min(k, len(entries))
         ordered = [e.timestamp for e in result]
         assert ordered == sorted(ordered, reverse=True)
-        # total over an unbounded query equals ip_stats.total
+        # an unbounded query returns every entry of the address
         everything = store.query_history(HistoryQuery(ip="8.8.8.8", k=len(entries) + 1))
-        assert len(everything) == store.ip_stats("8.8.8.8").total
+        assert len(everything) == store.count()
     finally:
         store.close()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import urllib.error
@@ -5,21 +6,30 @@ import urllib.request
 
 import pytest
 
-from flowexplain.pipeline import Runtime
+from flowexplain.history import HistoryQuery
+from flowexplain.pipeline import Runtime, run_ingest
 from flowexplain.service import ExplainService
 
 from .conftest import DATASET
 from .test_pipeline_cli import make_config
 
 
-@pytest.fixture
-def service(tmp_path):
-    runtime = Runtime(make_config(tmp_path))
+@contextlib.contextmanager
+def _serving(config):
+    runtime = Runtime(config)
     svc = ExplainService(runtime, host="127.0.0.1", port=0)
     svc.start()
-    yield svc
-    svc.stop()
-    runtime.close()
+    try:
+        yield svc
+    finally:
+        svc.stop()
+        runtime.close()
+
+
+@pytest.fixture
+def service(tmp_path):
+    with _serving(make_config(tmp_path)) as svc:
+        yield svc
 
 
 def _request(service, path, payload=None, method=None):
@@ -118,10 +128,40 @@ class TestService:
     def test_explained_flow_lands_in_history(self, service):
         row = _dataset_row()
         src = row["IPV4_SRC_ADDR"]
-        before = service.runtime.store.ip_stats(src).total
+        store = service.runtime.store
+        before = len(store.query_history(HistoryQuery(ip=src, k=store.count() + 1)))
         _request(service, "/explain", {"flow": row, "mode": "basic"})
-        assert service.runtime.store.ip_stats(src).total == before + 1
+        assert len(store.query_history(HistoryQuery(ip=src, k=store.count() + 1))) == before + 1
+
+    @pytest.mark.parametrize("answer", ["IN_P\u212aTS: 5", "\u0130N_BYTES: 3"])
+    def test_lookalike_feature_name_in_answer_is_served(self, service, answer):
+        runtime = service.runtime
+        row = _dataset_row()
+        prompt = runtime.build_prompt(runtime.record_from_row(row, flow_id="odd"), "basic")
+        runtime.backend.canned[prompt.text] = answer
+        before = runtime.store.count()
+        status, body = _request(
+            service, "/explain", {"flow": row, "mode": "basic", "flow_id": "odd"}
+        )
+        assert status == 200
+        assert (body["explanation"], body["findings"]) == (answer, [])
+        assert runtime.store.count() == before + 1
 
     def test_unknown_path_404(self, service):
         status, _ = _request(service, "/nope")
         assert status == 404
+
+
+def test_served_flow_is_newest_after_eviction(tmp_path):
+    config = make_config(tmp_path, store_max_entries=150)
+    run_ingest(config)
+    row = _dataset_row()
+    with _serving(config) as service:
+        status, _ = _request(service, "/explain", {"flow": row, "mode": "basic", "flow_id": "new"})
+        store = service.runtime.store
+        assert status == 200
+        assert store.count() == 150
+        entries = store.query_history(HistoryQuery(ip=row["IPV4_SRC_ADDR"], k=150))
+    # the 200 ingested rows carry timestamps 0..199; eviction kept 50..199
+    assert (entries[0].flow_id, entries[0].timestamp) == ("new", 200)
+    assert all(entry.timestamp < 200 for entry in entries[1:])
