@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
 from importlib import resources
 
@@ -317,9 +317,12 @@ def check_feature_consistency(
                 if not _compatible(catalog_dim, written_dim):
                     continue  # unrelated unit; too ambiguous to judge
                 if mention.value is not None and isinstance(recorded, (int, Decimal)):
-                    finding = _compare_values(
-                        mention, Decimal(mention.value) * multiplier, recorded, multiplier
-                    )
+                    # a quoted value scaled past the exponent range becomes
+                    # Infinity, which then differs from any recorded value
+                    with localcontext() as ctx:
+                        ctx.traps[Overflow] = False
+                        normalized = Decimal(mention.value) * multiplier
+                    finding = _compare_values(mention, normalized, recorded, multiplier)
                     if finding:
                         findings.append(finding)
                 continue

@@ -76,11 +76,9 @@ CREATE INDEX IF NOT EXISTS idx_history_src ON flow_history (src_ip, timestamp);
 CREATE INDEX IF NOT EXISTS idx_history_dst ON flow_history (dst_ip, timestamp);
 """
 
-_INSERT = (
-    "INSERT INTO flow_history "
-    "(flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary) "
-    "VALUES (?, ?, ?, ?, ?, ?, ?)"
-)
+# the fields of FlowHistoryEntry, in order
+_COLUMNS = "flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary"
+_INSERT = f"INSERT INTO flow_history ({_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?)"
 
 
 class FlowHistoryStore:
@@ -174,38 +172,36 @@ class FlowHistoryStore:
 
         Ties on timestamp are broken by reverse insertion order. ``labels``
         optionally restricts the result to entries with those labels.
+
+        Each endpoint arm walks its ``(ip, timestamp)`` index backwards, in
+        ``(timestamp, id)`` order as every index ends in the rowid, and stops
+        after ``k`` rows; only the at most ``2k`` rows of the union are
+        sorted. ``id`` is selected so that ``UNION`` merges only an entry
+        found by both arms (``src_ip == dst_ip``), never distinct entries of
+        equal content.
         """
-        sql = (
-            "SELECT flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary "
-            "FROM flow_history WHERE (src_ip = ? OR dst_ip = ?)"
-        )
-        params: list[object] = [query.ip, query.ip]
+        where, filters = "", []
         if query.before is not None:
-            sql += " AND timestamp < ?"
-            params.append(query.before)
+            where += " AND timestamp < ?"
+            filters.append(query.before)
         if labels is not None:
             wanted = sorted(set(labels))
-            sql += " AND label IN (%s)" % ",".join("?" for _ in wanted)
-            params.extend(wanted)
-        sql += " ORDER BY timestamp DESC, id DESC LIMIT ?"
-        params.append(query.k)
+            where += " AND label IN (%s)" % ",".join("?" for _ in wanted)
+            filters.extend(wanted)
+        newest_k = "ORDER BY timestamp DESC, id DESC LIMIT ?"
+        sql = " UNION ".join(
+            f"SELECT * FROM (SELECT id, {_COLUMNS} FROM flow_history"
+            f" WHERE {column} = ?{where} {newest_k})"
+            for column in ("src_ip", "dst_ip")
+        ) + f" {newest_k}"
+        arm = [query.ip, *filters, query.k]
+        params = [*arm, *arm, query.k]
         with self._lock:
             try:
                 rows = self._conn.execute(sql, params).fetchall()
             except sqlite3.Error as exc:
                 raise StoreError(f"query failed: {exc}") from exc
-        return [
-            FlowHistoryEntry(
-                flow_id=r[0],
-                timestamp=r[1],
-                src_ip=r[2],
-                dst_ip=r[3],
-                l4_protocol_id=r[4],
-                label=r[5],
-                summary=r[6],
-            )
-            for r in rows
-        ]
+        return [FlowHistoryEntry(*row[1:]) for row in rows]
 
     def count(self) -> int:
         with self._lock:

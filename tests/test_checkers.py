@@ -348,6 +348,12 @@ class TestUntrustedText:
         run_all_checks(text, record, catalog)
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("digits", [100_000, 1_000_010])
+    def test_scaled_value_past_decimal_range_is_a_mismatch(self, catalog, record, digits):
+        # scaled by 1000, a million digits pass the context's Emax
+        text = "IN_BYTES: " + "1" * digits + " KB"
+        assert [f.kind for f in run_all_checks(text, record, catalog)] == ["value_mismatch"]
+
     def test_digits_then_duration_claim_still_found(self, record):
         findings = check_factual_claims(",,4294964 ms is equivalent to 43 minutes", record)
         assert [f.kind for f in findings] == ["arithmetic_error"]

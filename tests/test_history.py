@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowexplain.history import (
+    HISTORY_LABELS,
     FlowHistoryEntry,
     FlowHistoryStore,
     HistoryQuery,
@@ -180,3 +181,116 @@ def test_query_size_and_ordering_properties(stamps, k):
         assert len(everything) == store.count()
     finally:
         store.close()
+
+
+ADDRESSES = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+
+
+def reference_query(entries, query, labels=None):
+    """Brute-force ``query_history``: ``entries`` are in insertion order."""
+    matching = [
+        (entry.timestamp, position, entry)
+        for position, entry in enumerate(entries)
+        if query.ip in (entry.src_ip, entry.dst_ip)
+        and (query.before is None or entry.timestamp < query.before)
+        and (labels is None or entry.label in labels)
+    ]
+    matching.sort(key=lambda item: item[:2], reverse=True)
+    return [entry for _, _, entry in matching[: query.k]]
+
+
+@st.composite
+def history_cases(draw):
+    # few addresses, stamps, labels and ids, so self-connections, tied
+    # timestamps and entries of equal content are common
+    entries = draw(
+        st.lists(
+            st.builds(
+                history_entry,
+                flow_id=st.sampled_from(("f0", "f1")),
+                timestamp=st.integers(min_value=0, max_value=5),
+                src_ip=st.sampled_from(ADDRESSES),
+                dst_ip=st.sampled_from(ADDRESSES),
+                label=st.sampled_from(HISTORY_LABELS),
+            ),
+            max_size=30,
+        )
+    )
+    query = HistoryQuery(
+        ip=draw(st.sampled_from(ADDRESSES)),
+        k=draw(st.integers(min_value=0, max_value=len(entries) + 1)),
+        before=draw(st.none() | st.integers(min_value=0, max_value=6)),
+    )
+    labels = draw(st.none() | st.lists(st.sampled_from(HISTORY_LABELS), unique=True).map(tuple))
+    return entries, query, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=history_cases())
+def test_query_matches_brute_force_reference(case):
+    entries, query, labels = case
+    store = seeded_store(entries)
+    try:
+        assert store.query_history(query, labels) == reference_query(entries, query, labels)
+    finally:
+        store.close()
+
+
+class TestQueryCost:
+    """A query's work is bounded by ``k``, not by the address's history depth."""
+
+    SHALLOW, DEEP, PEER = "10.0.0.1", "10.0.0.2", "10.0.0.3"
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        # each address is the source of half its entries and the destination
+        # of the other half; the two histories interleave in time
+        entries = [
+            history_entry(
+                flow_id=f"e{i}",
+                timestamp=i,
+                src_ip=ip if i % 2 else self.PEER,
+                dst_ip=self.PEER if i % 2 else ip,
+            )
+            for ip, depth in ((self.DEEP, 10_000), (self.SHALLOW, 100))
+            for i in range(depth)
+        ]
+        store = seeded_store(entries)
+        yield store
+        store.close()
+
+    @staticmethod
+    def instructions(store, ip):
+        """SQLite VM instructions spent on one k=5 query for ``ip``."""
+        spent = 0
+
+        def tick():
+            nonlocal spent
+            spent += 1
+            return 0
+
+        store._conn.set_progress_handler(tick, 1)
+        try:
+            assert len(store.query_history(HistoryQuery(ip=ip, k=5))) == 5
+        finally:
+            store._conn.set_progress_handler(None, 1)
+        return spent
+
+    def test_instructions_do_not_grow_with_history_depth(self, store):
+        shallow = self.instructions(store, self.SHALLOW)
+        deep = self.instructions(store, self.DEEP)
+        assert max(shallow, deep) <= 2 * min(shallow, deep), (shallow, deep)
+
+    def test_plan_seeks_each_endpoint_index(self, store):
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        try:
+            store.query_history(HistoryQuery(ip=self.DEEP, k=5, before=50), ("malicious",))
+        finally:
+            store._conn.set_trace_callback(None)
+        (statement,) = statements
+        plan = " | ".join(
+            row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + statement)
+        )
+        assert "MULTI-INDEX OR" not in plan
+        assert "USING INDEX idx_history_src" in plan and "USING INDEX idx_history_dst" in plan
