@@ -30,10 +30,7 @@ from .enrichment import (
     EnrichmentContext,
     IpKnowledge,
     Unavailability,
-    build_context,
     classify_ip,
-    geolocate,
-    threat_lookup,
 )
 from .evaluation import (
     Annotation,

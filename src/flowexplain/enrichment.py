@@ -17,22 +17,19 @@ from .flows import FlowRecord, validate_record
 from .history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
 from .protocols import ProtocolInfo, map_l4_protocol, map_l7_protocol
 from .providers import (
-    DisabledProvider,
     GeoInfo,
     GeolocationProvider,
-    NonPublicAddressError,
     ProviderError,
     ThreatIntel,
     ThreatIntelProvider,
     TTLCache,
 )
 
-IP_CLASSIFICATIONS = ("public", "private", "loopback", "link_local", "multicast", "reserved")
-
-DEFAULT_SRC_IP_FEATURE = "IPV4_SRC_ADDR"
-DEFAULT_DST_IP_FEATURE = "IPV4_DST_ADDR"
-DEFAULT_L4_FEATURE = "PROTOCOL"
-DEFAULT_L7_FEATURE = "L7_PROTO"
+#: columns every record carries; the history entry of a flow reads them too
+SRC_IP_FEATURE = "IPV4_SRC_ADDR"
+DST_IP_FEATURE = "IPV4_DST_ADDR"
+L4_FEATURE = "PROTOCOL"
+L7_FEATURE = "L7_PROTO"
 
 DEFAULT_HISTORY_K = 5
 
@@ -54,41 +51,6 @@ def classify_ip(ip: str) -> str:
     if parsed.is_private:
         return "private"
     return "public"
-
-
-def geolocate(
-    ip: str, provider: GeolocationProvider, cache: TTLCache | None = None
-) -> GeoInfo:
-    """Look up geolocation for a public address, with optional caching.
-
-    Callers must not pass non-public addresses; doing so is a caller error
-    reported distinctly from provider failures.
-    """
-    if classify_ip(ip) != "public":
-        raise NonPublicAddressError(f"geolocation requires a public address, got {ip}")
-    if cache is not None:
-        hit = cache.get(provider.provider_id, ip)
-        if hit is not None:
-            return hit
-    info = provider.lookup(ip)
-    if cache is not None:
-        cache.put(provider.provider_id, ip, info)
-    return info
-
-
-def threat_lookup(
-    ip: str, provider: ThreatIntelProvider, cache: TTLCache | None = None
-) -> ThreatIntel:
-    """Look up threat intelligence for an address, with optional caching."""
-    ipaddress.ip_address(ip)  # validates syntax
-    if cache is not None:
-        hit = cache.get(provider.provider_id, ip)
-        if hit is not None:
-            return hit
-    intel = provider.lookup(ip)
-    if cache is not None:
-        cache.put(provider.provider_id, ip, intel)
-    return intel
 
 
 @dataclass(frozen=True)
@@ -129,15 +91,12 @@ class EnrichmentContext:
     provider_ids: dict[str, str | None]
 
 
-def _is_disabled(provider: object | None) -> bool:
-    return provider is None or isinstance(provider, DisabledProvider)
-
-
 class ContextBuilder:
     """Builds :class:`EnrichmentContext` values for flow records.
 
-    Holds the provider handles and the lookup cache so repeated builds in
-    one run share cached answers. ``history_labels`` optionally restricts
+    Holds the provider handles (``None`` for a disabled one) and the lookup
+    cache so repeated builds in one run share cached answers. Providers are
+    asked only about public addresses. ``history_labels`` optionally restricts
     which history entries are surfaced (for deployments that only want the
     malicious back-story).
     """
@@ -151,10 +110,6 @@ class ContextBuilder:
         k: int = DEFAULT_HISTORY_K,
         cache: TTLCache | None = None,
         history_labels: tuple[str, ...] | None = None,
-        src_ip_feature: str = DEFAULT_SRC_IP_FEATURE,
-        dst_ip_feature: str = DEFAULT_DST_IP_FEATURE,
-        l4_feature: str = DEFAULT_L4_FEATURE,
-        l7_feature: str = DEFAULT_L7_FEATURE,
     ):
         if k < 0:
             raise ValueError("history limit k must be non-negative")
@@ -165,19 +120,10 @@ class ContextBuilder:
         self.k = k
         self.cache = cache if cache is not None else TTLCache()
         self.history_labels = history_labels
-        self.src_ip_feature = src_ip_feature
-        self.dst_ip_feature = dst_ip_feature
-        self.l4_feature = l4_feature
-        self.l7_feature = l7_feature
 
     def build(self, record: FlowRecord) -> EnrichmentContext:
         validate_record(record, self.catalog)
-        for needed in (
-            self.src_ip_feature,
-            self.dst_ip_feature,
-            self.l4_feature,
-            self.l7_feature,
-        ):
+        for needed in (SRC_IP_FEATURE, DST_IP_FEATURE, L4_FEATURE, L7_FEATURE):
             if needed not in record.values:
                 raise KeyError(f"record {record.flow_id} lacks required feature {needed}")
 
@@ -186,12 +132,12 @@ class ContextBuilder:
             for spec in self.catalog.features
             if spec.name in record.values
         )
-        l4 = map_l4_protocol(int(record.values[self.l4_feature]))
-        l7 = map_l7_protocol(record.values[self.l7_feature])
+        l4 = map_l4_protocol(int(record.values[L4_FEATURE]))
+        l7 = map_l7_protocol(record.values[L7_FEATURE])
 
         unavailable: list[Unavailability] = []
-        src = self._gather_side("src", str(record.values[self.src_ip_feature]), record, unavailable)
-        dst = self._gather_side("dst", str(record.values[self.dst_ip_feature]), record, unavailable)
+        src = self._gather_side("src", str(record.values[SRC_IP_FEATURE]), record, unavailable)
+        dst = self._gather_side("dst", str(record.values[DST_IP_FEATURE]), record, unavailable)
 
         return EnrichmentContext(
             flow_id=record.flow_id,
@@ -203,10 +149,18 @@ class ContextBuilder:
             unavailable=tuple(unavailable),
             k=self.k,
             provider_ids={
-                "geo": None if _is_disabled(self.geo_provider) else self.geo_provider.provider_id,
-                "cti": None if _is_disabled(self.cti_provider) else self.cti_provider.provider_id,
+                "geo": None if self.geo_provider is None else self.geo_provider.provider_id,
+                "cti": None if self.cti_provider is None else self.cti_provider.provider_id,
             },
         )
+
+    def _lookup(self, provider: GeolocationProvider | ThreatIntelProvider, ip: str):
+        """The provider's answer for ``ip``, from the cache when it holds one."""
+        answer = self.cache.get(provider.provider_id, ip)
+        if answer is None:
+            answer = provider.lookup(ip)
+            self.cache.put(provider.provider_id, ip, answer)
+        return answer
 
     def _gather_side(
         self,
@@ -220,23 +174,23 @@ class ContextBuilder:
         geo: GeoInfo | None = None
         if classification != "public":
             unavailable.append(Unavailability(f"geo.{side}", "non-public"))
-        elif _is_disabled(self.geo_provider):
+        elif self.geo_provider is None:
             unavailable.append(Unavailability(f"geo.{side}", "no provider"))
         else:
             try:
-                geo = geolocate(ip, self.geo_provider, self.cache)
+                geo = self._lookup(self.geo_provider, ip)
             except ProviderError as exc:
                 unavailable.append(Unavailability(f"geo.{side}", exc.reason))
 
         threat: ThreatIntel | None = None
-        if _is_disabled(self.cti_provider):
+        if self.cti_provider is None:
             unavailable.append(Unavailability(f"cti.{side}", "no provider"))
         elif classification != "public":
             # non-public addresses never trigger provider calls
             unavailable.append(Unavailability(f"cti.{side}", "non-public"))
         else:
             try:
-                threat = threat_lookup(ip, self.cti_provider, self.cache)
+                threat = self._lookup(self.cti_provider, ip)
             except ProviderError as exc:
                 unavailable.append(Unavailability(f"cti.{side}", exc.reason))
 
@@ -257,25 +211,3 @@ class ContextBuilder:
             threat=threat,
             history=history,
         )
-
-
-def build_context(
-    record: FlowRecord,
-    catalog: FeatureCatalog,
-    store: FlowHistoryStore | None = None,
-    geo_provider: GeolocationProvider | None = None,
-    cti_provider: ThreatIntelProvider | None = None,
-    k: int = DEFAULT_HISTORY_K,
-    cache: TTLCache | None = None,
-) -> EnrichmentContext:
-    """One-shot context assembly; see :class:`ContextBuilder`."""
-    builder = ContextBuilder(
-        catalog,
-        store=store,
-        geo_provider=geo_provider,
-        cti_provider=cti_provider,
-        k=k,
-        cache=cache,
-    )
-    return builder.build(record)
-

@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Protocol
 import requests
 
 from .prompts import count_tokens
+from .providers import _dig
 
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_MAX_TOKENS = 2048
@@ -60,7 +61,6 @@ class GenerationRequest:
     prompt: str
     temperature: float | None = None
     max_tokens: int | None = None
-    backend_id: str = ""
     request_id: str = ""
 
     def __post_init__(self) -> None:
@@ -136,7 +136,6 @@ def generate(
             request.temperature if request.temperature is not None else DEFAULT_TEMPERATURE
         ),
         max_tokens=request.max_tokens if request.max_tokens is not None else DEFAULT_MAX_TOKENS,
-        backend_id=request.backend_id or backend.backend_id,
     )
     last_error: BackendError | None = None
     for attempt in range(retry.attempts):
@@ -167,11 +166,9 @@ class MockBackend:
         self,
         canned: Mapping[str, str] | None = None,
         model: str = "mock-model",
-        tokenizer: Callable[[str], int] | None = None,
     ):
         self.model = model
         self.canned = dict(canned or {})
-        self.tokenizer = tokenizer
         self.calls = 0
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
@@ -186,15 +183,15 @@ class MockBackend:
                 "consistent with the malicious classification reported by the detector. "
                 "Review the quoted features against the connection history before acting."
             )
-        usage = TokenUsage(
-            prompt_tokens=count_tokens(request.prompt, self.tokenizer),
-            completion_tokens=count_tokens(text, self.tokenizer),
-            total_tokens=count_tokens(request.prompt, self.tokenizer)
-            + count_tokens(text, self.tokenizer),
-        )
+        prompt_tokens = count_tokens(request.prompt)
+        completion_tokens = count_tokens(text)
         return GenerationResult(
             text=text,
-            usage=usage,
+            usage=TokenUsage(
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
+                total_tokens=prompt_tokens + completion_tokens,
+            ),
             latency_ms=0.0,
             backend_id=self.backend_id,
             model=self.model,
@@ -205,8 +202,10 @@ class MockBackend:
 class HTTPBackendProfile:
     """Wire configuration for a chat-completion style HTTP endpoint.
 
-    Field names are configurable so the same class covers hosted APIs and
-    local inference servers that imitate them. The auth token is read
+    The request carries the standard ``model``, ``messages``,
+    ``temperature`` and ``max_tokens`` keys; the response paths are
+    configurable so the same class covers hosted APIs and local inference
+    servers that imitate them. The auth token is read
     from the environment variable named by ``auth_env``; tokens never
     live in config files.
     """
@@ -216,24 +215,9 @@ class HTTPBackendProfile:
     model: str
     auth_env: str | None = None
     timeout_s: float = 60.0
-    model_field: str = "model"
-    messages_field: str = "messages"
-    temperature_field: str = "temperature"
-    max_tokens_field: str = "max_tokens"
     text_path: str = "choices.0.message.content"
     prompt_tokens_path: str = "usage.prompt_tokens"
     completion_tokens_path: str = "usage.completion_tokens"
-    extra_headers: Mapping[str, str] | None = None
-
-
-def _dig(payload, dotted_path: str):
-    node = payload
-    for part in dotted_path.split("."):
-        if isinstance(node, list):
-            node = node[int(part)]
-        else:
-            node = node[part]
-    return node
 
 
 class HTTPBackend:
@@ -248,7 +232,6 @@ class HTTPBackend:
     def complete(self, request: GenerationRequest) -> GenerationResult:
         profile = self.profile
         headers = {"Content-Type": "application/json"}
-        headers.update(profile.extra_headers or {})
         if profile.auth_env:
             token = os.environ.get(profile.auth_env)
             if not token:
@@ -257,10 +240,10 @@ class HTTPBackend:
                 )
             headers["Authorization"] = f"Bearer {token}"
         payload = {
-            profile.model_field: profile.model,
-            profile.messages_field: [{"role": "user", "content": request.prompt}],
-            profile.temperature_field: request.temperature,
-            profile.max_tokens_field: request.max_tokens,
+            "model": profile.model,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
         }
         started = time.monotonic()
         try:

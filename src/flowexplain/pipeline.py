@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from .catalog import FeatureCatalog, default_catalog, load_catalog
 from .checkers import run_all_checks
-from .enrichment import ContextBuilder
+from .enrichment import DST_IP_FEATURE, L4_FEATURE, SRC_IP_FEATURE, ContextBuilder
 from .evaluation import (
     AggregationError,
     AnnotationSet,
@@ -64,12 +64,12 @@ from .prompts import (
     load_template,
 )
 from .providers import (
-    DisabledProvider,
     FixtureGeoProvider,
     FixtureThreatProvider,
     HTTPGeoProvider,
     HTTPProviderProfile,
     HTTPThreatProvider,
+    read_jsonl,
 )
 
 MODES = (MODE_BASIC, MODE_AUGMENTED)
@@ -203,10 +203,11 @@ _PROVIDER_FAMILIES = {
 
 
 def _build_provider(family: str, config: dict):
+    """The configured provider of ``family``, or ``None`` when it is disabled."""
     label, fixture_class, http_class = _PROVIDER_FAMILIES[family]
     kind = config.get("kind", "disabled")
     if kind == "disabled":
-        return DisabledProvider(f"{family}-disabled")
+        return None
     if kind == "fixture":
         return fixture_class(
             config["fixture"], provider_id=config.get("provider_id", f"fixture-{family}")
@@ -228,11 +229,7 @@ def build_backend(config: dict):
     if kind == "mock":
         canned = config.get("canned")
         if isinstance(canned, str):
-            canned = {
-                row["key"]: row["text"]
-                for row in map(json.loads, Path(canned).read_text().splitlines())
-                if row
-            }
+            canned = {row["key"]: row["text"] for row in read_jsonl(canned)}
         return MockBackend(canned=canned, model=config.get("model", "mock-model"))
     if kind in ("http", "local"):
         profile = HTTPBackendProfile(
@@ -267,9 +264,9 @@ def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
     return FlowHistoryEntry(
         flow_id=record.flow_id,
         timestamp=record.timestamp,
-        src_ip=str(values["IPV4_SRC_ADDR"]),
-        dst_ip=str(values["IPV4_DST_ADDR"]),
-        l4_protocol_id=int(values["PROTOCOL"]),
+        src_ip=str(values[SRC_IP_FEATURE]),
+        dst_ip=str(values[DST_IP_FEATURE]),
+        l4_protocol_id=int(values[L4_FEATURE]),
         label=record.label,
         summary=summary,
     )
@@ -598,16 +595,6 @@ def run_explain(
         runtime.close()
 
 
-def read_explanation_log(path: str | Path) -> list[dict]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
-
-
 def recheck_explanations(entries: list[dict], catalog: FeatureCatalog) -> list[dict]:
     """Re-run the consistency checkers over logged explanations.
 
@@ -645,7 +632,7 @@ def run_evaluate(
     annotations_path: Path,
 ) -> tuple[list[MetricsReport], str, Path]:
     """Re-check explanations, resolve annotations and emit the results table."""
-    entries = [e for e in read_explanation_log(explanations_path) if e.get("status") == "ok"]
+    entries = [e for e in read_jsonl(explanations_path) if e.get("status") == "ok"]
     if not entries:
         raise PipelineError(f"no successful explanations in {explanations_path}")
     for entry in entries:  # validates shape and non-empty text

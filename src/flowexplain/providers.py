@@ -2,9 +2,9 @@
 
 Every piece of IP knowledge either carries provenance (which provider said
 it, and when) or is reported as unavailable; nothing is ever synthesized.
-Three implementations are bundled per provider kind: a static fixture file
-for offline runs and tests, a generic HTTPS endpoint with a templated
-request, and a disabled placeholder.
+Two implementations are bundled per provider kind: a static fixture file
+for offline runs and tests, and a generic HTTPS endpoint with a templated
+request. A disabled provider is ``None``.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ from typing import Any, Callable, Mapping, Protocol
 import requests
 
 CTI_VERDICTS = ("malicious", "suspicious", "unknown", "benign")
-
-#: Closed set of reasons a knowledge component can be unavailable for.
-UNAVAILABLE_REASONS = (
-    "non-public",
-    "no provider",
-    "timeout",
-    "provider_error",
-    "not_found",
-    "auth_error",
-    "no store",
-)
 
 
 class ProviderError(RuntimeError):
@@ -54,10 +43,6 @@ class ProviderAuthError(ProviderError):
     reason = "auth_error"
 
 
-class NonPublicAddressError(ValueError):
-    """Caller error: providers must only be asked about public addresses."""
-
-
 @dataclass(frozen=True)
 class Provenance:
     provider_id: str
@@ -76,17 +61,6 @@ class GeoInfo:
     as_name: str | None
     provenance: Provenance
 
-    def to_dict(self) -> dict:
-        return {
-            "ip": self.ip,
-            "country": self.country,
-            "city": self.city,
-            "asn": self.asn,
-            "as_name": self.as_name,
-            "provider_id": self.provenance.provider_id,
-            "retrieved_at": self.provenance.retrieved_at,
-        }
-
 
 @dataclass(frozen=True)
 class ThreatIntel:
@@ -99,16 +73,6 @@ class ThreatIntel:
     def __post_init__(self) -> None:
         if self.verdict not in CTI_VERDICTS:
             raise ValueError(f"verdict must be one of {CTI_VERDICTS}, got {self.verdict!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "ip": self.ip,
-            "verdict": self.verdict,
-            "categories": list(self.categories),
-            "last_seen": self.last_seen,
-            "provider_id": self.provenance.provider_id,
-            "retrieved_at": self.provenance.retrieved_at,
-        }
 
 
 class GeolocationProvider(Protocol):
@@ -123,21 +87,8 @@ class ThreatIntelProvider(Protocol):
     def lookup(self, ip: str) -> ThreatIntel: ...
 
 
-class DisabledProvider:
-    """Placeholder for an intentionally unconfigured provider.
-
-    Never called by the enrichment layer; its presence simply means
-    "no provider" for the availability report.
-    """
-
-    def __init__(self, provider_id: str = "disabled"):
-        self.provider_id = provider_id
-
-    def lookup(self, ip: str) -> Any:
-        raise ProviderError("provider disabled")
-
-
-def _read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path) -> list[dict]:
+    """Parse one JSON value per line; blank lines are skipped."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -163,7 +114,7 @@ class FixtureGeoProvider:
         self.provider_id = provider_id
         self.calls = 0
         if isinstance(source, (str, Path)):
-            self._table = {row["ip"]: row for row in _read_jsonl(source)}
+            self._table = {row["ip"]: row for row in read_jsonl(source)}
         else:
             self._table = {ip: dict(row, ip=ip) for ip, row in source.items()}
 
@@ -197,7 +148,7 @@ class FixtureThreatProvider:
         self.provider_id = provider_id
         self.calls = 0
         if isinstance(source, (str, Path)):
-            self._table = {row["ip"]: row for row in _read_jsonl(source)}
+            self._table = {row["ip"]: row for row in read_jsonl(source)}
         else:
             self._table = {ip: dict(row, ip=ip) for ip, row in source.items()}
 
@@ -229,7 +180,11 @@ class FixtureThreatProvider:
 
 
 def _dig(payload: Any, dotted_path: str) -> Any:
-    """Walk a dotted path ("a.b.0.c") through nested dicts and lists."""
+    """Walk a dotted path ("a.b.0.c") through nested dicts and lists.
+
+    Raises ``KeyError``, ``IndexError`` or ``ValueError`` when the path
+    does not exist, including when it runs into a scalar.
+    """
     node = payload
     for part in dotted_path.split("."):
         if isinstance(node, list):
@@ -256,7 +211,6 @@ class HTTPProviderProfile:
     field_paths: Mapping[str, str]
     auth_env: str | None = None
     timeout_ms: int = 5000
-    extra_headers: Mapping[str, str] | None = None
 
 
 class _HTTPProviderBase:
@@ -268,7 +222,7 @@ class _HTTPProviderBase:
 
     def _fetch(self, ip: str) -> Any:
         self.calls += 1
-        headers = dict(self.profile.extra_headers or {})
+        headers = {}
         if self.profile.auth_env:
             token = os.environ.get(self.profile.auth_env)
             if not token:

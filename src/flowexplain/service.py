@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Mapping
 
 from .gateway import BackendError
 from .pipeline import FieldValidationError, PipelineError, Runtime
@@ -96,13 +97,7 @@ class ExplainService:
             _send(handler, 422, {"error": str(exc)})
             return
         except BackendError as exc:
-            handler.send_response(503)
-            handler.send_header("Content-Type", "application/json")
-            handler.send_header("Retry-After", "1")
-            payload = json.dumps({"error": f"backend exhausted: {exc}"}).encode("utf-8")
-            handler.send_header("Content-Length", str(len(payload)))
-            handler.end_headers()
-            handler.wfile.write(payload)
+            _send(handler, 503, {"error": f"backend exhausted: {exc}"}, {"Retry-After": "1"})
             return
         except PipelineError as exc:
             _send(handler, 422, {"error": str(exc)})
@@ -126,10 +121,17 @@ class ExplainService:
             self._thread.join(timeout=5)
 
 
-def _send(handler: BaseHTTPRequestHandler, status: int, payload: dict) -> None:
+def _send(
+    handler: BaseHTTPRequestHandler,
+    status: int,
+    payload: dict,
+    headers: Mapping[str, str] | None = None,
+) -> None:
     body = json.dumps(payload).encode("utf-8")
     handler.send_response(status)
     handler.send_header("Content-Type", "application/json")
+    for name, value in (headers or {}).items():
+        handler.send_header(name, value)
     handler.send_header("Content-Length", str(len(body)))
     handler.end_headers()
     handler.wfile.write(body)

@@ -18,7 +18,7 @@ from flowexplain.checkers import (
     run_all_checks,
     well_known_ports,
 )
-from flowexplain.enrichment import build_context
+from flowexplain.enrichment import ContextBuilder
 from flowexplain.evaluation import aggregate_counts
 from flowexplain.flows import assign_sequence_timestamps, parse_dataset
 from flowexplain.gateway import PricingTable, estimate_cost
@@ -268,7 +268,7 @@ def test_criterion_6_history_contract():
     records, _ = parse_dataset(DATASET, catalog)
     record = assign_sequence_timestamps(records)[10].with_timestamp(10_000)
     for k in (0, 3, 5):
-        context = build_context(record, catalog, store=store, k=k)
+        context = ContextBuilder(catalog, store=store, k=k).build(record)
         assert len(context.src.history) <= k
         assert len(context.dst.history) <= k
     _passed(6, "7-entry fixture returns the 5 most recent, contexts never exceed k")

@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowexplain.enrichment import (
-    ContextBuilder,
-    build_context,
-    classify_ip,
-    geolocate,
-    threat_lookup,
-)
+from flowexplain.enrichment import ContextBuilder, classify_ip
 from flowexplain.providers import (
     FixtureGeoProvider,
     FixtureThreatProvider,
-    NonPublicAddressError,
     ProviderError,
     ProviderNotFound,
     ProviderTimeout,
@@ -52,7 +45,7 @@ class TestClassifyIp:
 class TestGeolocate:
     def test_fixture_hit_carries_provenance(self):
         provider = FixtureGeoProvider(GEO_FIXTURE)
-        info = geolocate("8.8.8.8", provider)
+        info = provider.lookup("8.8.8.8")
         assert info.country == "United States"
         assert info.provenance.provider_id == "fixture-geo"
         assert info.provenance.retrieved_at
@@ -60,54 +53,51 @@ class TestGeolocate:
     def test_miss_raises_not_found(self):
         provider = FixtureGeoProvider({})
         with pytest.raises(ProviderNotFound):
-            geolocate("8.8.4.4", provider)
+            provider.lookup("8.8.4.4")
 
     def test_timeout_simulation(self):
         provider = FixtureGeoProvider({"5.5.5.5": {"simulate": "timeout"}})
         with pytest.raises(ProviderTimeout):
-            geolocate("5.5.5.5", provider)
+            provider.lookup("5.5.5.5")
 
-    def test_non_public_address_is_caller_error(self):
+    def test_cache_prevents_second_call(self, catalog):
         provider = FixtureGeoProvider(GEO_FIXTURE)
-        with pytest.raises(NonPublicAddressError):
-            geolocate("172.31.69.17", provider)
-        assert provider.calls == 0
-
-    def test_cache_prevents_second_call(self):
-        provider = FixtureGeoProvider(GEO_FIXTURE)
-        cache = TTLCache(ttl_seconds=3600)
-        geolocate("8.8.8.8", provider, cache)
-        geolocate("8.8.8.8", provider, cache)
+        builder = ContextBuilder(
+            catalog, geo_provider=provider, cache=TTLCache(ttl_seconds=3600)
+        )
+        builder.build(_context_record(catalog))
+        builder.build(_context_record(catalog))
         assert provider.calls == 1
 
-    def test_cache_expires(self):
+    def test_cache_expires(self, catalog):
         clock = {"now": 0.0}
         cache = TTLCache(ttl_seconds=10, clock=lambda: clock["now"])
         provider = FixtureGeoProvider(GEO_FIXTURE)
-        geolocate("8.8.8.8", provider, cache)
+        builder = ContextBuilder(catalog, geo_provider=provider, cache=cache)
+        builder.build(_context_record(catalog))
         clock["now"] = 11.0
-        geolocate("8.8.8.8", provider, cache)
+        builder.build(_context_record(catalog))
         assert provider.calls == 2
 
 
 class TestThreatLookup:
     def test_listed_scanner(self):
         provider = FixtureThreatProvider(CTI_FIXTURE)
-        intel = threat_lookup("45.155.205.233", provider)
+        intel = provider.lookup("45.155.205.233")
         assert intel.verdict == "malicious"
         assert "scanner" in intel.categories
         assert intel.provenance.provider_id == "fixture-cti"
 
     def test_absent_ip_gets_unknown_verdict(self):
         provider = FixtureThreatProvider({})
-        intel = threat_lookup("8.8.4.4", provider)
+        intel = provider.lookup("8.8.4.4")
         assert intel.verdict == "unknown"
         assert intel.categories == ()
 
     def test_malformed_verdict_is_provider_error(self):
         provider = FixtureThreatProvider({"4.4.4.4": {"verdict": "definitely-evil"}})
         with pytest.raises(ProviderError):
-            threat_lookup("4.4.4.4", provider)
+            provider.lookup("4.4.4.4")
 
 
 def _context_record(catalog, **overrides):
@@ -125,7 +115,7 @@ def _context_record(catalog, **overrides):
 class TestBuildContext:
     def test_no_providers_private_src(self, catalog):
         record = _context_record(catalog, IPV4_DST_ADDR="172.31.69.18")
-        context = build_context(record, catalog)
+        context = ContextBuilder(catalog).build(record)
         assert context.l4.name == "UDP"
         assert context.src.classification == "private"
         pairs = {(u.component, u.reason) for u in context.unavailable}
@@ -141,14 +131,14 @@ class TestBuildContext:
         ]
         store = seeded_store(entries)
         record = _context_record(catalog)
-        context = build_context(record, catalog, store=store, k=5)
+        context = ContextBuilder(catalog, store=store, k=5).build(record)
         assert len(context.dst.history) == 5
         stamps = [e.timestamp for e in context.dst.history]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_empty_store_still_produces_context(self, catalog):
         store = seeded_store([])
-        context = build_context(_context_record(catalog), catalog, store=store)
+        context = ContextBuilder(catalog, store=store).build(_context_record(catalog))
         assert context.dst.history == ()
         assert all(not u.component.startswith("history") for u in context.unavailable)
 
@@ -161,14 +151,14 @@ class TestBuildContext:
             ]
         )
         record = _context_record(catalog, timestamp=50)
-        context = build_context(record, catalog, store=store, k=5)
+        context = ContextBuilder(catalog, store=store, k=5).build(record)
         assert [e.flow_id for e in context.dst.history] == ["old"]
 
     def test_providers_populate_public_dst_only(self, catalog):
         geo = FixtureGeoProvider(GEO_FIXTURE)
         cti = FixtureThreatProvider(CTI_FIXTURE)
         record = _context_record(catalog)
-        context = build_context(record, catalog, geo_provider=geo, cti_provider=cti)
+        context = ContextBuilder(catalog, geo_provider=geo, cti_provider=cti).build(record)
         assert context.dst.geo is not None and context.dst.geo.country == "United States"
         assert context.dst.threat is not None and context.dst.threat.verdict == "benign"
         assert context.src.geo is None and context.src.threat is None
@@ -179,13 +169,13 @@ class TestBuildContext:
         record = _context_record(
             catalog, IPV4_SRC_ADDR="172.31.69.17", IPV4_DST_ADDR="192.168.0.9"
         )
-        build_context(record, catalog, geo_provider=geo, cti_provider=cti)
+        ContextBuilder(catalog, geo_provider=geo, cti_provider=cti).build(record)
         assert geo.calls == 0
         assert cti.calls == 0
 
     def test_provider_timeout_degrades_to_unavailable(self, catalog):
         geo = FixtureGeoProvider({"8.8.8.8": {"simulate": "timeout"}})
-        context = build_context(_context_record(catalog), catalog, geo_provider=geo)
+        context = ContextBuilder(catalog, geo_provider=geo).build(_context_record(catalog))
         assert context.dst.geo is None
         assert ("geo.dst", "timeout") in {
             (u.component, u.reason) for u in context.unavailable
@@ -193,20 +183,20 @@ class TestBuildContext:
 
     def test_geo_not_found_degrades_to_unavailable(self, catalog):
         geo = FixtureGeoProvider({})
-        context = build_context(_context_record(catalog), catalog, geo_provider=geo)
+        context = ContextBuilder(catalog, geo_provider=geo).build(_context_record(catalog))
         assert ("geo.dst", "not_found") in {
             (u.component, u.reason) for u in context.unavailable
         }
 
     def test_provider_hard_failure_degrades_to_provider_error(self, catalog):
         cti = FixtureThreatProvider({"8.8.8.8": {"simulate": "error"}})
-        context = build_context(_context_record(catalog), catalog, cti_provider=cti)
+        context = ContextBuilder(catalog, cti_provider=cti).build(_context_record(catalog))
         assert ("cti.dst", "provider_error") in {
             (u.component, u.reason) for u in context.unavailable
         }
 
     def test_spec_entries_cover_exactly_record_features(self, catalog):
-        context = build_context(_context_record(catalog), catalog)
+        context = ContextBuilder(catalog).build(_context_record(catalog))
         assert [s.name for s in context.spec_entries] == list(catalog.feature_names)
 
     def test_deterministic_given_fixed_store_and_fixtures(self, catalog):
@@ -298,7 +288,7 @@ class TestHTTPProviders:
             }
         )
         with _ScriptedGetServer([(200, body)]) as server:
-            info = geolocate("8.8.8.8", self._geo(server))
+            info = self._geo(server).lookup("8.8.8.8")
         assert info.country == "Australia"
         assert info.asn == 1221
         assert info.as_name == "TELSTRA"
@@ -308,7 +298,7 @@ class TestHTTPProviders:
     def test_geo_404_is_not_found(self):
         with _ScriptedGetServer([(404, "{}")]) as server:
             with pytest.raises(ProviderNotFound):
-                geolocate("8.8.8.8", self._geo(server))
+                self._geo(server).lookup("8.8.8.8")
 
     def test_geo_auth_rejection(self, monkeypatch):
         monkeypatch.setenv("GEO_TOKEN", "tok")
@@ -316,7 +306,7 @@ class TestHTTPProviders:
 
         with _ScriptedGetServer([(403, "{}")]) as server:
             with pytest.raises(ProviderAuthError):
-                geolocate("8.8.8.8", self._geo(server, auth_env="GEO_TOKEN"))
+                self._geo(server, auth_env="GEO_TOKEN").lookup("8.8.8.8")
 
     def test_cti_lookup_and_malformed_verdict(self):
         import json as _json
@@ -334,14 +324,14 @@ class TestHTTPProviders:
 
         good = _json.dumps({"data": {"verdict": "Malicious", "tags": ["scanner"]}})
         with _ScriptedGetServer([(200, good)]) as server:
-            intel = threat_lookup("8.8.8.8", provider(server))
+            intel = provider(server).lookup("8.8.8.8")
         assert intel.verdict == "malicious"
         assert intel.categories == ("scanner",)
 
         bad = _json.dumps({"data": {"verdict": "catastrophic"}})
         with _ScriptedGetServer([(200, bad)]) as server:
             with pytest.raises(ProviderError):
-                threat_lookup("8.8.8.8", provider(server))
+                provider(server).lookup("8.8.8.8")
 
 
 @settings(max_examples=25, deadline=None)
@@ -360,7 +350,7 @@ def test_no_fabrication_with_providers_disabled(src_last, dst_last, protocol):
         IPV4_SRC_ADDR=f"172.31.69.{src_last}",
         IPV4_DST_ADDR=f"8.8.8.{dst_last}",
     )
-    context = build_context(record, catalog)
+    context = ContextBuilder(catalog).build(record)
     assert context.src.geo is None and context.dst.geo is None
     assert context.src.threat is None and context.dst.threat is None
     components = {u.component for u in context.unavailable}

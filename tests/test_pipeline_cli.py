@@ -78,6 +78,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown {label} provider kind 'carrier-pigeon'"):
             Runtime(config)
 
+    def test_disabled_provider_is_none(self, tmp_path):
+        runtime = Runtime(make_config(tmp_path, geo_provider={"kind": "disabled"}))
+        try:
+            assert runtime.geo_provider is None
+            assert runtime.cti_provider is not None
+        finally:
+            runtime.close()
+
+    def test_canned_file_with_blank_lines(self, tmp_path):
+        canned = tmp_path / "canned.jsonl"
+        canned.write_text(
+            "\n"
+            + json.dumps({"key": "prompt one", "text": "answer one"})
+            + "\n\n   \n"
+            + json.dumps({"key": "prompt two", "text": "answer two"})
+            + "\n\n"
+        )
+        runtime = Runtime(make_config(tmp_path, backend={"kind": "mock", "canned": str(canned)}))
+        try:
+            assert runtime.backend.canned == {
+                "prompt one": "answer one",
+                "prompt two": "answer two",
+            }
+        finally:
+            runtime.close()
+
 
 class TestIngest:
     def test_fixture_counts(self, tmp_path):

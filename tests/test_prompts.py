@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowexplain.enrichment import build_context
+from flowexplain.enrichment import ContextBuilder
 from flowexplain.flows import render_flow_text
 from flowexplain.prompts import (
     AUGMENTED_SLOTS,
@@ -136,9 +136,9 @@ class TestBasicPrompt:
 
 
 def _augmented(catalog, record, store=None, geo=None, cti=None, k=5):
-    context = build_context(
-        record, catalog, store=store, geo_provider=geo, cti_provider=cti, k=k
-    )
+    context = ContextBuilder(
+        catalog, store=store, geo_provider=geo, cti_provider=cti, k=k
+    ).build(record)
     return build_augmented_prompt(
         record, context, catalog, default_basic_template(), default_augmented_template()
     )
@@ -190,7 +190,7 @@ class TestAugmentedPrompt:
 
     def test_flow_id_mismatch_rejected(self, catalog):
         record = _record(catalog)
-        context = build_context(record, catalog)
+        context = ContextBuilder(catalog).build(record)
         other = make_record(catalog, flow_id="different")
         with pytest.raises(ValueError, match="different"):
             build_augmented_prompt(

@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from flowexplain.gateway import AuthenticationError
 from flowexplain.history import HistoryQuery
 from flowexplain.pipeline import Runtime, run_ingest
 from flowexplain.service import ExplainService
@@ -150,6 +151,30 @@ class TestService:
     def test_unknown_path_404(self, service):
         status, _ = _request(service, "/nope")
         assert status == 404
+
+    def test_backend_failure_is_503_with_retry_after(self, service):
+        class RejectingBackend:
+            backend_id = "rejecting"
+            model = "none"
+
+            def complete(self, request):
+                raise AuthenticationError("credentials rejected")
+
+        service.runtime.gateway.backend = RejectingBackend()
+        before = service.runtime.store.count()
+        host, port = service.address
+        req = urllib.request.Request(
+            f"http://{host}:{port}/explain",
+            data=json.dumps({"flow": _dataset_row(), "mode": "basic"}).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 503
+        assert err.value.headers["Retry-After"] == "1"
+        assert err.value.headers["Content-Type"] == "application/json"
+        assert "credentials rejected" in json.loads(err.value.read())["error"]
+        assert service.runtime.store.count() == before
 
 
 def test_served_flow_is_newest_after_eviction(tmp_path):
