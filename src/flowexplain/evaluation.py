@@ -129,20 +129,19 @@ def ingest_annotations(
     yields that verdict; any disagreement marks the metric unresolved for
     that explanation and bumps the disagreement count.
     """
-    rows: list[dict]
     if isinstance(source, (str, Path)):
-        rows = []
         with open(source, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise AnnotationError(f"malformed annotation on line {line_no}: {exc}")
-    elif hasattr(source, "read"):
-        rows = [json.loads(line) for line in source if line.strip()]
+            return ingest_annotations(fh, known_ids)
+    rows: list[dict] = []
+    if hasattr(source, "read"):
+        for line_no, line in enumerate(source, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise AnnotationError(f"malformed annotation on line {line_no}: {exc}")
     else:
         rows = list(source)
 

@@ -9,6 +9,9 @@ whole pipeline reproducible offline.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
+import math
 import os
 import threading
 import time
@@ -16,8 +19,7 @@ from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Mapping, Protocol
 
-import requests
-
+from ._http import Transport
 from .prompts import count_tokens
 from .providers import _dig
 
@@ -36,7 +38,15 @@ class AuthenticationError(BackendError):
 
 
 class RateLimitError(BackendError):
-    """Backend asked us to slow down; retried with backoff."""
+    """Backend asked us to slow down; retried with backoff.
+
+    ``retry_after`` is the wait in seconds that the backend asked for, if it
+    sent a numeric ``Retry-After`` header.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class BackendTimeoutError(BackendError):
@@ -128,8 +138,18 @@ def generate(
 
     Rate limits, timeouts and server errors are retried with backoff up
     to the attempt cap, then surfaced; authentication and malformed
-    responses fail immediately.
+    responses fail immediately. A rate limit's ``retry_after`` replaces the
+    policy's delay, capped at the policy's largest delay.
     """
+    return _retrying(backend.complete, request, retry, sleep)
+
+
+def _retrying(
+    complete: Callable[[GenerationRequest], GenerationResult],
+    request: GenerationRequest,
+    retry: RetryPolicy,
+    sleep: Callable[[float], None],
+) -> GenerationResult:
     effective = replace(
         request,
         temperature=(
@@ -140,12 +160,15 @@ def generate(
     last_error: BackendError | None = None
     for attempt in range(retry.attempts):
         try:
-            return backend.complete(effective)
+            return complete(effective)
         except RETRYABLE_ERRORS as exc:
             last_error = exc
             if attempt + 1 < retry.attempts:
-                delay = retry.delays[min(attempt, len(retry.delays) - 1)]
-                sleep(delay)
+                hint = getattr(exc, "retry_after", None)
+                if hint is None:
+                    sleep(retry.delays[min(attempt, len(retry.delays) - 1)])
+                else:
+                    sleep(min(hint, max(retry.delays)))
     assert last_error is not None
     raise last_error
 
@@ -223,11 +246,11 @@ class HTTPBackendProfile:
 class HTTPBackend:
     """Chat-completion HTTP client for remote APIs and local servers."""
 
-    def __init__(self, profile: HTTPBackendProfile, session: requests.Session | None = None):
+    def __init__(self, profile: HTTPBackendProfile):
         self.profile = profile
         self.backend_id = profile.backend_id
         self.model = profile.model
-        self._session = session or requests.Session()
+        self._http = Transport(profile.timeout_s)
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
         profile = self.profile
@@ -247,27 +270,30 @@ class HTTPBackend:
         }
         started = time.monotonic()
         try:
-            response = self._session.post(
-                profile.url, json=payload, headers=headers, timeout=profile.timeout_s
+            status, reply_headers, reply = self._http.request(
+                "POST", profile.url, headers, json.dumps(payload).encode("utf-8")
             )
-        except requests.Timeout as exc:
+        except TimeoutError as exc:
             raise BackendTimeoutError(f"{self.backend_id} timed out") from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise BackendServerError(f"{self.backend_id} request failed: {exc}") from exc
         latency_ms = (time.monotonic() - started) * 1000.0
 
-        if response.status_code in (401, 403):
+        if status in (401, 403):
             raise AuthenticationError(f"{self.backend_id} rejected credentials")
-        if response.status_code == 429:
-            raise RateLimitError(f"{self.backend_id} rate limited the request")
-        if response.status_code >= 500:
-            raise BackendServerError(f"{self.backend_id} returned HTTP {response.status_code}")
-        if response.status_code >= 400:
+        if status == 429:
+            raise RateLimitError(
+                f"{self.backend_id} rate limited the request",
+                retry_after=_retry_after_seconds(reply_headers.get("Retry-After")),
+            )
+        if status >= 500:
+            raise BackendServerError(f"{self.backend_id} returned HTTP {status}")
+        if status >= 300:  # redirects are not followed
             raise MalformedResponseError(
-                f"{self.backend_id} rejected the request: HTTP {response.status_code}"
+                f"{self.backend_id} rejected the request: HTTP {status}"
             )
         try:
-            body = response.json()
+            body = json.loads(reply)
             text = _dig(body, profile.text_path)
             if not isinstance(text, str):
                 raise TypeError("generated text is not a string")
@@ -291,6 +317,15 @@ class HTTPBackend:
             backend_id=self.backend_id,
             model=self.model,
         )
+
+
+def _retry_after_seconds(retry_after: str | None) -> float | None:
+    """A ``Retry-After`` value in seconds; ``None`` for a date or garbage."""
+    try:
+        seconds = float(retry_after)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -411,11 +446,16 @@ class Gateway:
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        with self._slots:
-            try:
-                result = generate(request, self.backend, self.retry, self._sleep)
-            except BackendError:
-                self.ledger.record_failure()
-                raise
+        try:
+            result = _retrying(self._complete, request, self.retry, self._sleep)
+        except BackendError:
+            self.ledger.record_failure()
+            raise
         record_usage(result, self.ledger)
         return result
+
+    def _complete(self, request: GenerationRequest) -> GenerationResult:
+        # the slot is held per attempt, so a request sleeping in backoff
+        # leaves it to others
+        with self._slots:
+            return self.backend.complete(request)

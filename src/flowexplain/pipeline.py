@@ -10,6 +10,7 @@ annotations into a results table.
 from __future__ import annotations
 
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -229,7 +230,7 @@ def build_backend(config: dict):
     if kind == "mock":
         canned = config.get("canned")
         if isinstance(canned, str):
-            canned = {row["key"]: row["text"] for row in read_jsonl(canned)}
+            canned = _read_canned(canned)
         return MockBackend(canned=canned, model=config.get("model", "mock-model"))
     if kind in ("http", "local"):
         profile = HTTPBackendProfile(
@@ -246,6 +247,23 @@ def build_backend(config: dict):
         )
         return HTTPBackend(profile)
     raise ConfigError(f"unknown backend kind {kind!r}")
+
+
+def _read_canned(path: str) -> dict[str, str]:
+    """The mock's canned table: one ``{"key": ..., "text": ...}`` object per line."""
+    canned = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                canned[row["key"]] = row["text"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(
+                    f"malformed canned response in {path} on line {line_no}: {exc!r}"
+                ) from exc
+    return canned
 
 
 def pricing_from_config(config: dict) -> PricingTable:
@@ -567,13 +585,24 @@ def run_explain(
                     "timestamps": {"started": _utc_now(), "finished": _utc_now()},
                 }
 
+        def in_order(pool: ThreadPoolExecutor) -> Iterable[dict]:
+            # at most two flows per worker are in flight or waiting for the
+            # writer, so finished records never pile up ahead of it
+            pending: deque = deque()
+            for record in selected:
+                if len(pending) == 2 * config.workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(explain_one, record))
+            while pending:
+                yield pending.popleft().result()
+
         written = failed = 0
         parallel = config.workers > 1 and len(selected) > 1
         # the pool starts threads only when tasks are submitted to it
         with open(log_path, "w", encoding="utf-8") as log, ThreadPoolExecutor(
             max_workers=max(config.workers, 1)
         ) as pool:
-            for outcome in (pool.map if parallel else map)(explain_one, selected):
+            for outcome in in_order(pool) if parallel else map(explain_one, selected):
                 log.write(json.dumps(outcome, sort_keys=True) + "\n")
                 written += 1
                 failed += outcome["status"] != "ok"

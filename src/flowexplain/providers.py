@@ -9,6 +9,7 @@ request. A disabled provider is ``None``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
-import requests
+from ._http import Transport
 
 CTI_VERDICTS = ("malicious", "suspicious", "unknown", "benign")
 
@@ -214,11 +215,11 @@ class HTTPProviderProfile:
 
 
 class _HTTPProviderBase:
-    def __init__(self, profile: HTTPProviderProfile, session: requests.Session | None = None):
+    def __init__(self, profile: HTTPProviderProfile):
         self.profile = profile
         self.provider_id = profile.provider_id
         self.calls = 0
-        self._session = session or requests.Session()
+        self._http = Transport(profile.timeout_ms / 1000.0)
 
     def _fetch(self, ip: str) -> Any:
         self.calls += 1
@@ -232,21 +233,19 @@ class _HTTPProviderBase:
             headers["Authorization"] = f"Bearer {token}"
         url = self.profile.url_template.format(ip=ip)
         try:
-            response = self._session.get(
-                url, headers=headers, timeout=self.profile.timeout_ms / 1000.0
-            )
-        except requests.Timeout as exc:
+            status, _, body = self._http.request("GET", url, headers)
+        except TimeoutError as exc:
             raise ProviderTimeout(f"{self.provider_id} timed out for {ip}") from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(f"{self.provider_id} request failed: {exc}") from exc
-        if response.status_code in (401, 403):
+        if status in (401, 403):
             raise ProviderAuthError(f"{self.provider_id} rejected credentials")
-        if response.status_code == 404:
+        if status == 404:
             raise ProviderNotFound(f"{self.provider_id} has no record for {ip}")
-        if response.status_code >= 400:
-            raise ProviderError(f"{self.provider_id} returned HTTP {response.status_code}")
+        if status >= 300:  # redirects are not followed
+            raise ProviderError(f"{self.provider_id} returned HTTP {status}")
         try:
-            return response.json()
+            return json.loads(body)
         except ValueError as exc:
             raise ProviderError(f"{self.provider_id} returned a malformed payload") from exc
 

@@ -1,3 +1,5 @@
+import json
+import time
 from decimal import Decimal
 
 import pytest
@@ -15,6 +17,7 @@ from flowexplain.providers import (
 )
 
 from .conftest import CTI_FIXTURE, GEO_FIXTURE, history_entry, make_record, seeded_store
+from .loopback import KeepAliveServer, SilentServer, refused_port
 
 
 class TestClassifyIp:
@@ -332,6 +335,49 @@ class TestHTTPProviders:
         with _ScriptedGetServer([(200, bad)]) as server:
             with pytest.raises(ProviderError):
                 provider(server).lookup("8.8.8.8")
+
+
+class TestHTTPProviderTransport:
+    def _geo(self, url_template, timeout_ms=5000):
+        from flowexplain.providers import HTTPGeoProvider, HTTPProviderProfile
+
+        profile = HTTPProviderProfile(
+            provider_id="http-geo-test",
+            url_template=url_template,
+            field_paths={"country": "country"},
+            timeout_ms=timeout_ms,
+        )
+        return HTTPGeoProvider(profile)
+
+    def test_silent_server_times_out(self):
+        with SilentServer() as server:
+            geo = self._geo(server.url("/lookup/{ip}"), timeout_ms=200)
+            started = time.monotonic()
+            with pytest.raises(ProviderTimeout, match="timed out for 8.8.8.8"):
+                geo.lookup("8.8.8.8")
+        assert time.monotonic() - started < 2.0
+
+    def test_refused_port_is_provider_error(self):
+        geo = self._geo(f"http://127.0.0.1:{refused_port()}/lookup/{{ip}}")
+        with pytest.raises(ProviderError, match="http-geo-test request failed") as caught:
+            geo.lookup("8.8.8.8")
+        assert caught.value.reason == "provider_error"
+
+    def test_idle_closed_connection_is_reopened_once(self):
+        body = json.dumps({"country": "Australia"}).encode("utf-8")
+        with KeepAliveServer(body, close_after_reply=True) as server:
+            geo = self._geo(server.url("/lookup/{ip}"))
+            countries = [geo.lookup(ip).country for ip in ("8.8.8.8", "1.1.1.1", "9.9.9.9")]
+        assert countries == ["Australia"] * 3
+        assert (server.requests, server.connections) == (3, 3)
+
+    def test_one_thread_keeps_one_connection(self):
+        body = json.dumps({"country": "Australia"}).encode("utf-8")
+        with KeepAliveServer(body) as server:
+            geo = self._geo(server.url("/lookup/{ip}"))
+            for ip in ("8.8.8.8", "1.1.1.1", "9.9.9.9"):
+                geo.lookup(ip)
+        assert (server.requests, server.connections) == (3, 1)
 
 
 @settings(max_examples=25, deadline=None)

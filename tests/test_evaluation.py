@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from decimal import Decimal
@@ -71,6 +72,11 @@ class TestIngestAnnotations:
         path.write_text('{"explanation_id": "e1"\n')
         with pytest.raises(AnnotationError, match="line 1"):
             ingest_annotations(path)
+
+    def test_malformed_line_in_file_object_reports_line_number(self):
+        source = io.StringIO(json.dumps(_annotation("e1", "a1")) + "\n\n{bad\n")
+        with pytest.raises(AnnotationError, match="malformed annotation on line 3"):
+            ingest_annotations(source)
 
 
 class TestAggregateMetrics:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+import warnings
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +34,8 @@ from flowexplain.gateway import (
     record_usage,
 )
 from flowexplain.prompts import count_tokens
+
+from .loopback import KeepAliveServer, SilentServer, refused_port
 
 PRICING = PricingTable.per_million("2.50", "10.00")
 FAST_RETRY = RetryPolicy(attempts=3, delays=(0.0, 0.0, 0.0))
@@ -143,7 +151,7 @@ class TestMockBackend:
 
 
 class _ScriptedHTTPServer:
-    """Serves scripted (status, body) responses for backend tests."""
+    """Serves scripted (status, body[, headers]) responses for backend tests."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -157,9 +165,11 @@ class _ScriptedHTTPServer:
                 length = int(self.headers.get("Content-Length", 0))
                 server.last_request = json.loads(self.rfile.read(length))
                 server.auth_header = self.headers.get("Authorization")
-                status, body = server.script.pop(0)
+                status, body, *headers = server.script.pop(0)
                 payload = body.encode("utf-8")
                 self.send_response(status)
+                for name, value in dict(*headers).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
@@ -261,6 +271,137 @@ class TestHTTPBackend:
             backend = HTTPBackend(self._profile(server.url))
             result = generate(GenerationRequest(prompt="p"), backend, retry=FAST_RETRY)
         assert result.text == "second try"
+
+    def test_redirect_is_not_followed(self):
+        with _ScriptedHTTPServer([(302, _ok_body(), {"Location": "/elsewhere"})]) as server:
+            backend = HTTPBackend(self._profile(server.url))
+            with pytest.raises(MalformedResponseError, match="HTTP 302"):
+                backend.complete(GenerationRequest(prompt="p"))
+
+
+class TestRetryAfter:
+    POLICY = RetryPolicy(attempts=3, delays=(0.5, 2.0, 4.0))
+
+    def _sleeps(self, retry_after):
+        script = [(429, "{}", {"Retry-After": retry_after}), (200, _ok_body("after the wait"))]
+        sleeps = []
+        with _ScriptedHTTPServer(script) as server:
+            backend = HTTPBackend(HTTPBackendProfile("http-test", server.url, "m1"))
+            result = generate(
+                GenerationRequest(prompt="p"), backend, retry=self.POLICY, sleep=sleeps.append
+            )
+        assert result.text == "after the wait"
+        return sleeps
+
+    def test_numeric_hint_replaces_the_policy_delay(self):
+        assert self._sleeps("1") == [1.0]
+
+    def test_hint_is_capped_at_the_largest_policy_delay(self):
+        assert self._sleeps("3600") == [4.0]
+
+    @pytest.mark.parametrize("value", ["soon", "Wed, 21 Oct 2026 07:28:00 GMT", "-3", "nan"])
+    def test_unusable_hint_falls_back_to_the_policy_delay(self, value):
+        assert self._sleeps(value) == [0.5]
+
+    def test_rate_limit_error_carries_the_hint(self):
+        with _ScriptedHTTPServer([(429, "{}", {"Retry-After": "7"})]) as server:
+            backend = HTTPBackend(HTTPBackendProfile("http-test", server.url, "m1"))
+            with pytest.raises(RateLimitError) as caught:
+                backend.complete(GenerationRequest(prompt="p"))
+        assert caught.value.retry_after == 7.0
+
+
+class TestTransport:
+    OK = _ok_body().encode("utf-8")
+
+    def _backend(self, url, timeout_s=60.0):
+        return HTTPBackend(HTTPBackendProfile("http-test", url, "m1", timeout_s=timeout_s))
+
+    def test_silent_server_times_out(self):
+        with SilentServer() as server:
+            backend = self._backend(server.url("/v1/chat/completions"), timeout_s=0.2)
+            started = time.monotonic()
+            with pytest.raises(BackendTimeoutError, match="timed out"):
+                backend.complete(GenerationRequest(prompt="p"))
+        assert time.monotonic() - started < 2.0
+
+    def test_refused_port_is_server_error(self):
+        backend = self._backend(f"http://127.0.0.1:{refused_port()}/v1/chat/completions")
+        with pytest.raises(BackendServerError, match="http-test request failed"):
+            backend.complete(GenerationRequest(prompt="p"))
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/x", "http:///x", "http://127.0.0.1:99999/x"])
+    def test_unusable_url_is_server_error(self, url):
+        with pytest.raises(BackendServerError, match="request failed"):
+            self._backend(url).complete(GenerationRequest(prompt="p"))
+
+    def test_idle_closed_connection_is_reopened_once(self):
+        with KeepAliveServer(self.OK, close_after_reply=True) as server:
+            backend = self._backend(server.url("/v1/chat/completions"))
+            texts = [backend.complete(GenerationRequest(prompt="p")).text for _ in range(3)]
+        assert texts == ["generated text"] * 3
+        assert (server.requests, server.connections) == (3, 3)
+
+    def test_one_thread_keeps_one_connection(self):
+        with KeepAliveServer(self.OK) as server:
+            backend = self._backend(server.url("/v1/chat/completions"))
+            for _ in range(5):
+                backend.complete(GenerationRequest(prompt="p"))
+        assert (server.requests, server.connections) == (5, 1)
+
+    def _threads(self, backend, count, calls_each):
+        def calls():
+            for _ in range(calls_each):
+                backend.complete(GenerationRequest(prompt="p"))
+
+        threads = [threading.Thread(target=calls) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+
+    def test_two_threads_in_flight_use_two_connections(self):
+        # each reply waits until both threads' requests have arrived
+        with KeepAliveServer(self.OK, together=2) as server:
+            backend = self._backend(server.url("/v1/chat/completions"))
+            self._threads(backend, count=2, calls_each=3)
+        assert (server.requests, server.connections) == (6, 2)
+
+    def test_threads_taking_turns_share_one_connection(self):
+        with KeepAliveServer(self.OK) as server:
+            backend = self._backend(server.url("/v1/chat/completions"))
+            for _ in range(3):
+                self._threads(backend, count=1, calls_each=2)
+        assert (server.requests, server.connections) == (6, 1)
+
+    def test_dropped_backend_closes_its_connections(self):
+        with KeepAliveServer(self.OK, together=2) as server, warnings.catch_warnings(
+            record=True
+        ) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            backend = self._backend(server.url("/v1/chat/completions"))
+            self._threads(backend, count=2, calls_each=1)
+            del backend
+            deadline = time.monotonic() + 5
+            while server.ended < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert server.ended == 2
+        port = str(server.httpd.server_address[1])
+        assert not [w for w in caught if port in str(w.message)]  # closed, not collected
+
+
+def test_importing_the_pipeline_leaves_requests_unloaded():
+    import flowexplain
+
+    src = str(Path(flowexplain.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, flowexplain.pipeline; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestEstimateCost:
@@ -384,3 +525,35 @@ class TestGatewayHandle:
         second_texts, second_ledger = run()
         assert first_texts == second_texts
         assert first_ledger == second_ledger
+
+    def test_slot_is_free_while_a_request_sleeps_in_backoff(self):
+        asleep, wake = threading.Event(), threading.Event()
+
+        def sleep(seconds):
+            asleep.set()
+            wake.wait(10)
+
+        gateway = Gateway(
+            _FlakyBackend([RateLimitError("slow down")]),
+            retry=RetryPolicy(attempts=2, delays=(1.0,)),
+            max_in_flight=1,
+            sleep=sleep,
+        )
+        texts = {}
+
+        def explain(name):
+            texts[name] = gateway.generate(GenerationRequest(prompt=name)).text
+
+        first = threading.Thread(target=explain, args=("first",))
+        first.start()
+        try:
+            assert asleep.wait(10)
+            second = threading.Thread(target=explain, args=("second",))
+            second.start()
+            second.join(5)
+            assert texts == {"second": "recovered"}  # done while the first sleeps
+        finally:
+            wake.set()
+            first.join(10)
+        assert texts == {"first": "recovered", "second": "recovered"}
+        assert gateway.ledger.results == 2

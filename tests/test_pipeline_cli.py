@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,14 @@ class TestConfig:
         finally:
             runtime.close()
 
+    @pytest.mark.parametrize("row", ['{"text": "x"}', '{"key": "k"}', "[1]", "{not json"])
+    def test_canned_row_without_key_or_text_is_config_error(self, tmp_path, row):
+        canned = tmp_path / "canned.jsonl"
+        canned.write_text(json.dumps({"key": "k", "text": "t"}) + "\n\n" + row + "\n")
+        config = make_config(tmp_path, backend={"kind": "mock", "canned": str(canned)})
+        with pytest.raises(ConfigError, match=r"canned\.jsonl on line 3"):
+            Runtime(config)
+
 
 class TestIngest:
     def test_fixture_counts(self, tmp_path):
@@ -185,6 +194,30 @@ class TestSampleAndExplain:
         result = run_explain(config, "augmented", flow_ids=malicious, run_id="t3")
         entries = [json.loads(l) for l in result.log_path.read_text().splitlines()]
         assert [e["flow_id"] for e in entries] == malicious
+
+    def test_workers_run_at_most_two_flows_each_ahead_of_the_writer(
+        self, tmp_path, records, monkeypatch
+    ):
+        malicious = [r.flow_id for r in records if r.label == "malicious"][:24]
+        started = []
+        explain_record = Runtime.explain_record
+
+        def counted(self, *args, **kwargs):
+            started.append(None)
+            return explain_record(self, *args, **kwargs)
+
+        monkeypatch.setattr(Runtime, "explain_record", counted)
+        ahead = []
+
+        def slow_writer(flow_id):
+            ahead.append(len(started) - len(ahead) - 1)
+            time.sleep(0.005)
+
+        config = make_config(tmp_path, workers=2)
+        run_ingest(config)
+        run_explain(config, "basic", flow_ids=malicious, run_id="t6", progress=slow_writer)
+        assert len(ahead) == len(malicious)
+        assert max(ahead) < 2 * config.workers
 
     def test_unknown_flow_id_is_fatal(self, tmp_path):
         config = make_config(tmp_path)
