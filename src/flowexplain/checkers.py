@@ -45,6 +45,10 @@ CONVERSION_TOLERANCE = Decimal("0.05")
 #: "1.2 KB" for 1200 does not).
 SCALED_VALUE_TOLERANCE = Decimal("0.01")
 
+#: Characters of a quoted value that a finding's detail repeats; a longer
+#: quote is cut there and its length given.
+QUOTE_LIMIT = 64
+
 
 def decode_tcp_flags(value: int) -> frozenset[str]:
     """Flag names whose bit is set in a cumulative TCP flag bitmask."""
@@ -380,6 +384,8 @@ def _compare_values(
     if equal:
         return None
     quoted = mention.raw_value or str(mention.value)
+    if len(quoted) > QUOTE_LIMIT:
+        quoted = f"{quoted[:QUOTE_LIMIT]}… ({len(quoted)} characters)"
     if mention.unit:
         quoted += f" {mention.unit}"
     return CheckFinding(

@@ -5,10 +5,13 @@ from __future__ import annotations
 import csv
 import ipaddress
 import random
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Mapping, TextIO
 
 from .catalog import NON_NEGATIVE_UNITS, FeatureCatalog, FeatureSpec
 
@@ -100,7 +103,9 @@ def parse_value(text: str, spec: FeatureSpec) -> FlowValue:
     """Parse one cell according to the feature's value kind.
 
     Integer cells tolerate a redundant decimal suffix (``"6.0"`` parses
-    as 6) because spreadsheet round-trips commonly introduce it.
+    as 6) because spreadsheet round-trips commonly introduce it. NaN and
+    infinities are rejected in both numeric kinds, and an integer may have
+    no more digits than ``int`` accepts from plain text.
     """
     text = text.strip()
     if spec.value_kind == "integer":
@@ -109,13 +114,7 @@ def parse_value(text: str, spec: FeatureSpec) -> FlowValue:
         try:
             value: int = int(text)
         except ValueError:
-            try:
-                dec = Decimal(text)
-            except InvalidOperation:
-                raise ValueError(f"not an integer: {text!r}") from None
-            if dec != dec.to_integral_value():
-                raise ValueError(f"not an integer: {text!r}") from None
-            value = int(dec)
+            value = _integer_from_decimal(text)
         _check_numeric_range(value, spec)
         return value
     if spec.value_kind == "decimal":
@@ -123,15 +122,42 @@ def parse_value(text: str, spec: FeatureSpec) -> FlowValue:
             dec = Decimal(text)
         except InvalidOperation:
             raise ValueError(f"not a decimal: {text!r}") from None
+        if not dec.is_finite():
+            raise ValueError(f"not a finite decimal: {text!r}")
         _check_numeric_range(dec, spec)
         return dec
     if spec.value_kind == "address":
-        try:
-            ipaddress.ip_address(text)
-        except ValueError:
-            raise ValueError(f"not an IP address: {text!r}") from None
-        return text
+        return checked_address(text)
     return text
+
+
+@lru_cache(maxsize=4096)
+def checked_address(text: str) -> str:
+    """Return ``text`` if it is an IPv4 or IPv6 address, else raise ``ValueError``.
+
+    Exports and history stores repeat a few addresses many times, so the
+    answers are memoised; a rejection is not cached and raises each time.
+    """
+    try:
+        ipaddress.ip_address(text)
+    except ValueError:
+        raise ValueError(f"not an IP address: {text!r}") from None
+    return text
+
+
+def _integer_from_decimal(text: str) -> int:
+    try:
+        dec = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if not dec.is_finite() or dec != dec.to_integral_value():
+        raise ValueError(f"not an integer: {text!r}")
+    # "1e400000000" would otherwise become an integer of 400 million digits;
+    # where the limit is switched off (0), its default still applies here
+    max_digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if dec and dec.adjusted() >= max_digits:
+        raise ValueError(f"integer has more than {max_digits} digits: {text[:32]!r}")
+    return int(dec)
 
 
 def _check_numeric_range(value: int | Decimal, spec: FeatureSpec) -> None:
@@ -189,12 +215,17 @@ def parse_dataset(
         have_attack = catalog.attack_column in header
         index = {name: header.index(name) for name in header}
         per_row_specs = [(spec, index[spec.name]) for spec in catalog.features]
+        plan = [
+            (spec.name, _CONVERTERS[spec.value_kind], index[spec.name])
+            for spec in catalog.features
+        ]
+        row_check = _row_check(catalog)
         label_idx = index[catalog.label_column]
         attack_idx = index[catalog.attack_column] if have_attack else None
 
         records: list[FlowRecord] = []
         for row_number, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
+            if not "".join(row).strip():
                 continue
             report.rows_total += 1
             if len(row) != len(header):
@@ -206,16 +237,22 @@ def parse_dataset(
                     )
                 )
                 continue
-            values: dict[str, FlowValue] = {}
             row_ok = True
-            for spec, col in per_row_specs:
-                try:
-                    values[spec.name] = parse_value(row[col], spec)
-                except ValueError as exc:
-                    report.issues.append(
-                        ParseIssue(row=row_number, column=spec.name, message=str(exc))
-                    )
-                    row_ok = False
+            try:
+                values = {name: convert(row[col]) for name, convert, col in plan}
+                fast = row_check(values)
+            except (ValueError, ArithmeticError):
+                fast = False
+            if not fast:
+                values = {}
+                for spec, col in per_row_specs:
+                    try:
+                        values[spec.name] = parse_value(row[col], spec)
+                    except ValueError as exc:
+                        report.issues.append(
+                            ParseIssue(row=row_number, column=spec.name, message=str(exc))
+                        )
+                        row_ok = False
             try:
                 label = parse_label(row[label_idx])
             except ValueError as exc:
@@ -242,6 +279,45 @@ def parse_dataset(
     finally:
         if close:
             stream.close()
+
+
+# Per value kind, a builtin that turns a well-formed cell into what
+# parse_value returns for it. A row that one of them rejects or that fails
+# _row_check goes through parse_value, which alone words the issues; some
+# of those rows are well formed, as int() rejects the separators
+# U+001C..U+001F that str.strip removes.
+_CONVERTERS = {"integer": int, "decimal": Decimal, "address": str.strip, "string": str.strip}
+
+
+def _row_check(catalog: FeatureCatalog) -> Callable[[dict], bool]:
+    """A predicate on a row of converted values: whether it passes the
+    checks of parse_value that the converters leave out."""
+    numeric = [s for s in catalog.features if s.value_kind in ("integer", "decimal")]
+    port = [s for s in numeric if s.unit == "port"]
+    protocol = [s for s in numeric if s.unit == "protocol-id" and s.value_kind == "integer"]
+    decimals = _columns([s for s in numeric if s.value_kind == "decimal"])
+    non_negative = _columns([s for s in numeric if s.unit in NON_NEGATIVE_UNITS] + port + protocol)
+    ports = _columns(port)
+    protocols = _columns(protocol)
+    addresses = _columns([s for s in catalog.features if s.value_kind == "address"])
+
+    def check(values: dict) -> bool:
+        return (
+            all(map(Decimal.is_finite, decimals(values)))
+            and min(non_negative(values), default=0) >= 0
+            and max(ports(values), default=0) <= 65535
+            and max(protocols(values), default=0) <= 255
+            and all(map(checked_address, addresses(values)))
+        )
+
+    return check
+
+
+def _columns(specs: list[FeatureSpec]) -> Callable[[dict], tuple]:
+    if not specs:
+        return lambda values: ()
+    # the first name twice, so that a single column still yields a tuple
+    return itemgetter(specs[0].name, *(spec.name for spec in specs))
 
 
 def _check_header(header: list[str], catalog: FeatureCatalog, report: ParseReport) -> None:

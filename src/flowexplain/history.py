@@ -7,12 +7,13 @@ address" for the prompt augmenter.
 
 from __future__ import annotations
 
-import ipaddress
 import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+from .flows import checked_address
 
 HISTORY_LABELS = ("benign", "malicious", "unlabeled")
 
@@ -39,7 +40,7 @@ class FlowHistoryEntry:
     def __post_init__(self) -> None:
         for field_name, ip in (("src_ip", self.src_ip), ("dst_ip", self.dst_ip)):
             try:
-                ipaddress.ip_address(ip)
+                checked_address(ip)
             except ValueError:
                 raise ValueError(f"{field_name} is not a valid address: {ip!r}") from None
         if not 0 <= self.l4_protocol_id <= 255:

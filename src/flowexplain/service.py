@@ -17,6 +17,9 @@ from .gateway import BackendError
 from .pipeline import FieldValidationError, PipelineError, Runtime
 from .prompts import BudgetInfeasibleError
 
+#: Largest ``POST`` body the service reads; a longer one gets 413.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ExplainService:
     """HTTP front end over a :class:`~flowexplain.pipeline.Runtime`.
@@ -47,10 +50,21 @@ class ExplainService:
                 if self.path != "/explain":
                     _send(self, 404, {"error": "unknown path"})
                     return
+                # checked before reading: rfile.read(-1) would wait for the
+                # client to close, and a huge length would be read in full
                 try:
                     length = int(self.headers.get("Content-Length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    _send(self, 400, {"error": "Content-Length must be a non-negative integer"})
+                    return
+                if length > MAX_BODY_BYTES:
+                    _send(self, 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+                    return
+                try:
                     body = json.loads(self.rfile.read(length) or b"{}")
-                except (ValueError, json.JSONDecodeError):
+                except ValueError:  # JSONDecodeError and UnicodeDecodeError among them
                     _send(self, 400, {"error": "request body is not valid JSON"})
                     return
                 if not isinstance(body, dict):

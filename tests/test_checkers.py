@@ -354,6 +354,13 @@ class TestUntrustedText:
         text = "IN_BYTES: " + "1" * digits + " KB"
         assert [f.kind for f in run_all_checks(text, record, catalog)] == ["value_mismatch"]
 
+    @pytest.mark.parametrize("unit", ["", " KB"])
+    def test_finding_detail_is_bounded_for_a_long_quote(self, catalog, record, unit):
+        text = "IN_BYTES: " + "1" * 1_000_010 + unit
+        (finding,) = run_all_checks(text, record, catalog)
+        assert len(finding.detail) < 200
+        assert "(1000010 characters)" in finding.detail
+
     def test_digits_then_duration_claim_still_found(self, record):
         findings = check_factual_claims(",,4294964 ms is equivalent to 43 minutes", record)
         assert [f.kind for f in findings] == ["arithmetic_error"]

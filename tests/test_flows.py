@@ -1,4 +1,6 @@
 import io
+import ipaddress
+import json
 from collections import Counter
 from decimal import Decimal
 
@@ -11,13 +13,18 @@ from flowexplain.flows import (
     FlowRecord,
     RecordValidationError,
     SamplingError,
+    checked_address,
     parse_dataset,
     render_flow_text,
     reparse_rendered,
     sample_malicious,
 )
+from flowexplain.pipeline import history_entry_for
 
-from .conftest import make_record, synth_values
+from .conftest import DATA_DIR, make_record, synth_values
+from .data.record_parse_golden import FUZZ_CASES, FUZZ_SEED, MAX_ROWS, digests
+
+GOLDEN = json.loads((DATA_DIR / "parse_golden.json").read_text(encoding="utf-8"))
 
 
 def _csv_text(catalog, data_rows, header=None):
@@ -104,6 +111,63 @@ class TestParseDataset:
     def test_flow_ids_are_stable_row_numbers(self, catalog):
         records, _ = parse_dataset(_csv_text(catalog, [_row(catalog), _row(catalog)]), catalog)
         assert [r.flow_id for r in records] == ["row-000001", "row-000002"]
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            ("SRC_TO_DST_SECOND_BYTES", "NaN"),
+            ("SRC_TO_DST_SECOND_BYTES", "sNaN"),
+            ("SRC_TO_DST_SECOND_BYTES", "Infinity"),
+            ("L7_PROTO", "-inf"),
+            ("IN_BYTES", "Infinity"),
+            ("IN_BYTES", "-inf"),
+            ("IN_BYTES", "sNaN"),
+            ("IN_BYTES", "1e400000000"),  # would be an integer of 400 million digits
+        ],
+    )
+    def test_non_finite_or_huge_number_quarantines_its_row(self, catalog, column, text):
+        stream = _csv_text(catalog, [_row(catalog, **{column: text}), _row(catalog)])
+        records, report = parse_dataset(stream, catalog)
+        assert [r.flow_id for r in records] == ["row-000002"]
+        assert [(i.row, i.column) for i in report.issues] == [(1, column)]
+
+    def test_each_address_string_is_checked_once(self, catalog, monkeypatch):
+        addresses = [f"10.0.{i // 10}.{i}" for i in range(48)] + ["2001:db8::7"]
+        rows = [
+            _row(catalog, IPV4_SRC_ADDR=addresses[i % 49], IPV4_DST_ADDR=addresses[i * 7 % 49])
+            for i in range(2000)
+        ]
+        checked = Counter()
+        real = ipaddress.ip_address
+
+        def counting(text):
+            checked[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(ipaddress, "ip_address", counting)
+        checked_address.cache_clear()
+        try:
+            records, _ = parse_dataset(_csv_text(catalog, rows), catalog)
+            entries = [history_entry_for(record) for record in records]
+        finally:
+            checked_address.cache_clear()
+        assert len(entries) == 2000
+        assert sorted(checked) == sorted(addresses)
+        assert set(checked.values()) == {1}
+
+
+class TestParseGolden:
+    """Parser output matches digests recorded with the cell-by-cell parser.
+
+    ``data/record_parse_golden.py`` records ``data/parse_golden.json`` from
+    seeded CSV documents that mix valid cells with edge spellings.
+    """
+
+    def test_fuzz_settings_match_recording(self):
+        assert GOLDEN["fuzz"] == {"seed": FUZZ_SEED, "cases": FUZZ_CASES, "max_rows": MAX_ROWS}
+
+    def test_fuzz_matches_golden_digests(self, catalog):
+        assert digests(catalog) == GOLDEN["digests"]
 
 
 class TestRenderFlowText:

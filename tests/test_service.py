@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -9,7 +10,7 @@ import pytest
 from flowexplain.gateway import AuthenticationError
 from flowexplain.history import HistoryQuery
 from flowexplain.pipeline import Runtime, run_ingest
-from flowexplain.service import ExplainService
+from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
 from .conftest import DATASET
 from .test_pipeline_cli import make_config
@@ -46,6 +47,20 @@ def _request(service, path, payload=None, method=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+def _post_raw(service, headers, body=b""):
+    """POST ``body`` to /explain with exactly ``headers``; the reply must come within 10 s."""
+    conn = http.client.HTTPConnection(*service.address, timeout=10)
+    try:
+        conn.putrequest("POST", "/explain", skip_accept_encoding=True)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 def _dataset_row(label="1", attack="scan"):
@@ -147,6 +162,39 @@ class TestService:
         assert status == 200
         assert (body["explanation"], body["findings"]) == (answer, [])
         assert runtime.store.count() == before + 1
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("IN_BYTES", '"Infinity"'),
+            ("IN_BYTES", '"-inf"'),
+            ("IN_BYTES", '"sNaN"'),
+            ("IN_BYTES", '"1e400000000"'),
+            ("IN_BYTES", "1e999"),  # a JSON number past float range reaches the parser as "inf"
+            ("SRC_TO_DST_SECOND_BYTES", '"NaN"'),
+            ("SRC_TO_DST_SECOND_BYTES", '"sNaN"'),
+            ("SRC_TO_DST_SECOND_BYTES", "1e999"),
+            ("SRC_TO_DST_SECOND_BYTES", "NaN"),
+        ],
+    )
+    def test_non_finite_or_huge_number_is_field_error(self, service, column, value):
+        row = _dataset_row()
+        row[column] = "@"
+        body = json.dumps({"flow": row, "mode": "basic"}).replace('"@"', value).encode()
+        status, reply = _post_raw(service, {"Content-Length": str(len(body))}, body)
+        assert status == 400
+        assert list(reply["fields"]) == [column]
+
+    @pytest.mark.parametrize("length", ["-1", "ten", ""])
+    def test_bad_content_length_is_400_without_reading(self, service, length):
+        status, reply = _post_raw(service, {"Content-Length": length})
+        assert status == 400
+        assert "Content-Length" in reply["error"]
+
+    def test_body_over_cap_is_413_without_reading(self, service):
+        status, reply = _post_raw(service, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in reply["error"]
 
     def test_unknown_path_404(self, service):
         status, _ = _request(service, "/nope")
