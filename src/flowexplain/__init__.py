@@ -66,8 +66,6 @@ from .gateway import (
     TokenUsage,
     UsageLedger,
     estimate_cost,
-    generate,
-    record_usage,
 )
 from .history import (
     FlowHistoryEntry,

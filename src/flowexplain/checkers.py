@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .catalog import FeatureCatalog
-from .flows import FlowRecord
+from .flows import FlowRecord, clip
 
 FINDING_KINDS = (
     "value_mismatch",
@@ -44,11 +44,6 @@ CONVERSION_TOLERANCE = Decimal("0.05")
 #: allowing for rounding in prose ("1.2 KB" for 1204 bytes stays flagged,
 #: "1.2 KB" for 1200 does not).
 SCALED_VALUE_TOLERANCE = Decimal("0.01")
-
-#: Characters of a quoted value that a finding's detail repeats; a longer
-#: quote is cut there and its length given.
-QUOTE_LIMIT = 64
-
 
 def decode_tcp_flags(value: int) -> frozenset[str]:
     """Flag names whose bit is set in a cumulative TCP flag bitmask."""
@@ -383,9 +378,7 @@ def _compare_values(
         equal = abs(normalized - recorded_dec) <= abs(recorded_dec) * SCALED_VALUE_TOLERANCE
     if equal:
         return None
-    quoted = mention.raw_value or str(mention.value)
-    if len(quoted) > QUOTE_LIMIT:
-        quoted = f"{quoted[:QUOTE_LIMIT]}… ({len(quoted)} characters)"
+    quoted = clip(mention.raw_value or str(mention.value))
     if mention.unit:
         quoted += f" {mention.unit}"
     return CheckFinding(

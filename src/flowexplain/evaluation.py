@@ -95,10 +95,6 @@ class AnnotationSet:
     resolved: dict[str, dict[str, bool | None]]
     disagreements: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def explanation_ids(self) -> list[str]:
-        return list(self.resolved.keys())
-
     def verdicts_for(self, metric: str) -> list[bool]:
         return [
             verdicts[metric]
@@ -301,26 +297,8 @@ def aggregate_metrics(
     for metric in METRICS:
         verdicts = annotation_set.verdicts_for(metric)
         values[metric] = _metric_value(sum(verdicts), len(verdicts))
-    average = truncate_two_decimals(
-        (
-            values["correctness"].percent
-            + values["feature_consistency"].percent
-            + values["factual_consistency"].percent
-        )
-        / Decimal(3)
-    )
-    return MetricsReport(
-        model=model,
-        mode=mode,
-        n=n,
-        correctness=values["correctness"],
-        feature_consistency=values["feature_consistency"],
-        factual_consistency=values["factual_consistency"],
-        average_performance=average,
-        excluded={
-            metric: count for metric, count in annotation_set.disagreements.items() if count
-        },
-    )
+    excluded = {metric: count for metric, count in annotation_set.disagreements.items() if count}
+    return _report(values, n, model, mode, excluded)
 
 
 def aggregate_counts(
@@ -338,14 +316,13 @@ def aggregate_counts(
         if not 0 <= count <= n:
             raise AggregationError(f"positive count {count} outside 0..{n} for {metric}")
         values[metric] = _metric_value(count, n)
-    average = truncate_two_decimals(
-        (
-            values["correctness"].percent
-            + values["feature_consistency"].percent
-            + values["factual_consistency"].percent
-        )
-        / Decimal(3)
-    )
+    return _report(values, n, model, mode, {})
+
+
+def _report(
+    values: dict[str, MetricValue], n: int, model: str, mode: str, excluded: dict[str, int]
+) -> MetricsReport:
+    """The report of one cell; the average is truncated to two decimals."""
     return MetricsReport(
         model=model,
         mode=mode,
@@ -353,7 +330,10 @@ def aggregate_counts(
         correctness=values["correctness"],
         feature_consistency=values["feature_consistency"],
         factual_consistency=values["factual_consistency"],
-        average_performance=average,
+        average_performance=truncate_two_decimals(
+            sum(values[metric].percent for metric in METRICS) / Decimal(3)
+        ),
+        excluded=excluded,
     )
 
 

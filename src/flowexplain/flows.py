@@ -11,7 +11,7 @@ from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .catalog import NON_NEGATIVE_UNITS, FeatureCatalog, FeatureSpec
 
@@ -19,6 +19,10 @@ FlowValue = int | Decimal | str
 
 LABEL_BENIGN = "benign"
 LABEL_MALICIOUS = "malicious"
+
+#: Characters of a cell or quoted value that a message repeats; a longer
+#: text is cut there and its length given.
+QUOTE_LIMIT = 64
 
 
 class DatasetFormatError(ValueError):
@@ -121,9 +125,9 @@ def parse_value(text: str, spec: FeatureSpec) -> FlowValue:
         try:
             dec = Decimal(text)
         except InvalidOperation:
-            raise ValueError(f"not a decimal: {text!r}") from None
+            raise ValueError(f"not a decimal: {clip(text, repr)}") from None
         if not dec.is_finite():
-            raise ValueError(f"not a finite decimal: {text!r}")
+            raise ValueError(f"not a finite decimal: {clip(text, repr)}")
         _check_numeric_range(dec, spec)
         return dec
     if spec.value_kind == "address":
@@ -141,7 +145,7 @@ def checked_address(text: str) -> str:
     try:
         ipaddress.ip_address(text)
     except ValueError:
-        raise ValueError(f"not an IP address: {text!r}") from None
+        raise ValueError(f"not an IP address: {clip(text, repr)}") from None
     return text
 
 
@@ -149,9 +153,9 @@ def _integer_from_decimal(text: str) -> int:
     try:
         dec = Decimal(text)
     except InvalidOperation:
-        raise ValueError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {clip(text, repr)}") from None
     if not dec.is_finite() or dec != dec.to_integral_value():
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {clip(text, repr)}")
     # "1e400000000" would otherwise become an integer of 400 million digits;
     # where the limit is switched off (0), its default still applies here
     max_digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -162,11 +166,19 @@ def _integer_from_decimal(text: str) -> int:
 
 def _check_numeric_range(value: int | Decimal, spec: FeatureSpec) -> None:
     if spec.unit in NON_NEGATIVE_UNITS and value < 0:
-        raise ValueError(f"negative value {value} for {spec.unit} feature")
+        raise ValueError(f"negative value {clip(str(value))} for {spec.unit} feature")
     if spec.unit == "port" and not 0 <= value <= 65535:
-        raise ValueError(f"port {value} out of range 0..65535")
+        raise ValueError(f"port {clip(str(value))} out of range 0..65535")
     if spec.unit == "protocol-id" and spec.value_kind == "integer" and not 0 <= value <= 255:
-        raise ValueError(f"protocol id {value} out of range 0..255")
+        raise ValueError(f"protocol id {clip(str(value))} out of range 0..255")
+
+
+def clip(text: str, show: Callable[[str], str] = str) -> str:
+    """``show(text)``, or for a text over QUOTE_LIMIT characters ``show`` of
+    its head followed by an ellipsis and the full length."""
+    if len(text) <= QUOTE_LIMIT:
+        return show(text)
+    return f"{show(text[:QUOTE_LIMIT])}… ({len(text)} characters)"
 
 
 def format_value(value: FlowValue) -> str:
@@ -180,7 +192,7 @@ def parse_label(text: str) -> str:
         return LABEL_BENIGN
     if text in ("1", LABEL_MALICIOUS):
         return LABEL_MALICIOUS
-    raise ValueError(f"label must be 0/1, got {text!r}")
+    raise ValueError(f"label must be 0/1, got {clip(text, repr)}")
 
 
 def _open_stream(source: str | Path | TextIO) -> TextIO:
@@ -213,18 +225,16 @@ def parse_dataset(
         header = [h.strip() for h in header]
         _check_header(header, catalog, report)
         have_attack = catalog.attack_column in header
-        index = {name: header.index(name) for name in header}
-        per_row_specs = [(spec, index[spec.name]) for spec in catalog.features]
-        plan = [
-            (spec.name, _CONVERTERS[spec.value_kind], index[spec.name])
-            for spec in catalog.features
-        ]
-        row_check = _row_check(catalog)
-        label_idx = index[catalog.label_column]
-        attack_idx = index[catalog.attack_column] if have_attack else None
+        parse_row = row_parser(catalog, header)
+        label_idx = header.index(catalog.label_column)
+        attack_idx = header.index(catalog.attack_column) if have_attack else None
 
         records: list[FlowRecord] = []
-        for row_number, row in enumerate(reader, start=1):
+        for row_number, row in enumerate(_rows(reader), start=1):
+            if isinstance(row, csv.Error):  # such as a cell over the csv field limit
+                report.rows_total += 1
+                report.issues.append(ParseIssue(row=row_number, column="*", message=str(row)))
+                continue
             if not "".join(row).strip():
                 continue
             report.rows_total += 1
@@ -237,22 +247,10 @@ def parse_dataset(
                     )
                 )
                 continue
-            row_ok = True
-            try:
-                values = {name: convert(row[col]) for name, convert, col in plan}
-                fast = row_check(values)
-            except (ValueError, ArithmeticError):
-                fast = False
-            if not fast:
-                values = {}
-                for spec, col in per_row_specs:
-                    try:
-                        values[spec.name] = parse_value(row[col], spec)
-                    except ValueError as exc:
-                        report.issues.append(
-                            ParseIssue(row=row_number, column=spec.name, message=str(exc))
-                        )
-                        row_ok = False
+            values, problems = parse_row(row)
+            for name, message in problems.items():
+                report.issues.append(ParseIssue(row=row_number, column=name, message=message))
+            row_ok = not problems
             try:
                 label = parse_label(row[label_idx])
             except ValueError as exc:
@@ -279,6 +277,56 @@ def parse_dataset(
     finally:
         if close:
             stream.close()
+
+
+def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
+    """The rows of ``reader``, with the error in place of a row it cannot read."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
+def row_parser(
+    catalog: FeatureCatalog, header: Sequence[str]
+) -> Callable[[Sequence[str | None]], tuple[dict[str, FlowValue], dict[str, str]]]:
+    """A function that types the feature cells of one row laid out as ``header``.
+
+    It returns the values and, per feature in catalog order, the problem
+    with its cell: "missing" for a cell of ``None``, else the message of
+    :func:`parse_value`. A row with problems has values for the rest of
+    its cells only.
+    """
+    index = {name: col for col, name in enumerate(header)}
+    plan = [
+        (spec.name, _CONVERTERS[spec.value_kind], index[spec.name]) for spec in catalog.features
+    ]
+    specs = [(spec, index[spec.name]) for spec in catalog.features]
+    row_check = _row_check(catalog)
+
+    def parse(row: Sequence[str | None]) -> tuple[dict[str, FlowValue], dict[str, str]]:
+        try:
+            values = {name: convert(row[col]) for name, convert, col in plan}
+            if row_check(values):
+                return values, {}
+        except (ValueError, ArithmeticError, TypeError):
+            pass
+        values, problems = {}, {}
+        for spec, col in specs:
+            cell = row[col]
+            if cell is None:
+                problems[spec.name] = "missing"
+                continue
+            try:
+                values[spec.name] = parse_value(cell, spec)
+            except ValueError as exc:
+                problems[spec.name] = str(exc)
+        return values, problems
+
+    return parse
 
 
 # Per value kind, a builtin that turns a well-formed cell into what
@@ -433,14 +481,3 @@ def assign_sequence_timestamps(
             out.append(record)
     return out
 
-
-def reparse_rendered(text: str, catalog: FeatureCatalog) -> dict[str, FlowValue]:
-    """Parse a :func:`render_flow_text` block back into typed values."""
-    values: dict[str, FlowValue] = {}
-    for line in text.splitlines():
-        name, _, raw = line.partition(":")
-        name = name.strip()
-        if name not in catalog:
-            raise RecordValidationError(f"rendered line names unknown feature {name!r}")
-        values[name] = parse_value(raw.strip(), catalog.get(name))
-    return values

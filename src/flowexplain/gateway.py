@@ -15,7 +15,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Mapping, Protocol
 
@@ -66,17 +66,17 @@ RETRYABLE_ERRORS = (RateLimitError, BackendTimeoutError, BackendServerError)
 
 @dataclass(frozen=True)
 class GenerationRequest:
-    """One prompt to send; temperature/max_tokens default at dispatch."""
+    """One prompt to send."""
 
     prompt: str
-    temperature: float | None = None
-    max_tokens: int | None = None
+    temperature: float = DEFAULT_TEMPERATURE
+    max_tokens: int = DEFAULT_MAX_TOKENS
     request_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.temperature is not None and not 0 <= self.temperature <= 2:
+        if not 0 <= self.temperature <= 2:
             raise ValueError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.max_tokens is not None and self.max_tokens < 1:
+        if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
@@ -126,51 +126,6 @@ class RetryPolicy:
 
 
 DEFAULT_RETRY = RetryPolicy()
-
-
-def generate(
-    request: GenerationRequest,
-    backend: Backend,
-    retry: RetryPolicy = DEFAULT_RETRY,
-    sleep: Callable[[float], None] = time.sleep,
-) -> GenerationResult:
-    """Send one request, applying defaults and the retry policy.
-
-    Rate limits, timeouts and server errors are retried with backoff up
-    to the attempt cap, then surfaced; authentication and malformed
-    responses fail immediately. A rate limit's ``retry_after`` replaces the
-    policy's delay, capped at the policy's largest delay.
-    """
-    return _retrying(backend.complete, request, retry, sleep)
-
-
-def _retrying(
-    complete: Callable[[GenerationRequest], GenerationResult],
-    request: GenerationRequest,
-    retry: RetryPolicy,
-    sleep: Callable[[float], None],
-) -> GenerationResult:
-    effective = replace(
-        request,
-        temperature=(
-            request.temperature if request.temperature is not None else DEFAULT_TEMPERATURE
-        ),
-        max_tokens=request.max_tokens if request.max_tokens is not None else DEFAULT_MAX_TOKENS,
-    )
-    last_error: BackendError | None = None
-    for attempt in range(retry.attempts):
-        try:
-            return complete(effective)
-        except RETRYABLE_ERRORS as exc:
-            last_error = exc
-            if attempt + 1 < retry.attempts:
-                hint = getattr(exc, "retry_after", None)
-                if hint is None:
-                    sleep(retry.delays[min(attempt, len(retry.delays) - 1)])
-                else:
-                    sleep(min(hint, max(retry.delays)))
-    assert last_error is not None
-    raise last_error
 
 
 class MockBackend:
@@ -383,6 +338,16 @@ class UsageLedger:
     def cost(self, pricing: PricingTable) -> Decimal:
         return estimate_cost(1, self.prompt_tokens, self.completion_tokens, pricing)
 
+    def record(self, result: GenerationResult) -> None:
+        """Add one result's usage to the totals."""
+        bucket = _latency_bucket(result.latency_ms)
+        with self._lock:
+            self.results += 1
+            self.prompt_tokens += result.usage.prompt_tokens
+            self.completion_tokens += result.usage.completion_tokens
+            self.total_tokens += result.usage.total_tokens
+            self.latency_histogram_ms[bucket] = self.latency_histogram_ms.get(bucket, 0) + 1
+
     def record_failure(self) -> None:
         with self._lock:
             self.failures += 1
@@ -416,18 +381,6 @@ def _latency_bucket(latency_ms: float) -> str:
     return f">{LATENCY_BUCKETS_MS[-1]}"
 
 
-def record_usage(result: GenerationResult, ledger: UsageLedger) -> UsageLedger:
-    """Add one result's usage to the ledger totals."""
-    with ledger._lock:
-        ledger.results += 1
-        ledger.prompt_tokens += result.usage.prompt_tokens
-        ledger.completion_tokens += result.usage.completion_tokens
-        ledger.total_tokens += result.usage.total_tokens
-        bucket = _latency_bucket(result.latency_ms)
-        ledger.latency_histogram_ms[bucket] = ledger.latency_histogram_ms.get(bucket, 0) + 1
-    return ledger
-
-
 class Gateway:
     """Backend plus retry policy, in-flight cap and ledger in one handle."""
 
@@ -446,16 +399,30 @@ class Gateway:
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        try:
-            result = _retrying(self._complete, request, self.retry, self._sleep)
-        except BackendError:
-            self.ledger.record_failure()
-            raise
-        record_usage(result, self.ledger)
-        return result
+        """Send one request under the retry policy and account for it.
 
-    def _complete(self, request: GenerationRequest) -> GenerationResult:
-        # the slot is held per attempt, so a request sleeping in backoff
-        # leaves it to others
-        with self._slots:
-            return self.backend.complete(request)
+        Rate limits, timeouts and server errors are retried with backoff up
+        to the attempt cap, then surfaced; authentication and malformed
+        responses fail immediately. A rate limit's ``retry_after`` replaces
+        the policy's delay, capped at the policy's largest delay. A slot is
+        held per attempt, so a request sleeping in backoff leaves it to
+        others.
+        """
+        retry, attempt = self.retry, 0
+        while True:
+            try:
+                with self._slots:
+                    result = self.backend.complete(request)
+            except BackendError as exc:
+                attempt += 1
+                if not isinstance(exc, RETRYABLE_ERRORS) or attempt >= retry.attempts:
+                    self.ledger.record_failure()
+                    raise
+                hint = getattr(exc, "retry_after", None)
+                if hint is None:
+                    self._sleep(retry.delays[min(attempt - 1, len(retry.delays) - 1)])
+                else:
+                    self._sleep(min(hint, max(retry.delays)))
+            else:
+                self.ledger.record(result)
+                return result

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -39,9 +39,12 @@ from .flows import (
     parse_dataset,
     parse_label,
     parse_value,
+    row_parser,
     sample_malicious,
 )
 from .gateway import (
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_TEMPERATURE,
     Gateway,
     GenerationRequest,
     HTTPBackend,
@@ -76,6 +79,13 @@ from .providers import (
 MODES = (MODE_BASIC, MODE_AUGMENTED)
 
 
+#: prices in currency units per million input/output tokens
+_DEFAULT_PRICING = {"input_per_million": "2.50", "output_per_million": "10.00"}
+
+#: config keys holding paths, resolved against the config file's directory
+_PATH_KEYS = ("dataset", "output_dir", "catalog", "basic_template", "augmented_template")
+
+
 class ConfigError(ValueError):
     """Raised when the pipeline configuration is unusable."""
 
@@ -97,17 +107,15 @@ class PipelineConfig:
     geo_provider: dict = field(default_factory=lambda: {"kind": "disabled"})
     cti_provider: dict = field(default_factory=lambda: {"kind": "disabled"})
     backend: dict = field(default_factory=lambda: {"kind": "mock"})
-    pricing: dict = field(
-        default_factory=lambda: {"input_per_million": "2.50", "output_per_million": "10.00"}
-    )
+    pricing: dict = field(default_factory=lambda: dict(_DEFAULT_PRICING))
     k_history: int = 5
     token_budget: int = 2048
     sample_size: int = 50
     seed: int = 7
     workers: int = 4
     max_in_flight: int = 4
-    temperature: float = 0.7
-    max_tokens: int = 2048
+    temperature: float = DEFAULT_TEMPERATURE
+    max_tokens: int = DEFAULT_MAX_TOKENS
     stratified_sampling: bool = True
     history_include_benign: bool = True
     store_max_entries: int | None = None
@@ -123,51 +131,25 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None, **overrides) -> "PipelineConfig":
-        def resolve(value: str | None) -> Path | None:
-            if value is None:
-                return None
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+        def resolve(value: str) -> Path:
             p = Path(value)
             if base_dir is not None and not p.is_absolute():
                 p = base_dir / p
             return p
 
-        known = {
-            "dataset": resolve(raw.get("dataset")),
-            "store": raw.get("store", ":memory:"),
-            "output_dir": resolve(raw.get("output_dir")) or Path("out"),
-            "catalog": resolve(raw.get("catalog")),
-            "basic_template": resolve(raw.get("basic_template")),
-            "augmented_template": resolve(raw.get("augmented_template")),
-            "geo_provider": raw.get("geo_provider", {"kind": "disabled"}),
-            "cti_provider": raw.get("cti_provider", {"kind": "disabled"}),
-            "backend": raw.get("backend", {"kind": "mock"}),
-            "pricing": raw.get(
-                "pricing", {"input_per_million": "2.50", "output_per_million": "10.00"}
-            ),
-        }
-        if known["store"] != ":memory:":
-            store_path = resolve(str(known["store"]))
-            known["store"] = store_path
-        for key in (
-            "k_history",
-            "token_budget",
-            "sample_size",
-            "seed",
-            "workers",
-            "max_in_flight",
-            "temperature",
-            "max_tokens",
-            "stratified_sampling",
-            "history_include_benign",
-            "store_max_entries",
-        ):
-            if key in raw:
-                known[key] = raw[key]
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # a path set to null takes its default
+        known = {k: v for k, v in raw.items() if not (k in _PATH_KEYS and v is None)}
+        for key in _PATH_KEYS:
+            if key in known:
+                known[key] = resolve(known[key])
+        if known.get("store", ":memory:") != ":memory:":
+            known["store"] = resolve(str(known["store"]))
         known.update({k: v for k, v in overrides.items() if v is not None})
-        if known["dataset"] is None:
+        if known.get("dataset") is None:
             raise ConfigError("config must name a dataset path")
         config = cls(**known)
         config.validate()
@@ -267,9 +249,8 @@ def _read_canned(path: str) -> dict[str, str]:
 
 
 def pricing_from_config(config: dict) -> PricingTable:
-    return PricingTable.per_million(
-        config.get("input_per_million", "2.50"), config.get("output_per_million", "10.00")
-    )
+    prices = {**_DEFAULT_PRICING, **config}
+    return PricingTable.per_million(prices["input_per_million"], prices["output_per_million"])
 
 
 def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
@@ -344,7 +325,7 @@ class Runtime:
             history_labels=None if config.history_include_benign else ("malicious", "unlabeled"),
         )
         self.gateway = Gateway(self.backend, max_in_flight=config.max_in_flight)
-        self.pricing = pricing_from_config(config.pricing)
+        self._parse_posted = row_parser(self.catalog, self.catalog.feature_names)
 
     def close(self) -> None:
         self.store.close()
@@ -412,16 +393,9 @@ class Runtime:
 
     def record_from_row(self, row: dict, flow_id: str) -> FlowRecord:
         """Build a validated record from a dataset-shaped column mapping."""
-        errors: dict[str, str] = {}
-        values = {}
-        for spec in self.catalog.features:
-            if spec.name not in row:
-                errors[spec.name] = "missing"
-                continue
-            try:
-                values[spec.name] = parse_value(str(row[spec.name]), spec)
-            except ValueError as exc:
-                errors[spec.name] = str(exc)
+        values, errors = self._parse_posted(
+            [str(row[name]) if name in row else None for name in self.catalog.feature_names]
+        )
         extra = set(row) - set(self.catalog.feature_names)
         extra -= {self.catalog.label_column, self.catalog.attack_column}
         for name in sorted(extra):

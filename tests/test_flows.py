@@ -16,7 +16,7 @@ from flowexplain.flows import (
     checked_address,
     parse_dataset,
     render_flow_text,
-    reparse_rendered,
+    row_parser,
     sample_malicious,
 )
 from flowexplain.pipeline import history_entry_for
@@ -130,6 +130,36 @@ class TestParseDataset:
         records, report = parse_dataset(stream, catalog)
         assert [r.flow_id for r in records] == ["row-000002"]
         assert [(i.row, i.column) for i in report.issues] == [(1, column)]
+
+    @pytest.mark.parametrize(
+        "column, sign, digit",
+        [
+            ("IN_BYTES", "", "a"),
+            ("SRC_TO_DST_SECOND_BYTES", "", "a"),
+            ("SRC_TO_DST_SECOND_BYTES", "-", "1"),  # a negative value
+            ("IPV4_SRC_ADDR", "", "a"),
+            ("Label", "", "a"),
+        ],
+    )
+    def test_issue_for_a_long_cell_is_bounded(self, catalog, column, sign, digit):
+        # 100,000 characters: under the csv module's default field limit
+        text = sign + digit * 100_000
+        row = _row(catalog, **({} if column == "Label" else {column: text}))
+        if column == "Label":
+            row[-2] = text  # _row ends with the label and attack cells
+        _, report = parse_dataset(_csv_text(catalog, [row]), catalog)
+        [issue] = report.issues
+        assert issue.column == column
+        assert f"… ({len(text)} characters)" in issue.message
+        assert len(issue.message) < 200
+
+    def test_1mb_cell_quarantines_its_row(self, catalog):
+        rows = [_row(catalog, IN_BYTES="1" * 1_000_000), _row(catalog)]
+        records, report = parse_dataset(_csv_text(catalog, rows), catalog)
+        assert [r.flow_id for r in records] == ["row-000002"]
+        assert [(i.row, i.column) for i in report.issues] == [(1, "*")]
+        assert len(report.issues[0].message) < 200
+        assert (report.rows_total, report.rows_ok) == (2, 1)
 
     def test_each_address_string_is_checked_once(self, catalog, monkeypatch):
         addresses = [f"10.0.{i // 10}.{i}" for i in range(48)] + ["2001:db8::7"]
@@ -285,8 +315,8 @@ def test_render_roundtrip_property(data):
     }
     record = make_record(catalog, **overrides)
     rendered = render_flow_text(record, catalog)
-    reparsed = reparse_rendered(rendered, catalog)
-    assert reparsed == dict(record.values)
+    names, cells = zip(*(line.split(": ", 1) for line in rendered.splitlines()))
+    assert row_parser(catalog, names)(cells) == (dict(record.values), {})
 
 
 @settings(max_examples=20, deadline=None)

@@ -30,8 +30,6 @@ from flowexplain.gateway import (
     TokenUsage,
     UsageLedger,
     estimate_cost,
-    generate,
-    record_usage,
 )
 from flowexplain.prompts import count_tokens
 
@@ -49,6 +47,14 @@ class TestRequestValidation:
     def test_max_tokens_minimum(self):
         with pytest.raises(ValueError):
             GenerationRequest(prompt="p", max_tokens=0)
+
+    @pytest.mark.parametrize("field", ["temperature", "max_tokens"])
+    def test_none_is_not_a_setting(self, field):
+        assert GenerationRequest(prompt="p") == GenerationRequest(
+            prompt="p", temperature=0.7, max_tokens=2048
+        )
+        with pytest.raises(TypeError):
+            GenerationRequest(prompt="p", **{field: None})
 
     def test_usage_conservation_enforced(self):
         with pytest.raises(ValueError):
@@ -87,14 +93,14 @@ class _FlakyBackend:
 class TestGenerate:
     def test_defaults_applied(self):
         backend = _CapturingBackend()
-        generate(GenerationRequest(prompt="p"), backend)
+        Gateway(backend).generate(GenerationRequest(prompt="p"))
         effective = backend.seen[0]
         assert effective.temperature == 0.7
         assert effective.max_tokens == 2048
 
     def test_explicit_values_respected(self):
         backend = _CapturingBackend()
-        generate(GenerationRequest(prompt="p", temperature=0.1, max_tokens=5), backend)
+        Gateway(backend).generate(GenerationRequest(prompt="p", temperature=0.1, max_tokens=5))
         assert backend.seen[0].temperature == 0.1
         assert backend.seen[0].max_tokens == 5
 
@@ -102,32 +108,31 @@ class TestGenerate:
         backend = _FlakyBackend([RateLimitError("slow down")] * 3)
         sleeps = []
         with pytest.raises(RateLimitError):
-            generate(
-                GenerationRequest(prompt="p"),
+            Gateway(
                 backend,
                 retry=RetryPolicy(attempts=3, delays=(1.0, 2.0, 4.0)),
                 sleep=sleeps.append,
-            )
+            ).generate(GenerationRequest(prompt="p"))
         assert backend.calls == 3
         assert sleeps == [1.0, 2.0]
 
     def test_transient_failure_recovers(self):
         backend = _FlakyBackend([BackendTimeoutError("t"), BackendServerError("s")])
-        result = generate(GenerationRequest(prompt="p"), backend, retry=FAST_RETRY)
+        result = Gateway(backend, retry=FAST_RETRY).generate(GenerationRequest(prompt="p"))
         assert result.text == "recovered"
         assert backend.calls == 3
 
     def test_auth_error_not_retried(self):
         backend = _FlakyBackend([AuthenticationError("denied")])
         with pytest.raises(AuthenticationError):
-            generate(GenerationRequest(prompt="p"), backend, retry=FAST_RETRY)
+            Gateway(backend, retry=FAST_RETRY).generate(GenerationRequest(prompt="p"))
         assert backend.calls == 1
 
 
 class TestMockBackend:
     def test_canned_response_by_prompt_text(self):
         backend = MockBackend(canned={"the prompt": "a canned explanation"})
-        result = generate(GenerationRequest(prompt="the prompt"), backend)
+        result = Gateway(backend).generate(GenerationRequest(prompt="the prompt"))
         assert result.text == "a canned explanation"
         assert result.usage.prompt_tokens == count_tokens("the prompt")
         assert result.usage.completion_tokens == count_tokens("a canned explanation")
@@ -269,7 +274,7 @@ class TestHTTPBackend:
     def test_retry_then_success_through_generate(self):
         with _ScriptedHTTPServer([(429, "{}"), (200, _ok_body("second try"))]) as server:
             backend = HTTPBackend(self._profile(server.url))
-            result = generate(GenerationRequest(prompt="p"), backend, retry=FAST_RETRY)
+            result = Gateway(backend, retry=FAST_RETRY).generate(GenerationRequest(prompt="p"))
         assert result.text == "second try"
 
     def test_redirect_is_not_followed(self):
@@ -287,8 +292,8 @@ class TestRetryAfter:
         sleeps = []
         with _ScriptedHTTPServer(script) as server:
             backend = HTTPBackend(HTTPBackendProfile("http-test", server.url, "m1"))
-            result = generate(
-                GenerationRequest(prompt="p"), backend, retry=self.POLICY, sleep=sleeps.append
+            result = Gateway(backend, retry=self.POLICY, sleep=sleeps.append).generate(
+                GenerationRequest(prompt="p")
             )
         assert result.text == "after the wait"
         return sleeps
@@ -459,7 +464,7 @@ class TestUsageLedger:
 
     def test_single_result_totals(self):
         ledger = UsageLedger()
-        record_usage(self._result(100, 50), ledger)
+        ledger.record(self._result(100, 50))
         assert ledger.total_tokens == 150
         assert ledger.prompt_tokens == 100
         assert ledger.completion_tokens == 50
@@ -467,8 +472,8 @@ class TestUsageLedger:
 
     def test_two_identical_results_double_totals(self):
         ledger = UsageLedger()
-        record_usage(self._result(), ledger)
-        record_usage(self._result(), ledger)
+        ledger.record(self._result())
+        ledger.record(self._result())
         assert ledger.total_tokens == 300
         assert ledger.results == 2
 
@@ -476,18 +481,18 @@ class TestUsageLedger:
         ledger = UsageLedger()
         usages = [(461, 460), (2308, 460), (120, 99)]
         for p, c in usages:
-            record_usage(self._result(p, c), ledger)
+            ledger.record(self._result(p, c))
         expected = estimate_cost(1, sum(p for p, _ in usages), sum(c for _, c in usages), PRICING)
         assert ledger.cost(PRICING) == expected
 
     def test_latency_histogram_buckets(self):
         ledger = UsageLedger()
-        record_usage(self._result(), ledger)
+        ledger.record(self._result())
         assert ledger.latency_histogram_ms == {"<=100": 1}
 
     def test_roundtrip_serialization(self):
         ledger = UsageLedger()
-        record_usage(self._result(), ledger)
+        ledger.record(self._result())
         clone = UsageLedger.from_dict(ledger.to_dict())
         assert clone.total_tokens == ledger.total_tokens
         assert clone.latency_histogram_ms == ledger.latency_histogram_ms

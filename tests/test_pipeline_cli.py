@@ -6,10 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 from flowexplain.cli import main
+from flowexplain.gateway import PricingTable
 from flowexplain.pipeline import (
     ConfigError,
     PipelineConfig,
     Runtime,
+    pricing_from_config,
     run_cost,
     run_explain,
     run_ingest,
@@ -66,6 +68,24 @@ class TestConfig:
         assert config.sample_size == 50
         assert config.temperature == 0.7
         assert config.max_tokens == 2048
+
+    def test_keys_and_defaults_come_from_the_fields(self, tmp_path):
+        assert PipelineConfig.from_dict({"dataset": str(DATASET)}) == PipelineConfig(
+            dataset=DATASET
+        )
+        raw = {
+            "dataset": DATASET.name,
+            "store": "history.db",
+            "output_dir": None,
+            "catalog": None,
+            "pricing": {"input_per_million": "1"},
+        }
+        config = PipelineConfig.from_dict(raw, base_dir=DATASET.parent)
+        assert (config.dataset, config.store) == (DATASET, DATASET.parent / "history.db")
+        assert (config.output_dir, config.catalog) == (Path("out"), None)
+        assert pricing_from_config(config.pricing) == PricingTable.per_million("1", "10.00")
+        with pytest.raises(ConfigError, match="config must name a dataset path"):
+            PipelineConfig.from_dict({"dataset": None})
 
     def test_overrides_win(self, tmp_path):
         config = PipelineConfig.from_file(write_config_file(tmp_path), seed=99)

@@ -6,13 +6,25 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowexplain.flows import LABEL_MALICIOUS, FlowRecord, parse_label, parse_value
 from flowexplain.gateway import AuthenticationError
 from flowexplain.history import HistoryQuery
-from flowexplain.pipeline import Runtime, run_ingest
+from flowexplain.pipeline import FieldValidationError, PipelineConfig, Runtime, run_ingest
 from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
 from .conftest import DATASET
+from .data.record_parse_golden import (
+    ADDRESS_EDGES,
+    ADDRESSES,
+    ATTACKS,
+    LABEL_EDGES,
+    LABELS,
+    NUMBER_EDGES,
+    WHITESPACE,
+)
 from .test_pipeline_cli import make_config
 
 
@@ -185,6 +197,16 @@ class TestService:
         assert status == 400
         assert list(reply["fields"]) == [column]
 
+    @pytest.mark.parametrize("column", ["IN_BYTES", "SRC_TO_DST_SECOND_BYTES", "IPV4_SRC_ADDR"])
+    def test_field_error_for_a_1mb_cell_is_bounded(self, service, column):
+        row = _dataset_row()
+        row[column] = "a" * 1_000_000
+        status, reply = _request(service, "/explain", {"flow": row, "mode": "basic"})
+        assert status == 400
+        assert list(reply["fields"]) == [column]
+        assert reply["fields"][column].endswith("… (1000000 characters)")
+        assert len(reply["fields"][column]) < 200
+
     @pytest.mark.parametrize("length", ["-1", "ten", ""])
     def test_bad_content_length_is_400_without_reading(self, service, length):
         status, reply = _post_raw(service, {"Content-Length": length})
@@ -238,3 +260,99 @@ def test_served_flow_is_newest_after_eviction(tmp_path):
     # the 200 ingested rows carry timestamps 0..199; eviction kept 50..199
     assert (entries[0].flow_id, entries[0].timestamp) == ("new", 200)
     assert all(entry.timestamp < 200 for entry in entries[1:])
+
+
+def _reference_record_from_row(catalog, row, flow_id):
+    """``Runtime.record_from_row`` as it was when it parsed each cell in its own loop."""
+    errors = {}
+    values = {}
+    for spec in catalog.features:
+        if spec.name not in row:
+            errors[spec.name] = "missing"
+            continue
+        try:
+            values[spec.name] = parse_value(str(row[spec.name]), spec)
+        except ValueError as exc:
+            errors[spec.name] = str(exc)
+    extra = set(row) - set(catalog.feature_names)
+    extra -= {catalog.label_column, catalog.attack_column}
+    for name in sorted(extra):
+        errors[name] = "unknown feature"
+    if errors:
+        raise FieldValidationError(errors)
+    label_raw = row.get(catalog.label_column)
+    if label_raw is None:
+        label = LABEL_MALICIOUS
+    else:
+        try:
+            label = parse_label(str(label_raw))
+        except ValueError as exc:
+            raise FieldValidationError({catalog.label_column: str(exc)}) from exc
+    attack = row.get(catalog.attack_column)
+    return FlowRecord(
+        flow_id=flow_id,
+        values=values,
+        label=label,
+        attack_class=str(attack) if attack is not None else None,
+    )
+
+
+def _outcome(record_from_row, row):
+    try:
+        record = record_from_row(row, "posted")
+    except FieldValidationError as exc:
+        return list(exc.errors.items())
+    values = [(name, type(value).__name__, str(value)) for name, value in record.values.items()]
+    return record.flow_id, values, record.label, record.attack_class
+
+
+with open(DATASET) as _fh:
+    _POSTED_ROWS = [row for _, row in zip(range(40), csv.DictReader(_fh))]
+
+# values as json.loads hands them over, among them 1e999 (inf) and NaN
+_JSON_VALUES = [
+    json.loads(text)
+    for text in ("6.0", "1e999", "-1e999", "NaN", "7", "-1", "1.5", "1e2", "65536", "9" * 30,
+                 "true", "null", '"6.0"', "[]", "{}")
+]
+_EDGE_CELLS = st.one_of(
+    st.sampled_from(NUMBER_EDGES + ADDRESS_EDGES + ADDRESSES),
+    st.sampled_from(_JSON_VALUES),
+)
+
+
+@pytest.fixture(scope="module")
+def posting_runtime():
+    runtime = Runtime(PipelineConfig(dataset=DATASET))
+    yield runtime
+    runtime.close()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_record_from_row_matches_the_cell_by_cell_loop(posting_runtime, data):
+    catalog = posting_runtime.catalog
+    names = list(catalog.feature_names)
+    row = dict(data.draw(st.sampled_from(_POSTED_ROWS)))
+    for name in data.draw(st.sets(st.sampled_from(names), max_size=3)):
+        row[name] = data.draw(
+            st.one_of(
+                _EDGE_CELLS,
+                st.builds(lambda pad, cell: pad + cell + pad, st.sampled_from(WHITESPACE),
+                          st.just(row[name])),
+            )
+        )
+    for name in data.draw(st.sets(st.sampled_from(names), max_size=2)):
+        del row[name]
+    for name in data.draw(st.sets(st.sampled_from(["EXTRA", "A", "label", "Z_1"]), max_size=2)):
+        row[name] = "1"
+    label = data.draw(st.sampled_from((None, "absent") + LABELS + LABEL_EDGES + (1, 0, True)))
+    attack = data.draw(st.sampled_from(("absent", None, 5) + ATTACKS))
+    for column, value in ((catalog.label_column, label), (catalog.attack_column, attack)):
+        if value == "absent":
+            row.pop(column, None)
+        else:
+            row[column] = value
+    assert _outcome(posting_runtime.record_from_row, row) == _outcome(
+        lambda row, flow_id: _reference_record_from_row(catalog, row, flow_id), row
+    )
