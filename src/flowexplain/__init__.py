@@ -33,10 +33,8 @@ from .enrichment import (
     classify_ip,
 )
 from .evaluation import (
-    Annotation,
     AnnotationError,
     AnnotationSet,
-    ExplanationRecord,
     MetricsReport,
     aggregate_counts,
     aggregate_metrics,

@@ -438,11 +438,7 @@ _TCP_FLAGS_CLAIM = re.compile(
 _FLAG_SPLIT = re.compile(r"[,+|/&]|and")
 
 
-def check_factual_claims(
-    text: str,
-    record: FlowRecord | None = None,
-    ports: dict[str, int] | None = None,
-) -> list[CheckFinding]:
+def check_factual_claims(text: str) -> list[CheckFinding]:
     """Verify checkable factual claims in the explanation text.
 
     Covers millisecond duration conversions (5% tolerance), well-known
@@ -451,7 +447,7 @@ def check_factual_claims(
     finding.
     """
     findings: list[CheckFinding] = []
-    port_table = ports if ports is not None else well_known_ports()
+    port_table = well_known_ports()
 
     for match in _DURATION_CLAIM.finditer(text):
         ms = Decimal(match.group("ms").replace(",", ""))
@@ -515,15 +511,10 @@ def check_factual_claims(
     return findings
 
 
-def run_all_checks(
-    text: str,
-    record: FlowRecord,
-    catalog: FeatureCatalog,
-    ports: dict[str, int] | None = None,
-) -> list[CheckFinding]:
+def run_all_checks(text: str, record: FlowRecord, catalog: FeatureCatalog) -> list[CheckFinding]:
     """Feature consistency plus factual claims, ordered by span."""
     mentions = extract_feature_mentions(text, catalog)
     findings = check_feature_consistency(mentions, record, catalog)
-    findings.extend(check_factual_claims(text, record, ports))
+    findings.extend(check_factual_claims(text))
     findings.sort(key=lambda f: f.span)
     return findings

@@ -42,7 +42,7 @@ def ingest(config_path: str, append: bool) -> None:
     config = _load_config(config_path)
     try:
         summary = run_ingest(config, rebuild_store=not append)
-    except (DatasetFormatError, PipelineError) as exc:
+    except (ConfigError, DatasetFormatError, PipelineError) as exc:
         raise click.ClickException(str(exc))
     click.echo(json.dumps(summary.to_dict(), indent=2))
 
@@ -89,7 +89,7 @@ def explain(config_path: str, mode: str, flow_ids: tuple[str, ...], sample_file:
             sample_file=Path(sample_file) if sample_file else None,
             run_id=run_id,
         )
-    except (DatasetFormatError, SamplingError, PipelineError) as exc:
+    except (ConfigError, DatasetFormatError, SamplingError, PipelineError) as exc:
         raise click.ClickException(str(exc))
     click.echo(
         json.dumps(
@@ -154,7 +154,10 @@ def serve(config_path: str, host: str, port: int) -> None:
     from .service import ExplainService
 
     config = _load_config(config_path)
-    runtime = Runtime(config)
+    try:
+        runtime = Runtime(config)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc))
     service = ExplainService(runtime, host=host, port=port)
     bound_host, bound_port = service.address
     click.echo(f"serving on http://{bound_host}:{bound_port} (POST /explain, GET /health)")

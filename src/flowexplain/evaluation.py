@@ -9,12 +9,13 @@ many), and aggregates percentages with standard errors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, TextIO
+
+from .providers import read_jsonl
 
 METRICS = ("correctness", "feature_consistency", "factual_consistency")
 
@@ -33,67 +34,23 @@ class AggregationError(ValueError):
     """Raised when annotations do not line up with the expected sample."""
 
 
-@dataclass(frozen=True)
-class ExplanationRecord:
-    """One generated explanation as read back from a run log."""
-
-    explanation_id: str
-    flow_id: str
-    mode: str
-    model: str
-    explanation: str
-    prompt: dict
-    usage: dict
-    flow_values: dict
-    findings: tuple[dict, ...] = ()
-    timestamps: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.explanation:
-            raise ValueError(f"explanation {self.explanation_id} has empty text")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplanationRecord":
-        return cls(
-            explanation_id=data["explanation_id"],
-            flow_id=data["flow_id"],
-            mode=data["mode"],
-            model=data["model"],
-            explanation=data["explanation"],
-            prompt=data.get("prompt", {}),
-            usage=data.get("usage", {}),
-            flow_values=data.get("flow", {}),
-            findings=tuple(data.get("findings", ())),
-            timestamps=data.get("timestamps", {}),
-        )
-
-
-@dataclass(frozen=True)
-class Annotation:
-    """One annotator's three verdicts for one explanation."""
-
-    explanation_id: str
-    annotator: str
-    correctness: bool
-    feature_consistent: bool
-    factually_consistent: bool
-    notes: str = ""
-
-    def verdict(self, metric: str) -> bool:
-        return getattr(self, _ANNOTATION_FIELDS[metric])
-
-
 @dataclass
 class AnnotationSet:
-    """Parsed annotations plus per-explanation resolved verdicts.
+    """Per-explanation resolved verdicts.
 
     ``resolved[explanation_id][metric]`` is True/False on agreement and
     None when annotators disagreed (excluded from aggregation).
     """
 
-    annotations: list[Annotation]
     resolved: dict[str, dict[str, bool | None]]
-    disagreements: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def disagreements(self) -> dict[str, int]:
+        """Per metric, the number of explanations whose annotators disagreed."""
+        return {
+            metric: sum(verdicts[metric] is None for verdicts in self.resolved.values())
+            for metric in METRICS
+        }
 
     def verdicts_for(self, metric: str) -> list[bool]:
         return [
@@ -123,70 +80,35 @@ def ingest_annotations(
     boolean verdicts. When ``known_ids`` is given, an annotation for an
     unknown explanation is an error. Per metric: all annotators agreeing
     yields that verdict; any disagreement marks the metric unresolved for
-    that explanation and bumps the disagreement count.
+    that explanation.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return ingest_annotations(fh, known_ids)
-    rows: list[dict] = []
-    if hasattr(source, "read"):
-        for line_no, line in enumerate(source, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise AnnotationError(f"malformed annotation on line {line_no}: {exc}")
-    else:
-        rows = list(source)
-
-    annotations: list[Annotation] = []
-    for row in rows:
+    if isinstance(source, (str, Path)) or hasattr(source, "read"):
+        source = read_jsonl(source, AnnotationError, "malformed annotation")
+    votes: dict[str, dict[str, set[bool]]] = {}
+    for row in source:
         try:
             explanation_id = row["explanation_id"]
             annotator = row["annotator"]
         except KeyError as exc:
             raise AnnotationError(f"annotation missing required field {exc}") from exc
-        verdicts = {}
+        ballot = votes.setdefault(explanation_id, {metric: set() for metric in METRICS})
         for metric, field_name in _ANNOTATION_FIELDS.items():
             if field_name not in row:
                 raise AnnotationError(
                     f"annotation for {explanation_id} by {annotator} "
                     f"missing verdict field {field_name!r}"
                 )
-            verdicts[metric] = _parse_bool(row[field_name], field_name)
+            ballot[metric].add(_parse_bool(row[field_name], field_name))
         if known_ids is not None and explanation_id not in known_ids:
             raise AnnotationError(f"annotation references unknown explanation {explanation_id!r}")
-        annotations.append(
-            Annotation(
-                explanation_id=explanation_id,
-                annotator=annotator,
-                correctness=verdicts["correctness"],
-                feature_consistent=verdicts["feature_consistency"],
-                factually_consistent=verdicts["factual_consistency"],
-                notes=row.get("notes", ""),
-            )
-        )
-
-    grouped: dict[str, list[Annotation]] = {}
-    for annotation in annotations:
-        grouped.setdefault(annotation.explanation_id, []).append(annotation)
-
-    resolved: dict[str, dict[str, bool | None]] = {}
-    disagreements = {metric: 0 for metric in METRICS}
-    for explanation_id, group in grouped.items():
-        verdict_map: dict[str, bool | None] = {}
-        for metric in METRICS:
-            votes = {a.verdict(metric) for a in group}
-            if len(votes) == 1:
-                verdict_map[metric] = votes.pop()
-            else:
-                verdict_map[metric] = None
-                disagreements[metric] += 1
-        resolved[explanation_id] = verdict_map
     return AnnotationSet(
-        annotations=annotations, resolved=resolved, disagreements=disagreements
+        {
+            explanation_id: {
+                metric: next(iter(verdicts)) if len(verdicts) == 1 else None
+                for metric, verdicts in ballot.items()
+            }
+            for explanation_id, ballot in votes.items()
+        }
     )
 
 
@@ -232,9 +154,6 @@ class MetricsReport:
     factual_consistency: MetricValue
     average_performance: Decimal
     excluded: dict[str, int] = field(default_factory=dict)
-
-    def metric(self, name: str) -> MetricValue:
-        return getattr(self, name)
 
     def to_dict(self) -> dict:
         return {

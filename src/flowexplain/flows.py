@@ -464,9 +464,7 @@ def sample_malicious(
     return [r for _, r in chosen]
 
 
-def assign_sequence_timestamps(
-    records: list[FlowRecord], base_ms: int = 0, step_ms: int = 1
-) -> list[FlowRecord]:
+def assign_sequence_timestamps(records: list[FlowRecord]) -> list[FlowRecord]:
     """Give records without a timestamp a synthetic, strictly increasing one.
 
     NetFlow-v2 exports carry no timestamp column; the connection-history
@@ -476,7 +474,7 @@ def assign_sequence_timestamps(
     out = []
     for i, record in enumerate(records):
         if record.timestamp is None:
-            out.append(record.with_timestamp(base_ms + i * step_ms))
+            out.append(record.with_timestamp(i))
         else:
             out.append(record)
     return out

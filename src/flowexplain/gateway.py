@@ -124,6 +124,10 @@ class RetryPolicy:
     attempts: int = 3
     delays: tuple[float, ...] = (1.0, 2.0, 4.0)
 
+    def __post_init__(self) -> None:
+        if not self.delays:
+            raise ValueError("a retry policy needs at least one delay")
+
 
 DEFAULT_RETRY = RetryPolicy()
 
@@ -190,7 +194,7 @@ class HTTPBackendProfile:
 
     backend_id: str
     url: str
-    model: str
+    model: str = "default"
     auth_env: str | None = None
     timeout_s: float = 60.0
     text_path: str = "choices.0.message.content"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -24,7 +24,6 @@ from .enrichment import DST_IP_FEATURE, L4_FEATURE, SRC_IP_FEATURE, ContextBuild
 from .evaluation import (
     AggregationError,
     AnnotationSet,
-    ExplanationRecord,
     MetricsReport,
     aggregate_metrics,
     ingest_annotations,
@@ -35,6 +34,7 @@ from .flows import (
     LABEL_MALICIOUS,
     ParseReport,
     assign_sequence_timestamps,
+    clip,
     format_value,
     parse_dataset,
     parse_label,
@@ -164,12 +164,6 @@ class PipelineConfig:
         ):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"configured {label} path does not exist: {path}")
-        for provider in (self.geo_provider, self.cti_provider):
-            fixture = provider.get("fixture")
-            if provider.get("kind") == "fixture" and (
-                fixture is None or not Path(fixture).exists()
-            ):
-                raise ConfigError(f"fixture provider path does not exist: {fixture}")
         if self.k_history < 0:
             raise ConfigError("k_history must be non-negative")
         if self.token_budget <= 0:
@@ -185,67 +179,75 @@ _PROVIDER_FAMILIES = {
 }
 
 
+def _settings(section: str, config: dict, keys: Iterable[str]) -> dict:
+    """The keys of a config section besides ``kind``; each must be one of ``keys``."""
+    settings = {key: value for key, value in config.items() if key != "kind"}
+    unknown = settings.keys() - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+    return settings
+
+
+def _profile(cls, section: str, config: dict, **defaults):
+    """``cls`` built from a config section whose keys are fields of ``cls``.
+
+    ``defaults`` fill fields the section leaves out; a field whose default
+    is a number takes the section's value converted to that type.
+    """
+    settings = {**defaults, **_settings(section, config, [f.name for f in fields(cls)])}
+    for f in fields(cls):
+        if f.name not in settings:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{section} needs a {f.name!r} key")
+        elif type(f.default) in (int, float):
+            try:
+                settings[f.name] = type(f.default)(settings[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{section} {f.name} must be a number: {exc}") from exc
+    return cls(**settings)
+
+
 def _build_provider(family: str, config: dict):
     """The configured provider of ``family``, or ``None`` when it is disabled."""
     label, fixture_class, http_class = _PROVIDER_FAMILIES[family]
+    section = f"{family}_provider"
     kind = config.get("kind", "disabled")
     if kind == "disabled":
+        _settings(section, config, ())
         return None
     if kind == "fixture":
-        return fixture_class(
-            config["fixture"], provider_id=config.get("provider_id", f"fixture-{family}")
-        )
+        settings = _settings(section, config, ("fixture", "provider_id"))
+        if "fixture" not in settings:
+            raise ConfigError(f"{section} needs a 'fixture' key")
+        try:
+            return fixture_class(
+                settings["fixture"], provider_id=settings.get("provider_id", f"fixture-{family}")
+            )
+        except (OSError, ValueError) as exc:  # an unreadable file or a malformed line
+            raise ConfigError(f"{section}: {exc}") from exc
     if kind == "http":
-        profile = HTTPProviderProfile(
-            provider_id=config.get("provider_id", f"http-{family}"),
-            url_template=config["url_template"],
-            field_paths=config.get("field_paths", {}),
-            auth_env=config.get("auth_env"),
-            timeout_ms=int(config.get("timeout_ms", 5000)),
+        return http_class(
+            _profile(HTTPProviderProfile, section, config, provider_id=f"http-{family}")
         )
-        return http_class(profile)
     raise ConfigError(f"unknown {label} provider kind {kind!r}")
 
 
 def build_backend(config: dict):
     kind = config.get("kind", "mock")
     if kind == "mock":
-        canned = config.get("canned")
-        if isinstance(canned, str):
-            canned = _read_canned(canned)
-        return MockBackend(canned=canned, model=config.get("model", "mock-model"))
+        settings = _settings("backend", config, ("canned", "model"))
+        if isinstance(settings.get("canned"), str):
+            settings["canned"] = _read_canned(settings["canned"])
+        return MockBackend(**settings)
     if kind in ("http", "local"):
-        profile = HTTPBackendProfile(
-            backend_id=config.get("backend_id", kind),
-            url=config["url"],
-            model=config.get("model", "default"),
-            auth_env=config.get("auth_env"),
-            timeout_s=float(config.get("timeout_s", 60.0)),
-            text_path=config.get("text_path", "choices.0.message.content"),
-            prompt_tokens_path=config.get("prompt_tokens_path", "usage.prompt_tokens"),
-            completion_tokens_path=config.get(
-                "completion_tokens_path", "usage.completion_tokens"
-            ),
-        )
-        return HTTPBackend(profile)
+        return HTTPBackend(_profile(HTTPBackendProfile, "backend", config, backend_id=kind))
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
 def _read_canned(path: str) -> dict[str, str]:
     """The mock's canned table: one ``{"key": ..., "text": ...}`` object per line."""
-    canned = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                canned[row["key"]] = row["text"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(
-                    f"malformed canned response in {path} on line {line_no}: {exc!r}"
-                ) from exc
-    return canned
+    rows = read_jsonl(path, ConfigError, "malformed canned response", ("key", "text"))
+    return {row["key"]: row["text"] for row in rows}
 
 
 def pricing_from_config(config: dict) -> PricingTable:
@@ -399,7 +401,7 @@ class Runtime:
         extra = set(row) - set(self.catalog.feature_names)
         extra -= {self.catalog.label_column, self.catalog.attack_column}
         for name in sorted(extra):
-            errors[name] = "unknown feature"
+            errors[clip(name)] = "unknown feature"
         if errors:
             raise FieldValidationError(errors)
         label_raw = row.get(self.catalog.label_column)
@@ -629,17 +631,30 @@ def recheck_explanations(entries: list[dict], catalog: FeatureCatalog) -> list[d
     return findings_records
 
 
+#: keys every successful run log entry carries
+_LOGGED_KEYS = ("explanation_id", "flow_id", "mode", "model", "explanation")
+
+
 def run_evaluate(
     config: PipelineConfig,
     explanations_path: Path,
     annotations_path: Path,
 ) -> tuple[list[MetricsReport], str, Path]:
     """Re-check explanations, resolve annotations and emit the results table."""
-    entries = [e for e in read_jsonl(explanations_path) if e.get("status") == "ok"]
+    entries = [
+        entry
+        for entry in read_jsonl(explanations_path, PipelineError, "malformed run log entry")
+        if entry.get("status") == "ok"
+    ]
     if not entries:
         raise PipelineError(f"no successful explanations in {explanations_path}")
-    for entry in entries:  # validates shape and non-empty text
-        ExplanationRecord.from_dict(entry)
+    for entry in entries:
+        missing = [key for key in _LOGGED_KEYS if key not in entry]
+        if missing or not isinstance(entry["explanation"], str) or not entry["explanation"]:
+            problem = f"has no {missing[0]!r}" if missing else "has no text"
+            raise PipelineError(
+                f"explanation {entry.get('explanation_id')!r} in {explanations_path} {problem}"
+            )
     known_ids = {entry["explanation_id"] for entry in entries}
 
     catalog = _catalog_for(config)
@@ -649,30 +664,17 @@ def run_evaluate(
     with open(findings_path, "w", encoding="utf-8") as fh:
         for row in findings_records:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    annotation_set = ingest_annotations(annotations_path, known_ids=known_ids)
-    if not annotation_set.annotations:
+    resolved = ingest_annotations(annotations_path, known_ids=known_ids).resolved
+    if not resolved:
         raise PipelineError("no resolved annotations: the annotations file is empty")
 
-    cells: dict[tuple[str, str], list[dict]] = {}
+    cells: dict[tuple[str, str], set[str]] = {}
     for entry in entries:
-        cells.setdefault((entry["model"], entry["mode"]), []).append(entry)
+        cells.setdefault((entry["model"], entry["mode"]), set()).add(entry["explanation_id"])
 
     reports: list[MetricsReport] = []
-    for (model, mode), cell_entries in sorted(cells.items()):
-        cell_ids = {entry["explanation_id"] for entry in cell_entries}
-        resolved = {
-            eid: verdicts
-            for eid, verdicts in annotation_set.resolved.items()
-            if eid in cell_ids
-        }
-        subset = AnnotationSet(
-            annotations=[a for a in annotation_set.annotations if a.explanation_id in cell_ids],
-            resolved=resolved,
-            disagreements={
-                metric: sum(1 for v in resolved.values() if v[metric] is None)
-                for metric in ("correctness", "feature_consistency", "factual_consistency")
-            },
-        )
+    for (model, mode), cell_ids in sorted(cells.items()):
+        subset = AnnotationSet({eid: v for eid, v in resolved.items() if eid in cell_ids})
         if not subset.resolved:
             continue
         try:

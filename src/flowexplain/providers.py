@@ -14,10 +14,10 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping, Protocol, TextIO
 
 from ._http import Transport
 
@@ -88,18 +88,48 @@ class ThreatIntelProvider(Protocol):
     def lookup(self, ip: str) -> ThreatIntel: ...
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse one JSON value per line; blank lines are skipped."""
+def read_jsonl(
+    source: str | Path | TextIO,
+    error: type[Exception],
+    what: str,
+    required: tuple[str, ...] = (),
+) -> list[dict]:
+    """The JSON objects of a line-delimited file or text stream; blank lines are skipped.
+
+    A line that is not a JSON object, or that lacks a string value for a key
+    in ``required``, raises ``error("<what> in <file> on line N: ...")``;
+    the `` in <file>`` part is left out for a stream without a ``name``.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return read_jsonl(fh, error, what, required)
+    where = f" in {source.name}" if hasattr(source, "name") else ""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    for line_no, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            for key in required:
+                if not isinstance(row.get(key), str):
+                    raise ValueError(f"no string {key!r}")
+        except ValueError as exc:
+            raise error(f"{what}{where} on line {line_no}: {exc}") from exc
+        rows.append(row)
     return rows
 
 
 _EPOCH = "1970-01-01T00:00:00Z"
+
+
+def _fixture_table(source: str | Path | Mapping[str, dict]) -> dict[str, dict]:
+    """A fixture's rows by address, from a JSONL file or a mapping."""
+    if isinstance(source, (str, Path)):
+        rows = read_jsonl(source, ValueError, "malformed fixture row", ("ip",))
+        return {row["ip"]: row for row in rows}
+    return {ip: dict(row, ip=ip) for ip, row in source.items()}
 
 
 class FixtureGeoProvider:
@@ -114,10 +144,7 @@ class FixtureGeoProvider:
     def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str = "fixture-geo"):
         self.provider_id = provider_id
         self.calls = 0
-        if isinstance(source, (str, Path)):
-            self._table = {row["ip"]: row for row in read_jsonl(source)}
-        else:
-            self._table = {ip: dict(row, ip=ip) for ip, row in source.items()}
+        self._table = _fixture_table(source)
 
     def lookup(self, ip: str) -> GeoInfo:
         self.calls += 1
@@ -148,10 +175,7 @@ class FixtureThreatProvider:
     def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str = "fixture-cti"):
         self.provider_id = provider_id
         self.calls = 0
-        if isinstance(source, (str, Path)):
-            self._table = {row["ip"]: row for row in read_jsonl(source)}
-        else:
-            self._table = {ip: dict(row, ip=ip) for ip, row in source.items()}
+        self._table = _fixture_table(source)
 
     def lookup(self, ip: str) -> ThreatIntel:
         self.calls += 1
@@ -209,7 +233,7 @@ class HTTPProviderProfile:
 
     provider_id: str
     url_template: str
-    field_paths: Mapping[str, str]
+    field_paths: Mapping[str, str] = field(default_factory=dict)
     auth_env: str | None = None
     timeout_ms: int = 5000
 

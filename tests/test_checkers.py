@@ -197,58 +197,58 @@ class TestFeatureConsistency:
 
 
 class TestFactualClaims:
-    def test_bad_minute_conversion_flagged(self, record):
+    def test_bad_minute_conversion_flagged(self):
         text = "the flow lasted 4294964 ms which is equivalent to 43 minutes"
-        findings = check_factual_claims(text, record)
+        findings = check_factual_claims(text)
         assert [f.kind for f in findings] == ["arithmetic_error"]
         assert "71.58" in findings[0].detail
 
-    def test_correct_minute_conversion_passes(self, record):
+    def test_correct_minute_conversion_passes(self):
         text = "4294964 ms is approximately 71.6 minutes of traffic"
-        assert check_factual_claims(text, record) == []
+        assert check_factual_claims(text) == []
 
-    def test_conversion_within_tolerance_passes(self, record):
-        assert check_factual_claims("120000 ms equals 2 minutes", record) == []
-        assert check_factual_claims("1500 ms is about 1.5 seconds", record) == []
+    def test_conversion_within_tolerance_passes(self):
+        assert check_factual_claims("120000 ms equals 2 minutes") == []
+        assert check_factual_claims("1500 ms is about 1.5 seconds") == []
 
-    def test_bgp_port_claim_passes(self, record):
-        assert check_factual_claims("the BGP port number is 179", record) == []
+    def test_bgp_port_claim_passes(self):
+        assert check_factual_claims("the BGP port number is 179") == []
 
-    def test_wrong_port_claim_flagged(self, record):
-        findings = check_factual_claims("the SSH port number is 2222", record)
+    def test_wrong_port_claim_flagged(self):
+        findings = check_factual_claims("the SSH port number is 2222")
         assert [f.kind for f in findings] == ["fact_error"]
         assert "22" in findings[0].detail
 
-    def test_port_claim_parenthesised_forms(self, record):
-        assert check_factual_claims("HTTPS (port 443) traffic", record) == []
-        findings = check_factual_claims("port 179 (DNS) traffic", record)
+    def test_port_claim_parenthesised_forms(self):
+        assert check_factual_claims("HTTPS (port 443) traffic") == []
+        findings = check_factual_claims("port 179 (DNS) traffic")
         assert [f.kind for f in findings] == ["fact_error"]
 
-    def test_unlisted_service_not_checked(self, record):
-        assert check_factual_claims("the FOOBARD port number is 9999", record) == []
+    def test_unlisted_service_not_checked(self):
+        assert check_factual_claims("the FOOBARD port number is 9999") == []
 
-    def test_source_port_prose_not_checked(self, record):
-        assert check_factual_claims("the source port 50879 is ephemeral", record) == []
+    def test_source_port_prose_not_checked(self):
+        assert check_factual_claims("the source port 50879 is ephemeral") == []
 
-    def test_correct_tcp_flags_decode_passes(self, record):
+    def test_correct_tcp_flags_decode_passes(self):
         text = "TCP_FLAGS 27 means SYN, FIN, PSH, ACK are present"
-        assert check_factual_claims(text, record) == []
+        assert check_factual_claims(text) == []
 
-    def test_wrong_tcp_flags_decode_flagged(self, record):
-        findings = check_factual_claims("a TCP flags value of 27 (SYN, ACK)", record)
+    def test_wrong_tcp_flags_decode_flagged(self):
+        findings = check_factual_claims("a TCP flags value of 27 (SYN, ACK)")
         assert [f.kind for f in findings] == ["fact_error"]
         assert "FIN" in findings[0].detail
 
-    def test_unmatched_prose_yields_nothing(self, record):
+    def test_unmatched_prose_yields_nothing(self):
         text = (
             "This flow shows a large transfer to an external host over an "
             "encrypted channel, sustained for several minutes."
         )
-        assert check_factual_claims(text, record) == []
+        assert check_factual_claims(text) == []
 
-    def test_findings_cite_spans(self, record):
+    def test_findings_cite_spans(self):
         text = "padding. 4294964 ms is equivalent to 43 minutes. more padding"
-        finding = check_factual_claims(text, record)[0]
+        finding = check_factual_claims(text)[0]
         start, end = finding.span
         assert "4294964 ms" in text[start:end]
 
@@ -330,8 +330,8 @@ class TestUntrustedText:
             ("TCP flags 18 means SYN andRST", ["fact_error"]),
         ],
     )
-    def test_odd_claims_are_checked_not_raised(self, record, text, kinds):
-        assert [f.kind for f in check_factual_claims(text, record)] == kinds
+    def test_odd_claims_are_checked_not_raised(self, text, kinds):
+        assert [f.kind for f in check_factual_claims(text)] == kinds
 
     @pytest.mark.parametrize(
         "text",
@@ -361,8 +361,8 @@ class TestUntrustedText:
         assert len(finding.detail) < 200
         assert "(1000010 characters)" in finding.detail
 
-    def test_digits_then_duration_claim_still_found(self, record):
-        findings = check_factual_claims(",,4294964 ms is equivalent to 43 minutes", record)
+    def test_digits_then_duration_claim_still_found(self):
+        findings = check_factual_claims(",,4294964 ms is equivalent to 43 minutes")
         assert [f.kind for f in findings] == ["arithmetic_error"]
         assert findings[0].span[0] == 2
 

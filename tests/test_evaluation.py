@@ -8,7 +8,6 @@ import pytest
 from flowexplain.evaluation import (
     AggregationError,
     AnnotationError,
-    ExplanationRecord,
     aggregate_counts,
     aggregate_metrics,
     ingest_annotations,
@@ -195,32 +194,3 @@ class TestReferenceTableReplica:
         assert "80 (±6)" in bottom and "100 (±0)" in bottom and "92 (±4)" in bottom
         assert "90.66" in bottom
 
-
-class TestExplanationRecord:
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            ExplanationRecord(
-                explanation_id="e1",
-                flow_id="f1",
-                mode="basic",
-                model="m",
-                explanation="",
-                prompt={},
-                usage={},
-                flow_values={},
-            )
-
-    def test_from_dict(self):
-        record = ExplanationRecord.from_dict(
-            {
-                "explanation_id": "e1",
-                "flow_id": "f1",
-                "mode": "augmented",
-                "model": "m",
-                "explanation": "text",
-                "prompt": {"token_count": 10},
-                "usage": {"total_tokens": 12},
-                "flow": {"PROTOCOL": "6"},
-            }
-        )
-        assert record.flow_values["PROTOCOL"] == "6"

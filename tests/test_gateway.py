@@ -128,6 +128,10 @@ class TestGenerate:
             Gateway(backend, retry=FAST_RETRY).generate(GenerationRequest(prompt="p"))
         assert backend.calls == 1
 
+    def test_policy_without_delays_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one delay"):
+            RetryPolicy(attempts=2, delays=())
+
 
 class TestMockBackend:
     def test_canned_response_by_prompt_text(self):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from flowexplain.cli import main
-from flowexplain.gateway import PricingTable
+from flowexplain.gateway import HTTPBackendProfile, PricingTable
 from flowexplain.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -17,6 +17,7 @@ from flowexplain.pipeline import (
     run_ingest,
     run_sample,
 )
+from flowexplain.providers import HTTPProviderProfile
 
 from .conftest import CTI_FIXTURE, DATASET, GEO_FIXTURE
 
@@ -132,6 +133,70 @@ class TestConfig:
         config = make_config(tmp_path, backend={"kind": "mock", "canned": str(canned)})
         with pytest.raises(ConfigError, match=r"canned\.jsonl on line 3"):
             Runtime(config)
+
+    @pytest.mark.parametrize(
+        "section,value,feed_line,message",
+        [
+            ("geo_provider", {"kind": "fixture"}, '{"ip": "8.8.4.4"',
+             r"geo_provider: malformed fixture row in \S*feed\.jsonl on line 3"),
+            ("cti_provider", {"kind": "fixture"}, '{"verdict": "benign"}',
+             r"cti_provider: malformed fixture row in \S*feed\.jsonl on line 3: no string 'ip'"),
+            ("cti_provider", {"kind": "fixture"}, None, r"cti_provider needs a 'fixture' key"),
+            ("geo_provider", {"kind": "fixture", "fixture": "no-such-feed.jsonl"}, None,
+             r"geo_provider: .*no-such-feed\.jsonl"),
+            ("backend", {"kind": "http"}, None, r"backend needs a 'url' key"),
+            ("backend", {"kind": "local", "model": "m"}, None, r"backend needs a 'url' key"),
+            ("geo_provider", {"kind": "http", "field_paths": {}}, None,
+             r"geo_provider needs a 'url_template' key"),
+            ("backend", {"kind": "http", "url": "http://127.0.0.1:9/", "timout_s": 1}, None,
+             r"unknown keys in backend: \['timout_s'\]"),
+            ("backend", {"kind": "mock", "canned_file": "c.jsonl"}, None,
+             r"unknown keys in backend: \['canned_file'\]"),
+            ("cti_provider", {"kind": "http", "url_template": "http://127.0.0.1:9/{ip}",
+                              "timeout": 5}, None, r"unknown keys in cti_provider: \['timeout'\]"),
+            ("geo_provider", {"kind": "disabled", "fixture": "geo.jsonl"}, None,
+             r"unknown keys in geo_provider: \['fixture'\]"),
+            ("backend", {"kind": "http", "url": "http://127.0.0.1:9/", "timeout_s": "soon"}, None,
+             r"backend timeout_s must be a number"),
+        ],
+        ids=["fixture-not-json", "fixture-row-without-ip", "fixture-unset",
+             "fixture-file-missing", "http-without-url", "local-without-url",
+             "http-provider-without-template", "backend-unknown-key", "mock-unknown-key",
+             "provider-unknown-key", "disabled-with-a-key", "timeout-not-a-number"],
+    )
+    def test_bad_backend_or_provider_section_is_config_error(
+        self, tmp_path, section, value, feed_line, message
+    ):
+        if feed_line is not None:
+            feed = tmp_path / "feed.jsonl"
+            feed.write_text(json.dumps({"ip": "8.8.8.8"}) + "\n\n" + feed_line + "\n")
+            value = dict(value, fixture=str(feed))
+        path = write_config_file(tmp_path, **{section: value})
+        with pytest.raises(ConfigError, match=message):
+            Runtime(PipelineConfig.from_file(path))
+        result = CliRunner().invoke(main, ["explain", "-c", str(path), "--mode", "basic"])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
+
+    def test_sections_take_profile_defaults_and_numbers_as_text(self, tmp_path):
+        url = "http://127.0.0.1:9/v1/chat/completions"
+        config = make_config(
+            tmp_path,
+            backend={"kind": "local", "url": url, "timeout_s": "30"},
+            cti_provider={"kind": "http", "url_template": "http://127.0.0.1:9/{ip}",
+                          "timeout_ms": "2500"},
+        )
+        runtime = Runtime(config)
+        try:
+            assert runtime.backend.profile == HTTPBackendProfile(
+                backend_id="local", url=url, timeout_s=30.0
+            )
+            assert runtime.backend.model == "default"
+            assert runtime.cti_provider.profile == HTTPProviderProfile(
+                provider_id="http-cti", url_template="http://127.0.0.1:9/{ip}", timeout_ms=2500
+            )
+        finally:
+            runtime.close()
 
 
 class TestIngest:
@@ -337,6 +402,97 @@ class TestEvaluateFlow:
         empty.write_text("")
         with pytest.raises(PipelineError, match="no resolved annotations"):
             run_evaluate(config, log_path, empty)
+
+
+def _logged(explanation_id, model, mode, **changes):
+    entry = {
+        "explanation_id": explanation_id,
+        "flow_id": explanation_id,
+        "mode": mode,
+        "model": model,
+        "explanation": f"answer {explanation_id}",
+        "flow": {},
+        "status": "ok",
+    }
+    return {**entry, **changes}
+
+
+def _verdicts(explanation_id, annotator, correct=True, feature=True, factual=True):
+    return {
+        "explanation_id": explanation_id,
+        "annotator": annotator,
+        "correctness": correct,
+        "feature_consistent": feature,
+        "factually_consistent": factual,
+    }
+
+
+def _write_jsonl(path: Path, rows) -> Path:
+    path.write_text("".join((row if isinstance(row, str) else json.dumps(row)) + "\n"
+                            for row in rows))
+    return path
+
+
+class TestEvaluateCells:
+    def test_cells_count_their_own_exclusions_and_unannotated_cells_are_skipped(self, tmp_path):
+        from flowexplain.pipeline import run_evaluate
+
+        log = _write_jsonl(tmp_path / "log.jsonl", [
+            _logged("e1", "m1", "basic"),
+            _logged("e2", "m1", "basic"),
+            _logged("e3", "m1", "augmented"),
+            _logged("e4", "m1", "augmented"),
+            _logged("e5", "m2", "basic"),
+            {"explanation_id": "e6", "flow_id": "e6", "mode": "basic", "model": "m2",
+             "status": "error"},
+        ])
+        annotations = _write_jsonl(tmp_path / "annotations.jsonl", [
+            _verdicts("e1", "a1"), _verdicts("e1", "a2", correct=False),
+            _verdicts("e2", "a1", feature=False), _verdicts("e2", "a2", feature=False),
+            _verdicts("e3", "a1"), _verdicts("e3", "a2", feature=False, factual=False),
+            _verdicts("e4", "a1", correct=False), _verdicts("e4", "a2", correct=False),
+        ])
+        config = make_config(tmp_path)
+        reports, _, report_path = run_evaluate(config, log, annotations)
+        assert [(r.model, r.mode, r.n) for r in reports] == [
+            ("m1", "augmented", 2), ("m1", "basic", 2)
+        ]
+        augmented, basic = reports
+        assert augmented.excluded == {"feature_consistency": 1, "factual_consistency": 1}
+        assert (augmented.correctness.positives, augmented.correctness.resolved) == (1, 2)
+        assert augmented.feature_consistency.resolved == 1
+        assert basic.excluded == {"correctness": 1}
+        assert (basic.feature_consistency.positives, basic.feature_consistency.resolved) == (1, 2)
+        assert len(json.loads(report_path.read_text())) == 2
+        findings = (config.output_dir / "findings.jsonl").read_text().splitlines()
+        assert [json.loads(row)["explanation_id"] for row in findings] == [
+            "e1", "e2", "e3", "e4", "e5"
+        ]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ({k: v for k, v in _logged("bad", "m1", "basic").items() if k != "model"},
+             r"explanation 'bad' in \S*log\.jsonl has no 'model'"),
+            (_logged("bad", "m1", "basic", explanation=""),
+             r"explanation 'bad' in \S*log\.jsonl has no text"),
+            ("{not json", r"malformed run log entry in \S*log\.jsonl on line 2"),
+        ],
+        ids=["without-model", "empty-text", "not-json"],
+    )
+    def test_bad_log_entry_is_pipeline_error_naming_the_file(self, tmp_path, line, message):
+        from flowexplain.pipeline import PipelineError, run_evaluate
+
+        log = _write_jsonl(tmp_path / "log.jsonl", [_logged("e1", "m1", "basic"), line])
+        annotations = _write_jsonl(tmp_path / "annotations.jsonl", [_verdicts("e1", "a1")])
+        with pytest.raises(PipelineError, match=message):
+            run_evaluate(make_config(tmp_path), log, annotations)
+        result = CliRunner().invoke(main, [
+            "evaluate", "-c", str(write_config_file(tmp_path)),
+            "--explanations", str(log), "--annotations", str(annotations),
+        ])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
 
 
 class TestCommandLine:

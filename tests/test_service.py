@@ -121,6 +121,15 @@ class TestService:
         assert status == 400
         assert "EXTRA_COLUMN" in body["fields"]
 
+    def test_unknown_feature_name_is_quoted_bounded(self, service):
+        row = _dataset_row()
+        row["X" * 100_000] = "1"
+        status, body = _request(service, "/explain", {"flow": row, "mode": "basic"})
+        assert status == 400
+        assert list(body["fields"].values()) == ["unknown feature"]
+        (name,) = body["fields"]
+        assert name.endswith("… (100000 characters)") and len(name) < 100
+
     def test_bad_json_is_400(self, service):
         host, port = service.address
         req = urllib.request.Request(
