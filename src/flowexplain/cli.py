@@ -8,7 +8,10 @@ from pathlib import Path
 
 import click
 
+from .catalog import CatalogError
+from .evaluation import AnnotationError
 from .flows import DatasetFormatError, SamplingError
+from .history import StoreError
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -20,16 +23,25 @@ from .pipeline import (
     run_ingest,
     run_sample,
 )
+from .prompts import TemplateError
+
+#: the package's errors about its inputs; a command that raises one ends
+#: with a single ``Error:`` line and exit code 1
+_USER_ERRORS = (
+    AnnotationError, CatalogError, ConfigError, DatasetFormatError, PipelineError,
+    SamplingError, StoreError, TemplateError,
+)
 
 
-def _load_config(config_path: str, **overrides) -> PipelineConfig:
-    try:
-        return PipelineConfig.from_file(config_path, **overrides)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
+class _Commands(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _USER_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main() -> None:
     """Explain NetFlow records flagged as malicious by an upstream detector."""
 
@@ -39,11 +51,8 @@ def main() -> None:
 @click.option("--append", is_flag=True, help="Keep existing history entries instead of rebuilding.")
 def ingest(config_path: str, append: bool) -> None:
     """Parse the dataset and bootstrap the connection-history store."""
-    config = _load_config(config_path)
-    try:
-        summary = run_ingest(config, rebuild_store=not append)
-    except (ConfigError, DatasetFormatError, PipelineError) as exc:
-        raise click.ClickException(str(exc))
+    config = PipelineConfig.from_file(config_path)
+    summary = run_ingest(config, rebuild_store=not append)
     click.echo(json.dumps(summary.to_dict(), indent=2))
 
 
@@ -56,14 +65,11 @@ def ingest(config_path: str, append: bool) -> None:
 def sample(config_path: str, sample_size: int | None, seed: int | None, uniform: bool,
            out_path: str | None) -> None:
     """Draw the malicious-flow evaluation sample and write its ids."""
-    config = _load_config(config_path, sample_size=sample_size, seed=seed)
+    config = PipelineConfig.from_file(config_path, sample_size=sample_size, seed=seed)
     if uniform:
         config.stratified_sampling = False
     destination = Path(out_path) if out_path else config.output_dir / "sample.json"
-    try:
-        payload = run_sample(config, destination)
-    except (DatasetFormatError, SamplingError, PipelineError) as exc:
-        raise click.ClickException(str(exc))
+    payload = run_sample(config, destination)
     click.echo(json.dumps({"sample_file": str(destination), "n": payload["n"]}, indent=2))
 
 
@@ -80,17 +86,16 @@ def explain(config_path: str, mode: str, flow_ids: tuple[str, ...], sample_file:
             run_id: str | None, seed: int | None, k_history: int | None,
             budget: int | None) -> None:
     """Generate explanations for selected (or sampled) malicious flows."""
-    config = _load_config(config_path, seed=seed, k_history=k_history, token_budget=budget)
-    try:
-        result = run_explain(
-            config,
-            mode=mode,
-            flow_ids=list(flow_ids) or None,
-            sample_file=Path(sample_file) if sample_file else None,
-            run_id=run_id,
-        )
-    except (ConfigError, DatasetFormatError, SamplingError, PipelineError) as exc:
-        raise click.ClickException(str(exc))
+    config = PipelineConfig.from_file(
+        config_path, seed=seed, k_history=k_history, token_budget=budget
+    )
+    result = run_explain(
+        config,
+        mode=mode,
+        flow_ids=list(flow_ids) or None,
+        sample_file=Path(sample_file) if sample_file else None,
+        run_id=run_id,
+    )
     click.echo(
         json.dumps(
             {
@@ -111,13 +116,8 @@ def explain(config_path: str, mode: str, flow_ids: tuple[str, ...], sample_file:
 @click.option("--annotations", required=True, type=click.Path(exists=True))
 def evaluate(config_path: str, explanations: str, annotations: str) -> None:
     """Aggregate human annotations over a run log into a results table."""
-    config = _load_config(config_path)
-    try:
-        reports, table, report_path = run_evaluate(
-            config, Path(explanations), Path(annotations)
-        )
-    except (PipelineError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    config = PipelineConfig.from_file(config_path)
+    reports, table, report_path = run_evaluate(config, Path(explanations), Path(annotations))
     click.echo(table)
     click.echo(f"\nreport written to {report_path}")
 
@@ -131,17 +131,14 @@ def evaluate(config_path: str, explanations: str, annotations: str) -> None:
 def cost(config_path: str, ledger_path: str | None, queries: int, avg_input: float | None,
          avg_output: float | None) -> None:
     """Project backend cost per N queries from a ledger or token averages."""
-    config = _load_config(config_path)
-    try:
-        report = run_cost(
-            config,
-            ledger_path=Path(ledger_path) if ledger_path else None,
-            queries=queries,
-            avg_input=avg_input,
-            avg_output=avg_output,
-        )
-    except PipelineError as exc:
-        raise click.ClickException(str(exc))
+    config = PipelineConfig.from_file(config_path)
+    report = run_cost(
+        config,
+        ledger_path=Path(ledger_path) if ledger_path else None,
+        queries=queries,
+        avg_input=avg_input,
+        avg_output=avg_output,
+    )
     click.echo(json.dumps(report, indent=2))
 
 
@@ -153,11 +150,8 @@ def serve(config_path: str, host: str, port: int) -> None:
     """Run the explain-on-demand HTTP service."""
     from .service import ExplainService
 
-    config = _load_config(config_path)
-    try:
-        runtime = Runtime(config)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
+    config = PipelineConfig.from_file(config_path)
+    runtime = Runtime(config)
     service = ExplainService(runtime, host=host, port=port)
     bound_host, bound_port = service.address
     click.echo(f"serving on http://{bound_host}:{bound_port} (POST /explain, GET /health)")

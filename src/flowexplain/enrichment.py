@@ -1,10 +1,9 @@
 """Assembly of per-flow contextual knowledge for prompt augmentation.
 
-For each flagged flow this module gathers feature specifications, protocol
-names, per-address classification, geolocation, threat intelligence and
-recent connection history. Provider failures degrade to explicit
-unavailability entries; the context build itself never fails because of a
-provider.
+For each flagged flow this module gathers protocol names, per-address
+classification, geolocation, threat intelligence and recent connection
+history. Provider failures degrade to explicit unavailability entries; the
+context build itself never fails because of a provider.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 
-from .catalog import FeatureCatalog, FeatureSpec
-from .flows import FlowRecord, validate_record
+from .catalog import FeatureCatalog
+from .flows import FlowRecord
 from .history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
 from .protocols import ProtocolInfo, map_l4_protocol, map_l7_protocol
 from .providers import (
@@ -63,13 +62,18 @@ class Unavailability:
 
 @dataclass(frozen=True)
 class IpKnowledge:
-    """Everything gathered about one endpoint address."""
+    """Everything gathered about one endpoint address.
+
+    ``unavailable`` maps each component that could not be populated
+    (``geo``, ``cti``, ``history``, in that order) to the reason.
+    """
 
     ip: str
     classification: str
     geo: GeoInfo | None
     threat: ThreatIntel | None
     history: tuple[FlowHistoryEntry, ...]
+    unavailable: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -81,14 +85,20 @@ class EnrichmentContext:
     """
 
     flow_id: str
-    spec_entries: tuple[FeatureSpec, ...]
     l4: ProtocolInfo
     l7: ProtocolInfo
     src: IpKnowledge
     dst: IpKnowledge
-    unavailable: tuple[Unavailability, ...]
-    k: int
     provider_ids: dict[str, str | None]
+
+    @property
+    def unavailable(self) -> tuple[Unavailability, ...]:
+        """The unpopulated components of both endpoints, source first."""
+        return tuple(
+            Unavailability(f"{component}.{side}", reason)
+            for side, knowledge in (("src", self.src), ("dst", self.dst))
+            for component, reason in knowledge.unavailable.items()
+        )
 
 
 class ContextBuilder:
@@ -122,32 +132,16 @@ class ContextBuilder:
         self.history_labels = history_labels
 
     def build(self, record: FlowRecord) -> EnrichmentContext:
-        validate_record(record, self.catalog)
         for needed in (SRC_IP_FEATURE, DST_IP_FEATURE, L4_FEATURE, L7_FEATURE):
             if needed not in record.values:
                 raise KeyError(f"record {record.flow_id} lacks required feature {needed}")
 
-        spec_entries = tuple(
-            self.catalog.get(spec.name)
-            for spec in self.catalog.features
-            if spec.name in record.values
-        )
-        l4 = map_l4_protocol(int(record.values[L4_FEATURE]))
-        l7 = map_l7_protocol(record.values[L7_FEATURE])
-
-        unavailable: list[Unavailability] = []
-        src = self._gather_side("src", str(record.values[SRC_IP_FEATURE]), record, unavailable)
-        dst = self._gather_side("dst", str(record.values[DST_IP_FEATURE]), record, unavailable)
-
         return EnrichmentContext(
             flow_id=record.flow_id,
-            spec_entries=spec_entries,
-            l4=l4,
-            l7=l7,
-            src=src,
-            dst=dst,
-            unavailable=tuple(unavailable),
-            k=self.k,
+            l4=map_l4_protocol(int(record.values[L4_FEATURE])),
+            l7=map_l7_protocol(record.values[L7_FEATURE]),
+            src=self._gather_side(str(record.values[SRC_IP_FEATURE]), record),
+            dst=self._gather_side(str(record.values[DST_IP_FEATURE]), record),
             provider_ids={
                 "geo": None if self.geo_provider is None else self.geo_provider.provider_id,
                 "cti": None if self.cti_provider is None else self.cti_provider.provider_id,
@@ -162,41 +156,36 @@ class ContextBuilder:
             self.cache.put(provider.provider_id, ip, answer)
         return answer
 
-    def _gather_side(
-        self,
-        side: str,
-        ip: str,
-        record: FlowRecord,
-        unavailable: list[Unavailability],
-    ) -> IpKnowledge:
+    def _gather_side(self, ip: str, record: FlowRecord) -> IpKnowledge:
         classification = classify_ip(ip)
+        unavailable: dict[str, str] = {}
 
         geo: GeoInfo | None = None
         if classification != "public":
-            unavailable.append(Unavailability(f"geo.{side}", "non-public"))
+            unavailable["geo"] = "non-public"
         elif self.geo_provider is None:
-            unavailable.append(Unavailability(f"geo.{side}", "no provider"))
+            unavailable["geo"] = "no provider"
         else:
             try:
                 geo = self._lookup(self.geo_provider, ip)
             except ProviderError as exc:
-                unavailable.append(Unavailability(f"geo.{side}", exc.reason))
+                unavailable["geo"] = exc.reason
 
         threat: ThreatIntel | None = None
         if self.cti_provider is None:
-            unavailable.append(Unavailability(f"cti.{side}", "no provider"))
+            unavailable["cti"] = "no provider"
         elif classification != "public":
             # non-public addresses never trigger provider calls
-            unavailable.append(Unavailability(f"cti.{side}", "non-public"))
+            unavailable["cti"] = "non-public"
         else:
             try:
                 threat = self._lookup(self.cti_provider, ip)
             except ProviderError as exc:
-                unavailable.append(Unavailability(f"cti.{side}", exc.reason))
+                unavailable["cti"] = exc.reason
 
         history: tuple[FlowHistoryEntry, ...] = ()
         if self.store is None:
-            unavailable.append(Unavailability(f"history.{side}", "no store"))
+            unavailable["history"] = "no store"
         else:
             entries = self.store.query_history(
                 HistoryQuery(ip=ip, k=self.k, before=record.timestamp),
@@ -210,4 +199,5 @@ class ContextBuilder:
             geo=geo,
             threat=threat,
             history=history,
+            unavailable=unavailable,
         )

@@ -57,15 +57,6 @@ class FlowRecord:
                 f"label must be '{LABEL_BENIGN}' or '{LABEL_MALICIOUS}', got {self.label!r}"
             )
 
-    def with_timestamp(self, timestamp: int) -> "FlowRecord":
-        return FlowRecord(
-            flow_id=self.flow_id,
-            values=self.values,
-            label=self.label,
-            attack_class=self.attack_class,
-            timestamp=timestamp,
-        )
-
 
 @dataclass(frozen=True)
 class ParseIssue:
@@ -212,6 +203,10 @@ def parse_dataset(
     from the catalog; a reorder is recorded in the report. Malformed rows
     are quarantined into the report with their row number and column, and
     parsing continues.
+
+    NetFlow-v2 exports carry no timestamp column, so each record is stamped
+    with its position among the rows that parsed: the history store that
+    ingest fills and the queries of explain share one stable ordering.
     """
     report = ParseReport()
     stream = _open_stream(source)
@@ -270,6 +265,7 @@ def parse_dataset(
                     values=values,
                     label=label,
                     attack_class=attack,
+                    timestamp=len(records),
                 )
             )
             report.rows_ok += 1
@@ -462,20 +458,3 @@ def sample_malicious(
             chosen.extend(rng.sample(groups[c], quota[c]))
     chosen.sort(key=lambda item: item[0])
     return [r for _, r in chosen]
-
-
-def assign_sequence_timestamps(records: list[FlowRecord]) -> list[FlowRecord]:
-    """Give records without a timestamp a synthetic, strictly increasing one.
-
-    NetFlow-v2 exports carry no timestamp column; the connection-history
-    store still needs a stable ordering, so ingest and explain both derive
-    the same synthetic sequence from the row order.
-    """
-    out = []
-    for i, record in enumerate(records):
-        if record.timestamp is None:
-            out.append(record.with_timestamp(i))
-        else:
-            out.append(record)
-    return out
-

@@ -32,8 +32,6 @@ from .evaluation import (
 from .flows import (
     FlowRecord,
     LABEL_MALICIOUS,
-    ParseReport,
-    assign_sequence_timestamps,
     clip,
     format_value,
     parse_dataset,
@@ -56,6 +54,8 @@ from .gateway import (
 )
 from .history import FlowHistoryEntry, FlowHistoryStore
 from .prompts import (
+    AUGMENTED_SLOTS,
+    BASIC_SLOTS,
     MODE_AUGMENTED,
     MODE_BASIC,
     PromptBundle,
@@ -84,6 +84,9 @@ _DEFAULT_PRICING = {"input_per_million": "2.50", "output_per_million": "10.00"}
 
 #: config keys holding paths, resolved against the config file's directory
 _PATH_KEYS = ("dataset", "output_dir", "catalog", "basic_template", "augmented_template")
+
+#: config keys whose value is a JSON object
+_SECTION_KEYS = ("geo_provider", "cti_provider", "backend", "pricing")
 
 
 class ConfigError(ValueError):
@@ -131,9 +134,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None, **overrides) -> "PipelineConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in _SECTION_KEYS:
+            if key in raw and not isinstance(raw[key], dict):
+                raise ConfigError(
+                    f"config key {key!r} must be a JSON object, not {type(raw[key]).__name__}"
+                )
 
         def resolve(value: str) -> Path:
             p = Path(value)
@@ -300,16 +310,12 @@ class Runtime:
         self.config = config
         self.catalog: FeatureCatalog = _catalog_for(config)
         self.basic_template: PromptTemplate = (
-            load_template(config.basic_template, "basic-custom", ("flow",))
+            load_template(config.basic_template, "basic-custom", BASIC_SLOTS)
             if config.basic_template
             else default_basic_template()
         )
         self.augmented_template: PromptTemplate = (
-            load_template(
-                config.augmented_template,
-                "augmented-custom",
-                ("spec", "protocols", "ip_knowledge"),
-            )
+            load_template(config.augmented_template, "augmented-custom", AUGMENTED_SLOTS)
             if config.augmented_template
             else default_augmented_template()
         )
@@ -331,14 +337,6 @@ class Runtime:
 
     def close(self) -> None:
         self.store.close()
-
-    # -- dataset ------------------------------------------------------------
-
-    def load_records(self) -> tuple[list[FlowRecord], ParseReport]:
-        records, report = parse_dataset(self.config.dataset, self.catalog)
-        return assign_sequence_timestamps(records), report
-
-    # -- explanation --------------------------------------------------------
 
     def build_prompt(self, record: FlowRecord, mode: str) -> PromptBundle:
         if mode == MODE_BASIC:
@@ -448,7 +446,7 @@ def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSumm
 
     runtime = Runtime(config)
     try:
-        records, report = runtime.load_records()
+        records, report = parse_dataset(config.dataset, runtime.catalog)
         if rebuild_store:
             runtime.store.clear()
         runtime.store.append_many(history_entry_for(record) for record in records)
@@ -470,7 +468,6 @@ def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSumm
 def run_sample(config: PipelineConfig, out_path: Path | None = None) -> dict:
     """Draw the evaluation sample and write its flow ids to a sample file."""
     records, _ = parse_dataset(config.dataset, _catalog_for(config))
-    records = assign_sequence_timestamps(records)
     sample = sample_malicious(
         records, config.sample_size, config.seed, stratified=config.stratified_sampling
     )
@@ -537,7 +534,7 @@ def run_explain(
         raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
     runtime = Runtime(config)
     try:
-        records, _ = runtime.load_records()
+        records, _ = parse_dataset(config.dataset, runtime.catalog)
         selected = _select_records(records, flow_ids, sample_file, config)
 
         run_id = run_id or datetime.now(timezone.utc).strftime("run-%Y%m%dT%H%M%SZ")
@@ -608,11 +605,16 @@ def recheck_explanations(entries: list[dict], catalog: FeatureCatalog) -> list[d
     """
     findings_records = []
     for entry in entries:
-        values = {
-            name: parse_value(text, catalog.get(name))
-            for name, text in entry.get("flow", {}).items()
-            if name in catalog
-        }
+        try:
+            values = {
+                name: parse_value(text, catalog.get(name))
+                for name, text in entry.get("flow", {}).items()
+                if name in catalog
+            }
+        except ValueError as exc:
+            raise PipelineError(
+                f"explanation {entry['explanation_id']!r} logs a malformed flow: {exc}"
+            ) from exc
         record = FlowRecord(
             flow_id=entry["flow_id"],
             values=values,

@@ -225,10 +225,9 @@ def _render_protocols(context: EnrichmentContext, descriptions: bool) -> str:
     return "\n".join(lines)
 
 
-def _render_ip_side(
-    title: str, side: IpKnowledge, unavailable: dict[str, str]
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _render_ip_side(title: str, side: IpKnowledge) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The endpoint's fixed lines and its history lines, most recent first."""
+    unavailable = side.unavailable
     lines = [f"{title} {side.ip}:"]
     lines.append(f"- classification: {side.classification}")
 
@@ -246,7 +245,7 @@ def _render_ip_side(
         detail = ", ".join(parts) if parts else "no attributes reported"
         lines.append(f"- geolocation: {detail} (source: {geo.provenance})")
     else:
-        lines.append(f"- geolocation unavailable: {unavailable.get('geo', 'no provider')}")
+        lines.append(f"- geolocation unavailable: {unavailable['geo']}")
 
     if side.threat is not None:
         threat = side.threat
@@ -256,9 +255,7 @@ def _render_ip_side(
             detail += f", last_seen={threat.last_seen}"
         lines.append(f"- threat intelligence: {detail} (source: {threat.provenance})")
     else:
-        lines.append(
-            f"- threat intelligence unavailable: {unavailable.get('cti', 'no provider')}"
-        )
+        lines.append(f"- threat intelligence unavailable: {unavailable['cti']}")
 
     if "history" in unavailable:
         lines.append(f"- recent connections unavailable: {unavailable['history']}")
@@ -367,11 +364,6 @@ def build_augmented_prompt(
         )
     basic = build_basic_prompt(record, catalog, basic_template, tokenizer)
 
-    unavailable: dict[str, dict[str, str]] = {"src": {}, "dst": {}}
-    for item in context.unavailable:
-        component, _, side = item.component.partition(".")
-        if side in unavailable:
-            unavailable[side][component] = item.reason
     endpoints = (context.src, context.dst)
     oldest_first = [
         [(entry.timestamp, index) for entry in reversed(endpoint.history)]
@@ -380,8 +372,8 @@ def build_augmented_prompt(
     history_trims = tuple(index for _, index in heapq.merge(*oldest_first))
     spec_trims = tuple(
         _TRIM_SPEC + spec.name
-        for spec in context.spec_entries
-        if _is_zero(record.values.get(spec.name))
+        for spec in catalog.features
+        if _is_zero(record.values[spec.name])
     )
     protocol_trims = (
         (_TRIM_PROTOCOLS,) if context.l4.description or context.l7.description else ()
@@ -393,12 +385,12 @@ def build_augmented_prompt(
         spec=tuple(
             (_TRIM_SPEC + spec.name,
              f"- {spec.name}: {spec.definition} [{UNIT_LABELS[spec.unit]}]")
-            for spec in context.spec_entries
+            for spec in catalog.features
         ),
         protocols=(_render_protocols(context, True), _render_protocols(context, False)),
         endpoints=(
-            _render_ip_side("Source IP", context.src, unavailable["src"]),
-            _render_ip_side("Destination IP", context.dst, unavailable["dst"]),
+            _render_ip_side("Source IP", context.src),
+            _render_ip_side("Destination IP", context.dst),
         ),
         history_trims=history_trims,
         plan=(_TRIM_HISTORY,) * len(history_trims) + spec_trims + protocol_trims,

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, TextIO
+from typing import Any, BinaryIO, Callable, Mapping, Protocol, TextIO
 
 from ._http import Transport
 
@@ -89,26 +89,29 @@ class ThreatIntelProvider(Protocol):
 
 
 def read_jsonl(
-    source: str | Path | TextIO,
+    source: str | Path | TextIO | BinaryIO,
     error: type[Exception],
     what: str,
     required: tuple[str, ...] = (),
 ) -> list[dict]:
-    """The JSON objects of a line-delimited file or text stream; blank lines are skipped.
+    """The JSON objects of a line-delimited file or stream; blank lines are skipped.
 
-    A line that is not a JSON object, or that lacks a string value for a key
-    in ``required``, raises ``error("<what> in <file> on line N: ...")``;
-    the `` in <file>`` part is left out for a stream without a ``name``.
+    A line that is not UTF-8, not a JSON object, or that lacks a string
+    value for a key in ``required``, raises ``error("<what> in <file> on
+    line N: ...")``; the `` in <file>`` part is left out for a stream
+    without a ``name``.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return read_jsonl(fh, error, what, required)
     where = f" in {source.name}" if hasattr(source, "name") else ""
     rows = []
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
             row = json.loads(line)
             if not isinstance(row, dict):
                 raise ValueError("not a JSON object")

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from flowexplain.catalog import default_catalog
 from flowexplain.enrichment import ContextBuilder
-from flowexplain.flows import LABEL_MALICIOUS, assign_sequence_timestamps, parse_dataset
+from flowexplain.flows import LABEL_MALICIOUS, parse_dataset
 from flowexplain.history import FlowHistoryStore
 from flowexplain.pipeline import history_entry_for
 from flowexplain.prompts import (
@@ -54,7 +54,6 @@ def augmented_bundles(tokenizer_name: str, k: int) -> Iterator[PromptBundle]:
     tokenizer = TOKENIZERS[tokenizer_name][0]
     catalog = default_catalog()
     records, _ = parse_dataset(HERE / "flows_small.csv", catalog)
-    records = assign_sequence_timestamps(records)
     store = FlowHistoryStore(":memory:")
     store.append_many(history_entry_for(record) for record in records)
     builder = ContextBuilder(

@@ -53,7 +53,7 @@ def test_install_wraps_and_uninstall_restores(monkeypatch, tmp_path):
 
         runtime = pipeline.Runtime(make_config(tmp_path))
         try:
-            records, _ = runtime.load_records()
+            records, _ = pipeline.parse_dataset(runtime.config.dataset, runtime.catalog)
             record = next(r for r in records if r.label == "malicious" and _asks_providers(r))
             runtime.explain_record(record, "augmented", "traced-1")
         finally:

@@ -7,6 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowexplain.enrichment import ContextBuilder, classify_ip
+from flowexplain.prompts import (
+    build_augmented_prompt,
+    default_augmented_template,
+    default_basic_template,
+)
 from flowexplain.providers import (
     FixtureGeoProvider,
     FixtureThreatProvider,
@@ -198,9 +203,20 @@ class TestBuildContext:
             (u.component, u.reason) for u in context.unavailable
         }
 
-    def test_spec_entries_cover_exactly_record_features(self, catalog):
-        context = ContextBuilder(catalog).build(_context_record(catalog))
-        assert [s.name for s in context.spec_entries] == list(catalog.feature_names)
+    def test_spec_section_lists_every_catalog_feature(self, catalog):
+        record = _context_record(catalog)
+        bundle = build_augmented_prompt(
+            record,
+            ContextBuilder(catalog).build(record),
+            catalog,
+            default_basic_template(),
+            default_augmented_template(),
+        )
+        lines = [
+            line for line in bundle.section_text("netflow_spec").splitlines()
+            if line.startswith("- ")
+        ]
+        assert [line[2:].split(":")[0] for line in lines] == list(catalog.feature_names)
 
     def test_deterministic_given_fixed_store_and_fixtures(self, catalog):
         store = seeded_store(

@@ -112,6 +112,13 @@ class TestParseDataset:
         records, _ = parse_dataset(_csv_text(catalog, [_row(catalog), _row(catalog)]), catalog)
         assert [r.flow_id for r in records] == ["row-000001", "row-000002"]
 
+    def test_timestamps_count_only_the_rows_that_parsed(self, catalog):
+        rows = [_row(catalog), _row(catalog, IN_BYTES="x"), _row(catalog), _row(catalog)]
+        records, _ = parse_dataset(_csv_text(catalog, rows), catalog)
+        assert [(r.flow_id, r.timestamp) for r in records] == [
+            ("row-000001", 0), ("row-000003", 1), ("row-000004", 2),
+        ]
+
     @pytest.mark.parametrize(
         "column, text",
         [

@@ -88,6 +88,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config must name a dataset path"):
             PipelineConfig.from_dict({"dataset": None})
 
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (["dataset"], r"config must be a JSON object, not list"),
+            ({"backend": "mock"}, r"config key 'backend' must be a JSON object, not str"),
+            ({"geo_provider": None}, r"config key 'geo_provider' must be a JSON object"),
+            ({"cti_provider": ["fixture"]}, r"config key 'cti_provider' must be a JSON object"),
+            ({"pricing": "cheap"}, r"config key 'pricing' must be a JSON object, not str"),
+        ],
+        ids=["document-list", "backend-str", "geo-null", "cti-list", "pricing-str"],
+    )
+    def test_non_object_document_or_section_is_config_error(self, tmp_path, raw, message):
+        if isinstance(raw, dict):
+            raw = {"dataset": str(DATASET), **raw}
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict(raw)
+
     def test_overrides_win(self, tmp_path):
         config = PipelineConfig.from_file(write_config_file(tmp_path), seed=99)
         assert config.seed == 99
@@ -125,6 +142,15 @@ class TestConfig:
             }
         finally:
             runtime.close()
+
+    def test_canned_file_with_invalid_utf8_is_config_error(self, tmp_path):
+        canned = tmp_path / "canned.jsonl"
+        canned.write_bytes(b'{"key": "k", "text": "t"}\n{"key": "k2", "text": "\xff"}\n')
+        config = make_config(tmp_path, backend={"kind": "mock", "canned": str(canned)})
+        with pytest.raises(
+            ConfigError, match=r"malformed canned response in \S*canned\.jsonl on line 2: .*utf-8"
+        ):
+            Runtime(config)
 
     @pytest.mark.parametrize("row", ['{"text": "x"}', '{"key": "k"}', "[1]", "{not json"])
     def test_canned_row_without_key_or_text_is_config_error(self, tmp_path, row):
@@ -248,11 +274,10 @@ class TestSampleAndExplain:
         result = run_explain(config, "basic", flow_ids=["row-000001"], run_id="t1")
         entry = json.loads(result.log_path.read_text().splitlines()[0])
         assert entry["status"] == "ok"
-        from flowexplain.flows import parse_dataset, assign_sequence_timestamps
+        from flowexplain.flows import parse_dataset
         from flowexplain.prompts import build_basic_prompt, default_basic_template
 
         records, _ = parse_dataset(DATASET, catalog)
-        records = assign_sequence_timestamps(records)
         record = next(r for r in records if r.flow_id == "row-000001")
         expected = build_basic_prompt(record, catalog, default_basic_template())
         assert entry["prompt"]["text"] == expected.text
@@ -477,8 +502,10 @@ class TestEvaluateCells:
             (_logged("bad", "m1", "basic", explanation=""),
              r"explanation 'bad' in \S*log\.jsonl has no text"),
             ("{not json", r"malformed run log entry in \S*log\.jsonl on line 2"),
+            (_logged("bad", "m1", "basic", flow={"PROTOCOL": "tcp"}),
+             r"explanation 'bad' logs a malformed flow: not an integer"),
         ],
-        ids=["without-model", "empty-text", "not-json"],
+        ids=["without-model", "empty-text", "not-json", "malformed-flow-value"],
     )
     def test_bad_log_entry_is_pipeline_error_naming_the_file(self, tmp_path, line, message):
         from flowexplain.pipeline import PipelineError, run_evaluate
@@ -515,6 +542,34 @@ class TestCommandLine:
         assert result.exit_code != 0
         assert "IPV4_SRC_ADDR" in result.output
         assert "SOURCE_ADDRESS" in result.output
+
+    @pytest.mark.parametrize(
+        "command,key,message",
+        [
+            (["ingest"], "catalog", "malformed catalog document"),
+            (["explain", "--mode", "basic"], "catalog", "malformed catalog document"),
+            (["sample"], "catalog", "malformed catalog document"),
+            (["serve", "--port", "0"], "catalog", "malformed catalog document"),
+            (["explain", "--mode", "basic"], "basic_template", "must contain placeholders"),
+            (["ingest"], "store", "cannot open history store"),
+        ],
+        ids=["catalog-ingest", "catalog-explain", "catalog-sample", "catalog-serve",
+             "template-without-placeholder", "store-in-missing-directory"],
+    )
+    def test_package_error_ends_with_one_error_line(self, tmp_path, command, key, message):
+        (tmp_path / "catalog.json").write_text("{not json")
+        (tmp_path / "basic.txt").write_text("Explain this flow.\n")
+        bad = {
+            "catalog": str(tmp_path / "catalog.json"),
+            "basic_template": str(tmp_path / "basic.txt"),
+            "store": str(tmp_path / "missing" / "history.db"),
+        }
+        config_path = write_config_file(tmp_path, **{key: bad[key]})
+        name, *options = command
+        result = CliRunner().invoke(main, [name, "-c", str(config_path), *options])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
+        assert message in result.output
 
     def test_explain_and_cost_commands(self, tmp_path):
         runner = CliRunner()

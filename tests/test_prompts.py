@@ -277,7 +277,7 @@ class TestEnforceBudget:
         assert trimmed.section_text("instruction") == bundle.section_text("instruction")
         assert trimmed.section_text("flow") == bundle.section_text("flow")
 
-    def test_zero_valued_spec_entries_trimmed_after_history(self, catalog):
+    def test_zero_valued_spec_lines_trimmed_after_history(self, catalog):
         record = _record(catalog)  # synthetic records have many zero features
         bundle = _augmented(catalog, record)
         spec_len = len(bundle.section_text("netflow_spec"))

@@ -58,7 +58,8 @@ def _request(service, path, payload=None, method=None):
         with urllib.request.urlopen(req, timeout=10) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read())
+        with err:
+            return err.code, json.loads(err.read())
 
 
 def _post_raw(service, headers, body=b""):
@@ -137,7 +138,8 @@ class TestService:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
-        assert err.value.code == 400
+        with err.value:
+            assert err.value.code == 400
 
     @pytest.mark.parametrize("body", [b"[1,2]", b'"x"', b"3", b"null"])
     def test_non_object_json_is_400(self, service, body):
@@ -147,8 +149,9 @@ class TestService:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
-        assert err.value.code == 400
-        assert "JSON object" in json.loads(err.value.read())["error"]
+        with err.value:
+            assert err.value.code == 400
+            assert "JSON object" in json.loads(err.value.read())["error"]
 
     def test_bad_mode_rejected(self, service):
         status, body = _request(
@@ -249,10 +252,11 @@ class TestService:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
-        assert err.value.code == 503
-        assert err.value.headers["Retry-After"] == "1"
-        assert err.value.headers["Content-Type"] == "application/json"
-        assert "credentials rejected" in json.loads(err.value.read())["error"]
+        with err.value:
+            assert err.value.code == 503
+            assert err.value.headers["Retry-After"] == "1"
+            assert err.value.headers["Content-Type"] == "application/json"
+            assert "credentials rejected" in json.loads(err.value.read())["error"]
         assert service.runtime.store.count() == before
 
 
