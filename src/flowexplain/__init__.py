@@ -36,7 +36,6 @@ from .evaluation import (
     AnnotationError,
     AnnotationSet,
     MetricsReport,
-    aggregate_counts,
     aggregate_metrics,
     ingest_annotations,
     proportion_standard_error,

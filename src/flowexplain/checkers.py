@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, Overflow, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
-from importlib import resources
 
 from .catalog import FeatureCatalog
 from .flows import FlowRecord, clip
+from .protocols import registry_rows
 
 FINDING_KINDS = (
     "value_mismatch",
@@ -60,43 +60,25 @@ def format_flag_set(flags: frozenset[str]) -> str:
 @lru_cache(maxsize=1)
 def well_known_ports() -> dict[str, int]:
     """Bundled service-name to port subset used for port-claim checking."""
-    table: dict[str, int] = {}
-    text = resources.files("flowexplain").joinpath("data/well_known_ports.tsv").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        service, port, _ = line.split("\t", 2)
-        table[service.upper()] = int(port)
-    return table
+    rows = registry_rows("well_known_ports.tsv")
+    return {service.upper(): int(port) for service, port, _ in rows}
 
 
-_MS_PER_UNIT = {
-    "second": Decimal(1000),
-    "minute": Decimal(60000),
-    "hour": Decimal(3600000),
+#: Milliseconds per duration unit, by every spelling the checkers accept.
+_MS_PER = {
+    **dict.fromkeys(("ms", "msec", "msecs", "millisecond", "milliseconds"), Decimal(1)),
+    **dict.fromkeys(("s", "sec", "secs", "second", "seconds"), Decimal(1000)),
+    **dict.fromkeys(("min", "mins", "minute", "minutes"), Decimal(60000)),
+    **dict.fromkeys(("h", "hr", "hrs", "hour", "hours"), Decimal(3600000)),
 }
-
-
-def _canonical_time_unit(token: str) -> str | None:
-    token = token.lower().rstrip(".")
-    if token in ("s", "sec", "secs", "second", "seconds"):
-        return "second"
-    if token in ("min", "mins", "minute", "minutes"):
-        return "minute"
-    if token in ("h", "hr", "hrs", "hour", "hours"):
-        return "hour"
-    if token in ("ms", "msec", "msecs", "millisecond", "milliseconds"):
-        return "millisecond"
-    return None
 
 
 def milliseconds_to(value_ms: int | float | Decimal, unit: str) -> Decimal:
     """Exact conversion of a millisecond count into seconds/minutes/hours."""
-    canonical = _canonical_time_unit(unit)
-    if canonical is None or canonical == "millisecond":
+    per = _MS_PER.get(unit.lower().rstrip("."))
+    if per is None or per == 1:
         raise ValueError(f"unsupported duration unit {unit!r}")
-    return Decimal(str(value_ms)) / _MS_PER_UNIT[canonical]
+    return Decimal(str(value_ms)) / per
 
 
 @dataclass(frozen=True)
@@ -135,12 +117,21 @@ class CheckFinding:
         }
 
 
-# Written-unit grammar. The bits/bytes letter is case-sensitive ("bps" is
-# bits per second, "Bps" bytes per second); everything around it is not.
-_SCALE = {"": 1, "k": 10**3, "m": 10**6, "g": 10**9, "t": 10**12}
-_IEC_SCALE = {"ki": 2**10, "mi": 2**20, "gi": 2**30, "ti": 2**40}
-
+# Written-unit grammar. Whole words (durations, packets, bytes, bits) match
+# in any letter case. Other units are a decimal or binary prefix, then the
+# case-sensitive bits/bytes letter ("bps" is bits per second, "Bps" bytes
+# per second), then an optional rate suffix. The ASCII gate comes first:
+# lower-cased, the Kelvin sign U+212A would spell a "k".
 _UNIT_TOKEN = re.compile(r"^([A-Za-z]+(?:/s)?)$")
+_DATA_UNIT = re.compile(r"(?:([kKmMgGtT])([iI]?))?([bB])(ps|PS|/s)?")
+_PREFIX_POWER = {"": 0, "k": 1, "m": 2, "g": 3, "t": 4}
+
+_WORD_UNITS = {
+    **{word: ("time", per) for word, per in _MS_PER.items()},
+    **dict.fromkeys(("packet", "packets", "pkt", "pkts"), ("count", Decimal(1))),
+    **dict.fromkeys(("byte", "bytes"), ("bytes", Decimal(1))),
+    **dict.fromkeys(("bit", "bits"), ("bits", Decimal(1))),
+}
 
 
 def parse_written_unit(token: str) -> tuple[str, Decimal] | None:
@@ -152,54 +143,31 @@ def parse_written_unit(token: str) -> tuple[str, Decimal] | None:
     """
     if not token or not _UNIT_TOKEN.match(token):
         return None
-    time_unit = _canonical_time_unit(token)
-    if time_unit == "millisecond":
-        return ("time", Decimal(1))
-    if time_unit is not None:
-        return ("time", _MS_PER_UNIT[time_unit])
-    lowered = token.lower()
-    if lowered in ("packet", "packets", "pkt", "pkts"):
-        return ("count", Decimal(1))
-    if lowered in ("byte", "bytes"):
-        return ("bytes", Decimal(1))
-    if lowered in ("bit", "bits"):
-        return ("bits", Decimal(1))
-
-    rate = False
-    core = token
-    if core.endswith("/s"):
-        rate = True
-        core = core[:-2]
-    elif len(core) > 2 and core[-2:] in ("ps", "PS"):
-        rate = True
-        core = core[:-2]
-    if not core:
+    word = _WORD_UNITS.get(token.lower())
+    if word is not None:
+        return word
+    match = _DATA_UNIT.fullmatch(token)
+    if match is None:
         return None
-    # the final letter decides bits vs bytes and must be unambiguous
-    letter = core[-1]
-    prefix = core[:-1].lower()
-    if letter == "b":
-        dimension = "bit_rate" if rate else "bits"
-    elif letter == "B":
-        dimension = "byte_rate" if rate else "bytes"
-    else:
-        return None
-    if prefix in _SCALE:
-        return (dimension, Decimal(_SCALE[prefix]))
-    if prefix in _IEC_SCALE:
-        return (dimension, Decimal(_IEC_SCALE[prefix]))
-    return None
+    prefix, binary, letter, rate = match.groups(default="")
+    name = "bit" if letter == "b" else "byte"
+    base = 1024 if binary else 1000
+    return (f"{name}_rate" if rate else f"{name}s", Decimal(base ** _PREFIX_POWER[prefix.lower()]))
 
 
-_CATALOG_UNIT_DIMENSION = {
+#: The quantity each catalog unit tag and each written dimension measures.
+#: Bits against bytes is a unit mismatch; other unequal quantities are not
+#: judged.
+_QUANTITY = {
     "bytes": "bytes",
-    "bits-per-second": "bit_rate",
+    "byte_rate": "bytes",
+    "bits": "bits",
+    "bit_rate": "bits",
+    "bits-per-second": "bits",
+    "time": "time",
     "milliseconds": "time",
     "count": "count",
 }
-
-_BITSY = {"bits", "bit_rate"}
-_BYTESY = {"bytes", "byte_rate"}
 
 
 _WORD = re.compile(r"\w+")
@@ -295,13 +263,14 @@ def check_feature_consistency(
             continue
         spec = catalog.get(mention.feature)
         recorded = record.values.get(mention.feature)
+        value, multiplier = mention.value, Decimal(1)
 
-        if mention.unit is not None:
-            written = parse_written_unit(mention.unit)
-            catalog_dim = _CATALOG_UNIT_DIMENSION.get(spec.unit)
-            if written is not None and catalog_dim is not None:
-                written_dim, multiplier = written
-                if _bits_bytes_conflict(catalog_dim, written_dim):
+        written = parse_written_unit(mention.unit) if mention.unit is not None else None
+        quantity = _QUANTITY.get(spec.unit)
+        if written is not None and quantity is not None:
+            dimension, multiplier = written
+            if _QUANTITY[dimension] != quantity:
+                if {_QUANTITY[dimension], quantity} == {"bits", "bytes"}:
                     findings.append(
                         CheckFinding(
                             kind="unit_mismatch",
@@ -312,55 +281,33 @@ def check_feature_consistency(
                             span=mention.span,
                         )
                     )
-                    continue
-                if not _compatible(catalog_dim, written_dim):
-                    continue  # unrelated unit; too ambiguous to judge
-                if mention.value is not None and isinstance(recorded, (int, Decimal)):
-                    # a quoted value scaled past the exponent range becomes
-                    # Infinity, which then differs from any recorded value
-                    with localcontext() as ctx:
-                        ctx.traps[Overflow] = False
-                        normalized = Decimal(mention.value) * multiplier
-                    finding = _compare_values(mention, normalized, recorded, multiplier)
-                    if finding:
-                        findings.append(finding)
+                continue  # any other unrelated unit is too ambiguous to judge
+            if value is None or not isinstance(recorded, (int, Decimal)):
                 continue
+            # a quoted value scaled past the exponent range becomes Infinity,
+            # which then differs from any recorded value
+            with localcontext() as ctx:
+                ctx.traps[Overflow] = False
+                value = Decimal(value) * multiplier
 
-        if mention.value is None or recorded is None:
+        if value is None or recorded is None:
             continue
-        if isinstance(recorded, (int, Decimal)) and isinstance(mention.value, Decimal):
-            finding = _compare_values(mention, mention.value, recorded, Decimal(1))
+        if isinstance(recorded, (int, Decimal)) and isinstance(value, Decimal):
+            finding = _compare_values(mention, value, recorded, multiplier)
             if finding:
                 findings.append(finding)
-        elif isinstance(recorded, str) and isinstance(mention.value, str):
-            if mention.value != recorded:
-                findings.append(
-                    CheckFinding(
-                        kind="value_mismatch",
-                        detail=(
-                            f"explanation quotes {mention.feature} as {mention.value}, "
-                            f"but the record has {recorded}"
-                        ),
-                        span=mention.span,
-                    )
+        elif isinstance(recorded, str) and isinstance(value, str) and value != recorded:
+            findings.append(
+                CheckFinding(
+                    kind="value_mismatch",
+                    detail=(
+                        f"explanation quotes {mention.feature} as {value}, "
+                        f"but the record has {recorded}"
+                    ),
+                    span=mention.span,
                 )
+            )
     return findings
-
-
-def _bits_bytes_conflict(catalog_dim: str, written_dim: str) -> bool:
-    return (catalog_dim in _BITSY and written_dim in _BYTESY) or (
-        catalog_dim in _BYTESY and written_dim in _BITSY
-    )
-
-
-def _compatible(catalog_dim: str, written_dim: str) -> bool:
-    if catalog_dim == written_dim:
-        return True
-    if catalog_dim in _BYTESY and written_dim in _BYTESY:
-        return True
-    if catalog_dim in _BITSY and written_dim in _BITSY:
-        return True
-    return False
 
 
 def _compare_values(
@@ -372,8 +319,6 @@ def _compare_values(
     recorded_dec = Decimal(recorded)
     if multiplier == 1:
         equal = normalized == recorded_dec
-    elif recorded_dec == 0:
-        equal = normalized == 0
     else:
         equal = abs(normalized - recorded_dec) <= abs(recorded_dec) * SCALED_VALUE_TOLERANCE
     if equal:
@@ -438,6 +383,52 @@ _TCP_FLAGS_CLAIM = re.compile(
 _FLAG_SPLIT = re.compile(r"[,+|/&]|and")
 
 
+def _duration_error(match: re.Match) -> str | None:
+    claimed = Decimal(match["qty"].replace(",", ""))
+    # a quoted number's exponent is at most its length, far inside this range,
+    # so the arithmetic cannot overflow however long the number is
+    with localcontext(Context(Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        actual = milliseconds_to(Decimal(match["ms"].replace(",", "")), match["unit"])
+        if abs(claimed - actual) <= actual * CONVERSION_TOLERANCE:
+            return None
+    return f"{match['ms']} ms is {actual:.2f} {match['unit']}, not {match['qty']}"
+
+
+def _port_error(match: re.Match) -> str | None:
+    service = match["svc"].upper()
+    expected = well_known_ports().get(service)
+    claimed = int(match["port"])
+    if expected is None or claimed == expected:
+        return None
+    return f"{service} uses port {expected}, not {claimed}"
+
+
+def _flags_error(match: re.Match) -> str | None:
+    value = int(match["value"])
+    if value > 255:
+        return None
+    claimed = frozenset(
+        token.strip().upper() for token in _FLAG_SPLIT.split(match["flags"]) if token.strip()
+    )
+    actual = decode_tcp_flags(value)
+    if claimed == actual:
+        return None
+    return (
+        f"TCP flag bitmask {value} decodes to {format_flag_set(actual)}, "
+        f"not {format_flag_set(claimed)}"
+    )
+
+
+#: Claim patterns in scan order: (pattern, finding kind, the group whose
+#: start begins the finding's span, check returning the detail or None).
+#: Each port pattern scans on its own: one text can hold overlapping claims.
+_CLAIMS = (
+    (_DURATION_CLAIM, "arithmetic_error", "ms", _duration_error),
+    *((pattern, "fact_error", 0, _port_error) for pattern in _PORT_CLAIMS),
+    (_TCP_FLAGS_CLAIM, "fact_error", 0, _flags_error),
+)
+
+
 def check_factual_claims(text: str) -> list[CheckFinding]:
     """Verify checkable factual claims in the explanation text.
 
@@ -446,69 +437,12 @@ def check_factual_claims(text: str) -> list[CheckFinding]:
     decodings. Prose that matches none of the claim patterns produces no
     finding.
     """
-    findings: list[CheckFinding] = []
-    port_table = well_known_ports()
-
-    for match in _DURATION_CLAIM.finditer(text):
-        ms = Decimal(match.group("ms").replace(",", ""))
-        claimed = Decimal(match.group("qty").replace(",", ""))
-        unit = match.group("unit")
-        actual = milliseconds_to(ms, unit)
-        if actual == 0:
-            ok = claimed == 0
-        else:
-            ok = abs(claimed - actual) <= actual * CONVERSION_TOLERANCE
-        if not ok:
-            findings.append(
-                CheckFinding(
-                    kind="arithmetic_error",
-                    detail=(
-                        f"{match.group('ms')} ms is {actual:.2f} "
-                        f"{unit}, not {match.group('qty')}"
-                    ),
-                    span=(match.start("ms"), match.end()),
-                )
-            )
-
-    for claim_re in _PORT_CLAIMS:
-        for match in claim_re.finditer(text):
-            service = match.group("svc").upper()
-            expected = port_table.get(service)
-            if expected is None:
-                continue
-            claimed_port = int(match.group("port"))
-            if claimed_port != expected:
-                findings.append(
-                    CheckFinding(
-                        kind="fact_error",
-                        detail=f"{service} uses port {expected}, not {claimed_port}",
-                        span=match.span(),
-                    )
-                )
-
-    for match in _TCP_FLAGS_CLAIM.finditer(text):
-        value = int(match.group("value"))
-        if value > 255:
-            continue
-        claimed_flags = frozenset(
-            token.strip().upper()
-            for token in _FLAG_SPLIT.split(match.group("flags"))
-            if token.strip()
-        )
-        actual_flags = decode_tcp_flags(value)
-        if claimed_flags != actual_flags:
-            findings.append(
-                CheckFinding(
-                    kind="fact_error",
-                    detail=(
-                        f"TCP flag bitmask {value} decodes to "
-                        f"{format_flag_set(actual_flags)}, "
-                        f"not {format_flag_set(claimed_flags)}"
-                    ),
-                    span=match.span(),
-                )
-            )
-    return findings
+    return [
+        CheckFinding(kind=kind, detail=detail, span=(match.start(start), match.end()))
+        for pattern, kind, start, check in _CLAIMS
+        for match in pattern.finditer(text)
+        if (detail := check(match)) is not None
+    ]
 
 
 def run_all_checks(text: str, record: FlowRecord, catalog: FeatureCatalog) -> list[CheckFinding]:

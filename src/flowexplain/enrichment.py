@@ -11,7 +11,6 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 
-from .catalog import FeatureCatalog
 from .flows import FlowRecord
 from .history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
 from .protocols import ProtocolInfo, map_l4_protocol, map_l7_protocol
@@ -113,7 +112,6 @@ class ContextBuilder:
 
     def __init__(
         self,
-        catalog: FeatureCatalog,
         store: FlowHistoryStore | None = None,
         geo_provider: GeolocationProvider | None = None,
         cti_provider: ThreatIntelProvider | None = None,
@@ -123,7 +121,6 @@ class ContextBuilder:
     ):
         if k < 0:
             raise ValueError("history limit k must be non-negative")
-        self.catalog = catalog
         self.store = store
         self.geo_provider = geo_provider
         self.cti_provider = cti_provider

@@ -220,24 +220,6 @@ def aggregate_metrics(
     return _report(values, n, model, mode, excluded)
 
 
-def aggregate_counts(
-    positives: dict[str, int],
-    n: int,
-    model: str = "",
-    mode: str = "",
-) -> MetricsReport:
-    """Aggregate directly from per-metric positive counts (no exclusions)."""
-    if n <= 0:
-        raise AggregationError("sample size n must be positive")
-    values = {}
-    for metric in METRICS:
-        count = positives[metric]
-        if not 0 <= count <= n:
-            raise AggregationError(f"positive count {count} outside 0..{n} for {metric}")
-        values[metric] = _metric_value(count, n)
-    return _report(values, n, model, mode, {})
-
-
 def _report(
     values: dict[str, MetricValue], n: int, model: str, mode: str, excluded: dict[str, int]
 ) -> MetricsReport:

@@ -14,7 +14,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -126,10 +126,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _read_json_object(path, "config", ConfigError)
         return cls.from_dict(raw, base_dir=path.parent, **overrides)
 
     @classmethod
@@ -180,6 +177,20 @@ class PipelineConfig:
             raise ConfigError("token_budget must be positive")
         if not 0 <= self.temperature <= 2:
             raise ConfigError("temperature must be within [0, 2]")
+        for name in ("workers", "max_in_flight", "max_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+
+
+def _read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in the file at ``path``; any other content raises ``error``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or UTF-8
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{what} must be a JSON object, not {type(payload).__name__}")
+    return payload
 
 
 #: provider family -> (name in error messages, fixture class, HTTP class)
@@ -262,7 +273,11 @@ def _read_canned(path: str) -> dict[str, str]:
 
 def pricing_from_config(config: dict) -> PricingTable:
     prices = {**_DEFAULT_PRICING, **config}
-    return PricingTable.per_million(prices["input_per_million"], prices["output_per_million"])
+    try:
+        return PricingTable.per_million(prices["input_per_million"], prices["output_per_million"])
+    except (InvalidOperation, ValueError) as exc:  # not a number, or negative
+        quoted = ", ".join(f"{key}={clip(str(prices[key]))}" for key in _DEFAULT_PRICING)
+        raise ConfigError(f"pricing must be non-negative numbers, got {quoted}") from exc
 
 
 def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
@@ -325,7 +340,6 @@ class Runtime:
         # opened last, so that a bad provider or backend config leaks no store
         self.store = FlowHistoryStore(config.store, max_entries=config.store_max_entries)
         self.context_builder = ContextBuilder(
-            self.catalog,
             store=self.store,
             geo_provider=self.geo_provider,
             cti_provider=self.cti_provider,
@@ -506,8 +520,9 @@ def _select_records(
             raise PipelineError(f"unknown flow ids: {missing}")
         return [by_id[fid] for fid in flow_ids]
     if sample_file is not None:
-        payload = json.loads(Path(sample_file).read_text(encoding="utf-8"))
-        wanted = payload["flow_ids"]
+        wanted = _read_json_object(sample_file, "sample file", PipelineError).get("flow_ids")
+        if not isinstance(wanted, list) or not all(isinstance(fid, str) for fid in wanted):
+            raise PipelineError(f"sample file {sample_file} needs a 'flow_ids' list of strings")
         missing = [fid for fid in wanted if fid not in by_id]
         if missing:
             raise PipelineError(f"sample file references unknown flow ids: {missing}")
@@ -570,12 +585,11 @@ def run_explain(
                 yield pending.popleft().result()
 
         written = failed = 0
-        parallel = config.workers > 1 and len(selected) > 1
         # the pool starts threads only when tasks are submitted to it
         with open(log_path, "w", encoding="utf-8") as log, ThreadPoolExecutor(
-            max_workers=max(config.workers, 1)
+            max_workers=config.workers
         ) as pool:
-            for outcome in in_order(pool) if parallel else map(explain_one, selected):
+            for outcome in in_order(pool):
                 log.write(json.dumps(outcome, sort_keys=True) + "\n")
                 written += 1
                 failed += outcome["status"] != "ok"
@@ -707,9 +721,11 @@ def run_cost(
     """Project cost per ``queries`` requests from a ledger or given averages."""
     pricing = pricing_from_config(config.pricing)
     if ledger_path is not None:
-        ledger = UsageLedger.from_dict(
-            json.loads(Path(ledger_path).read_text(encoding="utf-8"))
-        )
+        data = _read_json_object(ledger_path, "ledger", PipelineError)
+        try:
+            ledger = UsageLedger.from_dict(data)
+        except (TypeError, ValueError) as exc:
+            raise PipelineError(f"malformed ledger {ledger_path}: {exc}") from exc
         if ledger.results == 0:
             avg_in: Decimal | float = 0
             avg_out: Decimal | float = 0
@@ -720,7 +736,10 @@ def run_cost(
         avg_in, avg_out = avg_input, avg_output
     else:
         raise PipelineError("cost needs a ledger file or explicit token averages")
-    amount = estimate_cost(queries, avg_in, avg_out, pricing)
+    try:
+        amount = estimate_cost(queries, avg_in, avg_out, pricing)
+    except (InvalidOperation, ValueError) as exc:  # negative, or an infinite average
+        raise PipelineError(f"cannot project cost: {exc}") from exc
     return {
         "queries": queries,
         "avg_input_tokens": float(avg_in),

@@ -149,10 +149,6 @@ class PromptBundle:
     # The pre-rendered augmented prompt that budget fitting trims.
     _layout: "_Layout | None" = field(default=None, repr=False, compare=False)
 
-    def section_text(self, section_id: str) -> str:
-        offset, length = self.sections[section_id]
-        return self.text[offset : offset + length]
-
     def to_record(self) -> dict:
         """Serializable form for audit logs."""
         return {

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from importlib import resources
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -23,16 +24,21 @@ class ProtocolInfo:
     description: str
 
 
-def _load_registry(resource_name: str) -> dict[int, tuple[str, str]]:
-    registry: dict[int, tuple[str, str]] = {}
+def registry_rows(resource_name: str) -> Iterator[list[str]]:
+    """The three TAB-separated fields of each row of a bundled registry file.
+
+    Blank lines and ``#`` comment lines are skipped.
+    """
     text = resources.files("flowexplain").joinpath(f"data/{resource_name}").read_text("utf-8")
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        ident, name, description = line.split("\t", 2)
-        registry[int(ident)] = (name, description)
-    return registry
+        if line and not line.startswith("#"):
+            yield line.split("\t", 2)
+
+
+def _load_registry(resource_name: str) -> dict[int, tuple[str, str]]:
+    rows = registry_rows(resource_name)
+    return {int(ident): (name, description) for ident, name, description in rows}
 
 
 @lru_cache(maxsize=1)

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from flowexplain.catalog import FeatureCatalog, default_catalog
+from flowexplain.evaluation import METRICS, AnnotationSet
 from flowexplain.flows import FlowRecord, parse_dataset
 from flowexplain.history import FlowHistoryEntry, FlowHistoryStore
+from flowexplain.prompts import PromptBundle
 
 DATA_DIR = Path(__file__).parent / "data"
 DATASET = DATA_DIR / "flows_small.csv"
@@ -115,4 +117,17 @@ def history_entry(
         l4_protocol_id=l4_protocol_id,
         label=label,
         summary=summary,
+    )
+
+
+def section_text(bundle: PromptBundle, section_id: str) -> str:
+    """The text of one section of a prompt, cut out by its ``sections`` entry."""
+    offset, length = bundle.sections[section_id]
+    return bundle.text[offset : offset + length]
+
+
+def annotation_set_with(positives: dict[str, int], n: int) -> AnnotationSet:
+    """An agreed verdict for each of ``n`` explanations, ``positives[metric]`` of them true."""
+    return AnnotationSet(
+        {f"e{i}": {metric: i < positives[metric] for metric in METRICS} for i in range(n)}
     )

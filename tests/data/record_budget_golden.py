@@ -57,8 +57,7 @@ def augmented_bundles(tokenizer_name: str, k: int) -> Iterator[PromptBundle]:
     store = FlowHistoryStore(":memory:")
     store.append_many(history_entry_for(record) for record in records)
     builder = ContextBuilder(
-        catalog,
-        store=store,
+                store=store,
         geo_provider=FixtureGeoProvider(HERE / "geo_fixture.jsonl"),
         cti_provider=FixtureThreatProvider(HERE / "cti_fixture.jsonl"),
         k=k,

@@ -20,14 +20,14 @@ from flowexplain.checkers import (
     well_known_ports,
 )
 from flowexplain.enrichment import ContextBuilder
-from flowexplain.evaluation import aggregate_counts
+from flowexplain.evaluation import METRICS, aggregate_metrics
 from flowexplain.flows import parse_dataset
 from flowexplain.gateway import PricingTable, estimate_cost
 from flowexplain.history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
 from flowexplain.pipeline import run_explain, run_ingest, run_sample
 from flowexplain.protocols import map_l4_protocol
 
-from .conftest import DATASET
+from .conftest import DATASET, annotation_set_with
 from .test_pipeline_cli import make_config
 
 PRICING = PricingTable.per_million("2.50", "10.00")
@@ -55,16 +55,8 @@ REFERENCE_ROWS = [
 
 def test_criterion_2_reference_table_aggregation():
     for model, mode, counts, cells, average, published_se in REFERENCE_ROWS:
-        report = aggregate_counts(
-            {
-                "correctness": counts[0],
-                "feature_consistency": counts[1],
-                "factual_consistency": counts[2],
-            },
-            n=50,
-            model=model,
-            mode=mode,
-        )
+        positives = dict(zip(METRICS, counts))
+        report = aggregate_metrics(annotation_set_with(positives, 50), n=50, model=model, mode=mode)
         got_cells = (
             report.correctness.percent,
             report.feature_consistency.percent,
@@ -269,7 +261,7 @@ def test_criterion_6_history_contract():
     records, _ = parse_dataset(DATASET, catalog)
     record = dataclasses.replace(records[10], timestamp=10_000)
     for k in (0, 3, 5):
-        context = ContextBuilder(catalog, store=store, k=k).build(record)
+        context = ContextBuilder(store=store, k=k).build(record)
         assert len(context.src.history) <= k
         assert len(context.dst.history) <= k
     _passed(6, "7-entry fixture returns the 5 most recent, contexts never exceed k")

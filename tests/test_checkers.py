@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from decimal import Decimal
@@ -17,6 +18,7 @@ from flowexplain.checkers import (
     well_known_ports,
 )
 
+from . import unit_reference
 from .conftest import DATA_DIR, make_record
 from .data.record_checkers_golden import (
     FUZZ_CASES,
@@ -224,6 +226,15 @@ class TestFactualClaims:
         findings = check_factual_claims("port 179 (DNS) traffic")
         assert [f.kind for f in findings] == ["fact_error"]
 
+    def test_overlapping_port_claims_are_each_checked(self):
+        findings = check_factual_claims("HTTP port 81 (HTTP)")
+        assert [f.span for f in findings] == [(0, 12), (5, 19)]
+
+    @pytest.mark.parametrize("ms", ["0", "5", "1" * 1_000_010], ids=["zero", "five", "long"])
+    def test_duration_past_decimal_range_is_checked_not_raised(self, ms):
+        text = f"{ms} ms is {'1' * 1_000_010} seconds"
+        assert [f.kind for f in check_factual_claims(text)] == ["arithmetic_error"]
+
     def test_unlisted_service_not_checked(self):
         assert check_factual_claims("the FOOBARD port number is 9999") == []
 
@@ -294,6 +305,62 @@ class TestWrittenUnits:
     @pytest.mark.parametrize("token", ["", "xyz", "weird", "123"])
     def test_unparseable(self, token):
         assert parse_written_unit(token) is None
+
+
+def _outcome(function, *args):
+    """``repr`` of what ``function`` returns, or the type and message of its ValueError."""
+    try:
+        return repr(function(*args))
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestWrittenUnitsMatchReference:
+    """The unit tables answer as the suffix-stripping grammar in ``unit_reference``."""
+
+    ALPHABET = "bBkKmMgGtTiIpPsS/\u212a"  # U+212A, the Kelvin sign, lower-cases to "k"
+    WORDS = (
+        "ms", "msec", "msecs", "millisecond", "milliseconds", "s", "sec", "secs", "second",
+        "seconds", "min", "mins", "minute", "minutes", "h", "hr", "hrs", "hour", "hours",
+        "packet", "packets", "pkt", "pkts", "byte", "bytes", "bit", "bits", "day", "kbit",
+    )
+
+    @staticmethod
+    def _spellings(word):
+        cases = {word, word.upper(), word.title(), word.swapcase(), word[:-1] + word[-1:].upper()}
+        return sorted(
+            {form + suffix for form in cases for suffix in ("", ".", "/s", "ps", "PS", "\n")}
+        )
+
+    def test_every_short_token(self):
+        tokens = [
+            "".join(letters)
+            for length in range(5)
+            for letters in itertools.product(self.ALPHABET, repeat=length)
+        ]
+        assert len(tokens) == 111_151
+        differ = [
+            token for token in tokens
+            if repr(parse_written_unit(token)) != repr(unit_reference.parse_written_unit(token))
+        ]
+        assert differ == []
+        assert parse_written_unit("pkt") == ("count", Decimal(1))
+        assert parse_written_unit("p\u212at") is None
+
+    def test_word_spellings(self):
+        for word in self.WORDS:
+            for token in self._spellings(word):
+                assert _outcome(parse_written_unit, token) == _outcome(
+                    unit_reference.parse_written_unit, token
+                ), token
+
+    @pytest.mark.parametrize("value", [4294964, 1500, 0, Decimal("1.5"), 0.25])
+    def test_duration_units_and_their_errors(self, value):
+        for word in self.WORDS + ("", "x", "minute\u017f", "\u212a"):
+            for unit in self._spellings(word):
+                assert _outcome(milliseconds_to, value, unit) == _outcome(
+                    unit_reference.milliseconds_to, value, unit
+                ), unit
 
 
 class TestRunAllChecks:

@@ -21,7 +21,14 @@ from flowexplain.providers import (
     TTLCache,
 )
 
-from .conftest import CTI_FIXTURE, GEO_FIXTURE, history_entry, make_record, seeded_store
+from .conftest import (
+    CTI_FIXTURE,
+    GEO_FIXTURE,
+    history_entry,
+    make_record,
+    section_text,
+    seeded_store,
+)
 from .loopback import KeepAliveServer, SilentServer, refused_port
 
 
@@ -70,9 +77,7 @@ class TestGeolocate:
 
     def test_cache_prevents_second_call(self, catalog):
         provider = FixtureGeoProvider(GEO_FIXTURE)
-        builder = ContextBuilder(
-            catalog, geo_provider=provider, cache=TTLCache(ttl_seconds=3600)
-        )
+        builder = ContextBuilder(geo_provider=provider, cache=TTLCache(ttl_seconds=3600))
         builder.build(_context_record(catalog))
         builder.build(_context_record(catalog))
         assert provider.calls == 1
@@ -81,7 +86,7 @@ class TestGeolocate:
         clock = {"now": 0.0}
         cache = TTLCache(ttl_seconds=10, clock=lambda: clock["now"])
         provider = FixtureGeoProvider(GEO_FIXTURE)
-        builder = ContextBuilder(catalog, geo_provider=provider, cache=cache)
+        builder = ContextBuilder(geo_provider=provider, cache=cache)
         builder.build(_context_record(catalog))
         clock["now"] = 11.0
         builder.build(_context_record(catalog))
@@ -123,7 +128,7 @@ def _context_record(catalog, **overrides):
 class TestBuildContext:
     def test_no_providers_private_src(self, catalog):
         record = _context_record(catalog, IPV4_DST_ADDR="172.31.69.18")
-        context = ContextBuilder(catalog).build(record)
+        context = ContextBuilder().build(record)
         assert context.l4.name == "UDP"
         assert context.src.classification == "private"
         pairs = {(u.component, u.reason) for u in context.unavailable}
@@ -139,14 +144,14 @@ class TestBuildContext:
         ]
         store = seeded_store(entries)
         record = _context_record(catalog)
-        context = ContextBuilder(catalog, store=store, k=5).build(record)
+        context = ContextBuilder(store=store, k=5).build(record)
         assert len(context.dst.history) == 5
         stamps = [e.timestamp for e in context.dst.history]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_empty_store_still_produces_context(self, catalog):
         store = seeded_store([])
-        context = ContextBuilder(catalog, store=store).build(_context_record(catalog))
+        context = ContextBuilder(store=store).build(_context_record(catalog))
         assert context.dst.history == ()
         assert all(not u.component.startswith("history") for u in context.unavailable)
 
@@ -159,14 +164,14 @@ class TestBuildContext:
             ]
         )
         record = _context_record(catalog, timestamp=50)
-        context = ContextBuilder(catalog, store=store, k=5).build(record)
+        context = ContextBuilder(store=store, k=5).build(record)
         assert [e.flow_id for e in context.dst.history] == ["old"]
 
     def test_providers_populate_public_dst_only(self, catalog):
         geo = FixtureGeoProvider(GEO_FIXTURE)
         cti = FixtureThreatProvider(CTI_FIXTURE)
         record = _context_record(catalog)
-        context = ContextBuilder(catalog, geo_provider=geo, cti_provider=cti).build(record)
+        context = ContextBuilder(geo_provider=geo, cti_provider=cti).build(record)
         assert context.dst.geo is not None and context.dst.geo.country == "United States"
         assert context.dst.threat is not None and context.dst.threat.verdict == "benign"
         assert context.src.geo is None and context.src.threat is None
@@ -177,13 +182,13 @@ class TestBuildContext:
         record = _context_record(
             catalog, IPV4_SRC_ADDR="172.31.69.17", IPV4_DST_ADDR="192.168.0.9"
         )
-        ContextBuilder(catalog, geo_provider=geo, cti_provider=cti).build(record)
+        ContextBuilder(geo_provider=geo, cti_provider=cti).build(record)
         assert geo.calls == 0
         assert cti.calls == 0
 
     def test_provider_timeout_degrades_to_unavailable(self, catalog):
         geo = FixtureGeoProvider({"8.8.8.8": {"simulate": "timeout"}})
-        context = ContextBuilder(catalog, geo_provider=geo).build(_context_record(catalog))
+        context = ContextBuilder(geo_provider=geo).build(_context_record(catalog))
         assert context.dst.geo is None
         assert ("geo.dst", "timeout") in {
             (u.component, u.reason) for u in context.unavailable
@@ -191,14 +196,14 @@ class TestBuildContext:
 
     def test_geo_not_found_degrades_to_unavailable(self, catalog):
         geo = FixtureGeoProvider({})
-        context = ContextBuilder(catalog, geo_provider=geo).build(_context_record(catalog))
+        context = ContextBuilder(geo_provider=geo).build(_context_record(catalog))
         assert ("geo.dst", "not_found") in {
             (u.component, u.reason) for u in context.unavailable
         }
 
     def test_provider_hard_failure_degrades_to_provider_error(self, catalog):
         cti = FixtureThreatProvider({"8.8.8.8": {"simulate": "error"}})
-        context = ContextBuilder(catalog, cti_provider=cti).build(_context_record(catalog))
+        context = ContextBuilder(cti_provider=cti).build(_context_record(catalog))
         assert ("cti.dst", "provider_error") in {
             (u.component, u.reason) for u in context.unavailable
         }
@@ -207,13 +212,13 @@ class TestBuildContext:
         record = _context_record(catalog)
         bundle = build_augmented_prompt(
             record,
-            ContextBuilder(catalog).build(record),
+            ContextBuilder().build(record),
             catalog,
             default_basic_template(),
             default_augmented_template(),
         )
         lines = [
-            line for line in bundle.section_text("netflow_spec").splitlines()
+            line for line in section_text(bundle, "netflow_spec").splitlines()
             if line.startswith("- ")
         ]
         assert [line[2:].split(":")[0] for line in lines] == list(catalog.feature_names)
@@ -225,14 +230,12 @@ class TestBuildContext:
         geo = FixtureGeoProvider(GEO_FIXTURE)
         cti = FixtureThreatProvider(CTI_FIXTURE)
         record = _context_record(catalog)
-        builder = ContextBuilder(
-            catalog, store=store, geo_provider=geo, cti_provider=cti, k=3
-        )
+        builder = ContextBuilder(store=store, geo_provider=geo, cti_provider=cti, k=3)
         assert builder.build(record) == builder.build(record)
 
     def test_negative_k_rejected(self, catalog):
         with pytest.raises(ValueError):
-            ContextBuilder(catalog, k=-1)
+            ContextBuilder(k=-1)
 
 
 class _ScriptedGetServer:
@@ -412,7 +415,7 @@ def test_no_fabrication_with_providers_disabled(src_last, dst_last, protocol):
         IPV4_SRC_ADDR=f"172.31.69.{src_last}",
         IPV4_DST_ADDR=f"8.8.8.{dst_last}",
     )
-    context = ContextBuilder(catalog).build(record)
+    context = ContextBuilder().build(record)
     assert context.src.geo is None and context.dst.geo is None
     assert context.src.threat is None and context.dst.threat is None
     components = {u.component for u in context.unavailable}

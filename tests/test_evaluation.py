@@ -8,12 +8,13 @@ import pytest
 from flowexplain.evaluation import (
     AggregationError,
     AnnotationError,
-    aggregate_counts,
     aggregate_metrics,
     ingest_annotations,
     proportion_standard_error,
     render_metrics_table,
 )
+
+from .conftest import annotation_set_with
 
 
 def _annotation(explanation_id, annotator, correct=True, feature=True, factual=True):
@@ -92,16 +93,14 @@ class TestAggregateMetrics:
         assert report.average_performance == Decimal("50.66")
 
     def test_average_truncates_not_rounds(self):
-        report = aggregate_counts(
-            {"correctness": 18, "feature_consistency": 50, "factual_consistency": 45}, n=50
-        )
+        counts = {"correctness": 18, "feature_consistency": 50, "factual_consistency": 45}
+        report = aggregate_metrics(annotation_set_with(counts, 50), n=50)
         # (36 + 100 + 90) / 3 = 75.33...; table shows 75.33, never 75.34
         assert report.average_performance == Decimal("75.33")
 
     def test_perfect_metric_has_zero_se(self):
-        report = aggregate_counts(
-            {"correctness": 50, "feature_consistency": 50, "factual_consistency": 50}, n=50
-        )
+        counts = {"correctness": 50, "feature_consistency": 50, "factual_consistency": 50}
+        report = aggregate_metrics(annotation_set_with(counts, 50), n=50)
         assert report.correctness.percent == Decimal("100.0000")
         assert report.correctness.standard_error == 0.0
 
@@ -156,10 +155,14 @@ PUBLISHED_SE = [
 ]
 
 
+def _reference_cell(model, mode, counts):
+    return aggregate_metrics(annotation_set_with(counts, 50), n=50, model=model, mode=mode)
+
+
 class TestReferenceTableReplica:
     def test_percentages_and_averages(self):
         for (model, mode, counts), expected in zip(TABLE_ROWS, EXPECTED_CELLS):
-            report = aggregate_counts(counts, n=50, model=model, mode=mode)
+            report = _reference_cell(model, mode, counts)
             assert report.correctness.percent == Decimal(expected[0])
             assert report.feature_consistency.percent == Decimal(expected[1])
             assert report.factual_consistency.percent == Decimal(expected[2])
@@ -167,7 +170,7 @@ class TestReferenceTableReplica:
 
     def test_standard_errors_within_one_point_of_published(self):
         for (model, mode, counts), published in zip(TABLE_ROWS, PUBLISHED_SE):
-            report = aggregate_counts(counts, n=50, model=model, mode=mode)
+            report = _reference_cell(model, mode, counts)
             computed = (
                 report.correctness.standard_error,
                 report.feature_consistency.standard_error,
@@ -178,7 +181,7 @@ class TestReferenceTableReplica:
 
     def test_rendered_table_layout(self):
         reports = [
-            aggregate_counts(counts, n=50, model=model, mode=mode)
+            _reference_cell(model, mode, counts)
             for model, mode, counts in TABLE_ROWS
         ]
         table = render_metrics_table(reports)

@@ -105,6 +105,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             PipelineConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["workers", "max_in_flight", "max_tokens"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_below_one_are_config_errors(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+            PipelineConfig.from_dict({"dataset": str(DATASET), key: value})
+
     def test_overrides_win(self, tmp_path):
         config = PipelineConfig.from_file(write_config_file(tmp_path), seed=99)
         assert config.seed == 99
@@ -566,6 +572,44 @@ class TestCommandLine:
         }
         config_path = write_config_file(tmp_path, **{key: bad[key]})
         name, *options = command
+        result = CliRunner().invoke(main, [name, "-c", str(config_path), *options])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "command,files,config,message",
+        [
+            (["explain", "--sample-file", "in.json"], {"in.json": "{bad"}, {},
+             "cannot read sample file"),
+            (["explain", "--sample-file", "in.json"], {"in.json": '{"ids": []}'}, {},
+             "needs a 'flow_ids' list"),
+            (["cost", "--avg-input", "1", "--avg-output", "1"], {},
+             {"pricing": {"input_per_million": "abc"}}, "input_per_million=abc"),
+            (["cost", "--avg-input", "1", "--avg-output", "1"], {},
+             {"pricing": {"output_per_million": -1}}, "output_per_million=-1"),
+            (["cost", "--avg-input", "-1", "--avg-output", "1"], {}, {},
+             "cost inputs must be non-negative"),
+            (["cost", "--ledger", "in.json"], {"in.json": "{bad"}, {}, "cannot read ledger"),
+            (["cost", "--ledger", "in.json"], {"in.json": "[]"}, {},
+             "ledger must be a JSON object, not list"),
+            (["cost", "--ledger", "in.json"], {"in.json": '{"results": "many"}'}, {},
+             "malformed ledger"),
+        ],
+        ids=["sample-not-json", "sample-without-flow-ids", "pricing-not-a-number",
+             "pricing-negative", "negative-average", "ledger-not-json", "ledger-not-object",
+             "ledger-count-not-integer"],
+    )
+    def test_bad_cost_or_sample_input_ends_with_one_error_line(
+        self, tmp_path, command, files, config, message
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        config_path = write_config_file(tmp_path, **config)
+        name, *options = command
+        options = [str(tmp_path / o) if o in files else o for o in options]
+        if name == "explain":
+            options += ["--mode", "basic"]
         result = CliRunner().invoke(main, [name, "-c", str(config_path), *options])
         assert isinstance(result.exception, SystemExit) and result.exit_code == 1
         assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1

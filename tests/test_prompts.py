@@ -30,6 +30,7 @@ from .conftest import (
     GEO_FIXTURE,
     history_entry,
     make_record,
+    section_text,
     seeded_store,
 )
 from .data.record_budget_golden import (
@@ -107,7 +108,7 @@ class TestBasicPrompt:
     def test_flow_section_equals_rendered_flow(self, catalog):
         record = _record(catalog)
         bundle = build_basic_prompt(record, catalog, default_basic_template())
-        assert bundle.section_text("flow") == render_flow_text(record, catalog)
+        assert section_text(bundle, "flow") == render_flow_text(record, catalog)
 
     def test_instruction_then_flow(self, catalog):
         bundle = build_basic_prompt(_record(catalog), catalog, default_basic_template())
@@ -136,9 +137,7 @@ class TestBasicPrompt:
 
 
 def _augmented(catalog, record, store=None, geo=None, cti=None, k=5):
-    context = ContextBuilder(
-        catalog, store=store, geo_provider=geo, cti_provider=cti, k=k
-    ).build(record)
+    context = ContextBuilder(store=store, geo_provider=geo, cti_provider=cti, k=k).build(record)
     return build_augmented_prompt(
         record, context, catalog, default_basic_template(), default_augmented_template()
     )
@@ -161,7 +160,7 @@ class TestAugmentedPrompt:
 
     def test_disabled_providers_yield_unavailability_lines(self, catalog):
         augmented = _augmented(catalog, _record(catalog))
-        ip_section = augmented.section_text("ip_knowledge")
+        ip_section = section_text(augmented, "ip_knowledge")
         assert "- geolocation unavailable: no provider" in ip_section
         assert "- threat intelligence unavailable: no provider" in ip_section
         assert "- geolocation:" not in ip_section
@@ -170,7 +169,7 @@ class TestAugmentedPrompt:
     def test_history_lines_most_recent_first(self, catalog):
         store = _store_with_history(n=5)
         augmented = _augmented(catalog, _record(catalog), store=store)
-        ip_section = augmented.section_text("ip_knowledge")
+        ip_section = section_text(augmented, "ip_knowledge")
         history_lines = [l for l in ip_section.splitlines() if l.strip().startswith(("1.", "2.", "3.", "4.", "5."))]
         assert len(history_lines) == 5
         stamps = [int(l.split("ts=")[1].split()[0]) for l in history_lines]
@@ -180,7 +179,7 @@ class TestAugmentedPrompt:
         geo = FixtureGeoProvider(GEO_FIXTURE)
         cti = FixtureThreatProvider(CTI_FIXTURE)
         augmented = _augmented(catalog, _record(catalog), geo=geo, cti=cti)
-        ip_section = augmented.section_text("ip_knowledge")
+        ip_section = section_text(augmented, "ip_knowledge")
         assert "- geolocation: country=United States" in ip_section
         assert "(source: fixture-geo@" in ip_section
         assert "- threat intelligence: verdict=benign" in ip_section
@@ -190,7 +189,7 @@ class TestAugmentedPrompt:
 
     def test_flow_id_mismatch_rejected(self, catalog):
         record = _record(catalog)
-        context = ContextBuilder(catalog).build(record)
+        context = ContextBuilder().build(record)
         other = make_record(catalog, flow_id="different")
         with pytest.raises(ValueError, match="different"):
             build_augmented_prompt(
@@ -262,7 +261,7 @@ class TestEnforceBudget:
         budget = bundle.token_count - 1  # force at least one trim
         trimmed = enforce_budget(bundle, budget)
         assert trimmed.token_count <= budget
-        ip_section = trimmed.section_text("ip_knowledge")
+        ip_section = section_text(trimmed, "ip_knowledge")
         # oldest entries (smallest ts) go first; the newest must survive
         assert "ts=40" in ip_section
         assert "ts=0 " not in ip_section
@@ -274,17 +273,17 @@ class TestEnforceBudget:
         store = _store_with_history(n=5)
         bundle = _augmented(catalog, _record(catalog), store=store)
         trimmed = enforce_budget(bundle, bundle.token_count - 5)
-        assert trimmed.section_text("instruction") == bundle.section_text("instruction")
-        assert trimmed.section_text("flow") == bundle.section_text("flow")
+        assert section_text(trimmed, "instruction") == section_text(bundle, "instruction")
+        assert section_text(trimmed, "flow") == section_text(bundle, "flow")
 
     def test_zero_valued_spec_lines_trimmed_after_history(self, catalog):
         record = _record(catalog)  # synthetic records have many zero features
         bundle = _augmented(catalog, record)
-        spec_len = len(bundle.section_text("netflow_spec"))
+        spec_len = len(section_text(bundle, "netflow_spec"))
         # no history to trim; force spec trimming
         trimmed = enforce_budget(bundle, bundle.token_count - 30)
         assert any(t.startswith("spec_entry:") for t in trimmed.metadata["trims"])
-        assert len(trimmed.section_text("netflow_spec")) < spec_len
+        assert len(section_text(trimmed, "netflow_spec")) < spec_len
         # only zero-valued features may be dropped
         dropped = {t.split(":", 1)[1] for t in trimmed.metadata["trims"] if ":" in t}
         for name in dropped:
@@ -293,7 +292,7 @@ class TestEnforceBudget:
     def test_availability_markers_survive_trimming(self, catalog):
         bundle = _augmented(catalog, _record(catalog))
         trimmed = enforce_budget(bundle, bundle.token_count - 30)
-        ip_section = trimmed.section_text("ip_knowledge")
+        ip_section = section_text(trimmed, "ip_knowledge")
         assert "- geolocation unavailable:" in ip_section
         assert "- threat intelligence unavailable:" in ip_section
 
@@ -354,7 +353,7 @@ def test_fitted_bundle_properties(data):
     assert fitted.token_count == count_tokens(fitted.text, TOKENIZERS[tokenizer_name][0])
     assert fitted.token_count <= budget
     for section_id in ("instruction", "flow"):
-        assert fitted.section_text(section_id) == bundle.section_text(section_id)
+        assert section_text(fitted, section_id) == section_text(bundle, section_id)
     # trims follow the fixed order: history, then spec entries, then protocols
     kinds = [
         0 if trim == "history_entry" else 1 if trim.startswith("spec_entry:") else 2
