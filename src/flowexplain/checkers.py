@@ -391,7 +391,8 @@ def _duration_error(match: re.Match) -> str | None:
         actual = milliseconds_to(Decimal(match["ms"].replace(",", "")), match["unit"])
         if abs(claimed - actual) <= actual * CONVERSION_TOLERANCE:
             return None
-    return f"{match['ms']} ms is {actual:.2f} {match['unit']}, not {match['qty']}"
+    ms, converted, qty = clip(match["ms"]), clip(f"{actual:.2f}"), clip(match["qty"])
+    return f"{ms} ms is {converted} {match['unit']}, not {qty}"
 
 
 def _port_error(match: re.Match) -> str | None:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .flows import FlowRecord
+from .flows import FlowRecord, clip
 from .history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
 from .protocols import ProtocolInfo, map_l4_protocol, map_l7_protocol
 from .providers import (
@@ -32,12 +33,17 @@ L7_FEATURE = "L7_PROTO"
 DEFAULT_HISTORY_K = 5
 
 
+@lru_cache(maxsize=4096)
 def classify_ip(ip: str) -> str:
-    """Classify an address against the standard reserved-range tables."""
+    """Classify an address against the standard reserved-range tables.
+
+    Memoised as :func:`flows.checked_address` is: a rejection is not cached
+    and raises each time.
+    """
     try:
         parsed = ipaddress.ip_address(ip)
     except ValueError:
-        raise ValueError(f"invalid IP address text: {ip!r}") from None
+        raise ValueError(f"invalid IP address text: {clip(ip, repr)}") from None
     if parsed.is_loopback:
         return "loopback"
     if parsed.is_link_local:

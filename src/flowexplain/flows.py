@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import ipaddress
 import random
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
 from .catalog import NON_NEGATIVE_UNITS, FeatureCatalog, FeatureSpec
 
@@ -186,15 +187,29 @@ def parse_label(text: str) -> str:
     raise ValueError(f"label must be 0/1, got {clip(text, repr)}")
 
 
-def _open_stream(source: str | Path | TextIO) -> TextIO:
+@contextmanager
+def _reading(source: str | Path | TextIO) -> Iterator[TextIO]:
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    return source
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield source
+
+
+class ScannedRow(NamedTuple):
+    """The fate of one data row that parses, as :func:`scan_dataset` decides it."""
+
+    row: int  # data-row number in the file
+    flow_id: str
+    label: str
+    attack_class: str | None
+    timestamp: int
 
 
 def parse_dataset(
     source: str | Path | TextIO,
     catalog: FeatureCatalog,
+    features: Sequence[str] | None = None,
 ) -> tuple[list[FlowRecord], ParseReport]:
     """Parse a comma-delimited NetFlow export into typed records.
 
@@ -207,72 +222,130 @@ def parse_dataset(
     NetFlow-v2 exports carry no timestamp column, so each record is stamped
     with its position among the rows that parsed: the history store that
     ingest fills and the queries of explain share one stable ordering.
+
+    Every cell is checked, but only the cells of ``features`` (by default
+    every catalog feature) are typed into a record's values.
     """
     report = ParseReport()
-    stream = _open_stream(source)
-    close = isinstance(source, (str, Path))
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("dataset is empty: no header row") from None
-        header = [h.strip() for h in header]
-        _check_header(header, catalog, report)
-        have_attack = catalog.attack_column in header
-        parse_row = row_parser(catalog, header)
-        label_idx = header.index(catalog.label_column)
-        attack_idx = header.index(catalog.attack_column) if have_attack else None
+    with _reading(source) as stream:
+        header, rows = _data_rows(stream, catalog, report)
+        type_row = _typer(catalog, header, features)
+        records = [
+            _record(fate, type_row(row)) for fate, row in _scan(header, rows, catalog, report)
+        ]
+    return records, report
 
-        records: list[FlowRecord] = []
-        for row_number, row in enumerate(_rows(reader), start=1):
-            if isinstance(row, csv.Error):  # such as a cell over the csv field limit
-                report.rows_total += 1
-                report.issues.append(ParseIssue(row=row_number, column="*", message=str(row)))
+
+def scan_dataset(
+    source: str | Path | TextIO, catalog: FeatureCatalog
+) -> tuple[list[ScannedRow], ParseReport]:
+    """The rows of an export that parse, and its report, without typing a value.
+
+    Rows, issues and stamps are those of :func:`parse_dataset`;
+    :func:`type_rows` types the rows a caller then picks.
+    """
+    report = ParseReport()
+    with _reading(source) as stream:
+        header, rows = _data_rows(stream, catalog, report)
+        return [fate for fate, _ in _scan(header, rows, catalog, report)], report
+
+
+def type_rows(
+    source: str | Path | TextIO, catalog: FeatureCatalog, rows: Sequence[ScannedRow]
+) -> list[FlowRecord]:
+    """The typed records of ``rows``, in their order, read again from the
+    source that :func:`scan_dataset` scanned them from."""
+    wanted = {fate.row: fate for fate in rows}
+    typed: dict[int, FlowRecord] = {}
+    with _reading(source) as stream:
+        header, numbered = _data_rows(stream, catalog, ParseReport())
+        type_row = _typer(catalog, header)
+        for row_number, row in numbered:
+            if row_number not in wanted:
                 continue
-            if not "".join(row).strip():
-                continue
+            if isinstance(row, csv.Error) or len(row) != len(header):
+                break
+            try:
+                typed[row_number] = _record(wanted[row_number], type_row(row))
+            except ValueError:
+                break
+            if len(typed) == len(wanted):
+                break
+    if len(typed) != len(wanted):
+        changed = min(wanted.keys() - typed.keys())
+        raise DatasetFormatError(f"data row {changed} changed since the dataset was scanned")
+    return [typed[fate.row] for fate in rows]
+
+
+def _record(fate: ScannedRow, values: dict[str, FlowValue]) -> FlowRecord:
+    return FlowRecord(fate.flow_id, values, fate.label, fate.attack_class, fate.timestamp)
+
+
+def _data_rows(
+    stream: TextIO, catalog: FeatureCatalog, report: ParseReport
+) -> tuple[list[str], Iterator[tuple[int, list[str] | csv.Error]]]:
+    """The checked header of an export and its numbered data rows."""
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError("dataset is empty: no header row") from None
+    header = [h.strip() for h in header]
+    _check_header(header, catalog, report)
+    return header, enumerate(_rows(reader), start=1)
+
+
+def _scan(
+    header: list[str],
+    rows: Iterator[tuple[int, list[str] | csv.Error]],
+    catalog: FeatureCatalog,
+    report: ParseReport,
+) -> Iterator[tuple[ScannedRow, list[str]]]:
+    """Decide the fate of every row: its issues go to the report, and each
+    row that parses is yielded with its cells.
+
+    A row that :func:`_fast_accept` passes parses; any other goes through
+    :func:`row_parser`, which alone words the issues.
+    """
+    accepts = _fast_accept(catalog, header)
+    parse_row = row_parser(catalog, header)
+    label_idx = header.index(catalog.label_column)
+    attack_idx = header.index(catalog.attack_column) if catalog.attack_column in header else None
+    for row_number, row in rows:
+        if isinstance(row, csv.Error):  # such as a cell over the csv field limit
             report.rows_total += 1
-            if len(row) != len(header):
-                report.issues.append(
-                    ParseIssue(
-                        row=row_number,
-                        column="*",
-                        message=f"expected {len(header)} columns, found {len(row)}",
-                    )
+            report.issues.append(ParseIssue(row=row_number, column="*", message=str(row)))
+            continue
+        if not "".join(row).strip():
+            continue
+        report.rows_total += 1
+        if len(row) != len(header):
+            report.issues.append(
+                ParseIssue(
+                    row=row_number,
+                    column="*",
+                    message=f"expected {len(header)} columns, found {len(row)}",
                 )
-                continue
-            values, problems = parse_row(row)
+            )
+            continue
+        row_ok = accepts(row)
+        if not row_ok:
+            _, problems = parse_row(row)
             for name, message in problems.items():
                 report.issues.append(ParseIssue(row=row_number, column=name, message=message))
             row_ok = not problems
-            try:
-                label = parse_label(row[label_idx])
-            except ValueError as exc:
-                report.issues.append(
-                    ParseIssue(row=row_number, column=catalog.label_column, message=str(exc))
-                )
-                row_ok = False
-                label = LABEL_BENIGN
-            attack: str | None = None
-            if attack_idx is not None:
-                attack = row[attack_idx].strip() or None
-            if not row_ok:
-                continue
-            records.append(
-                FlowRecord(
-                    flow_id=f"row-{row_number:06d}",
-                    values=values,
-                    label=label,
-                    attack_class=attack,
-                    timestamp=len(records),
-                )
+        try:
+            label = parse_label(row[label_idx])
+        except ValueError as exc:
+            report.issues.append(
+                ParseIssue(row=row_number, column=catalog.label_column, message=str(exc))
             )
-            report.rows_ok += 1
-        return records, report
-    finally:
-        if close:
-            stream.close()
+            continue
+        if not row_ok:
+            continue
+        attack = row[attack_idx].strip() or None if attack_idx is not None else None
+        yield ScannedRow(row_number, f"row-{row_number:06d}", label, attack, report.rows_ok), row
+        report.rows_ok += 1
 
 
 def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
@@ -286,6 +359,72 @@ def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
             yield exc
 
 
+#: What an integer or decimal cell looks like to _fast_accept. An integer
+#: has ASCII digits only (int() and Decimal() take other Unicode digits,
+#: which parse_value is left to judge), and far fewer of them than int()
+#: accepts from text wherever its limit is set (640 at the least).
+_INTEGER_CELL = "[0-9]{1,100}"
+_DECIMAL_CELL = "[0-9]+(?:\\.[0-9]+)?"
+
+
+def _fast_accept(catalog: FeatureCatalog, header: Sequence[str]) -> Callable[[list[str]], bool]:
+    """A predicate on the cells of a row laid out as ``header``: true only if
+    parse_value accepts every feature cell, though false for some such rows.
+
+    One pattern matches the comma-joined row. No segment matches a comma,
+    so a cell holding one fails the match. Numeric cells must be plain
+    non-negative numbers; the pattern captures the cells of the port and
+    protocol-id ranges and of the address check.
+    """
+    specs = {spec.name: spec for spec in catalog.features}
+    segments: list[str] = []
+    ranged: list[tuple[str, Callable[[str], int | Decimal], int]] = []
+    addresses: list[str] = []
+    for column, name in enumerate(header):
+        spec = specs.get(name)
+        kind = spec.value_kind if spec else "string"
+        group = f"c{column}"
+        if kind == "address":
+            segments.append(f"(?P<{group}>[^,]*)")
+            addresses.append(group)
+        elif kind in ("integer", "decimal"):
+            cell = _INTEGER_CELL if kind == "integer" else _DECIMAL_CELL
+            limit = _range_limit(spec)
+            if limit is None:
+                segments.append(cell)
+            else:
+                segments.append(f"(?P<{group}>{cell})")
+                ranged.append((group, _CONVERTERS[kind], limit))
+        else:
+            segments.append("[^,]*")
+    pattern = re.compile(",".join(segments))
+
+    def accepts(row: list[str]) -> bool:
+        match = pattern.fullmatch(",".join(row))
+        if match is None:
+            return False
+        try:
+            for group, convert, limit in ranged:
+                if convert(match[group]) > limit:
+                    return False
+            for group in addresses:
+                checked_address(match[group].strip())
+        except ValueError:
+            return False
+        return True
+
+    return accepts
+
+
+def _range_limit(spec: FeatureSpec) -> int | None:
+    """The largest value parse_value accepts for a numeric feature, if it caps one."""
+    if spec.unit == "port":
+        return 65535
+    if spec.unit == "protocol-id" and spec.value_kind == "integer":
+        return 255
+    return None
+
+
 def row_parser(
     catalog: FeatureCatalog, header: Sequence[str]
 ) -> Callable[[Sequence[str | None]], tuple[dict[str, FlowValue], dict[str, str]]]:
@@ -296,22 +435,15 @@ def row_parser(
     :func:`parse_value`. A row with problems has values for the rest of
     its cells only.
     """
-    index = {name: col for col, name in enumerate(header)}
-    plan = [
-        (spec.name, _CONVERTERS[spec.value_kind], index[spec.name]) for spec in catalog.features
-    ]
-    specs = [(spec, index[spec.name]) for spec in catalog.features]
-    row_check = _row_check(catalog)
+    accepts = _fast_accept(catalog, header)
+    type_row = _typer(catalog, header)
+    cells = [(spec, header.index(spec.name)) for spec in catalog.features]
 
     def parse(row: Sequence[str | None]) -> tuple[dict[str, FlowValue], dict[str, str]]:
-        try:
-            values = {name: convert(row[col]) for name, convert, col in plan}
-            if row_check(values):
-                return values, {}
-        except (ValueError, ArithmeticError, TypeError):
-            pass
+        if None not in row and accepts(row):
+            return type_row(row), {}
         values, problems = {}, {}
-        for spec, col in specs:
+        for spec, col in cells:
             cell = row[col]
             if cell is None:
                 problems[spec.name] = "missing"
@@ -325,43 +457,28 @@ def row_parser(
     return parse
 
 
-# Per value kind, a builtin that turns a well-formed cell into what
-# parse_value returns for it. A row that one of them rejects or that fails
-# _row_check goes through parse_value, which alone words the issues; some
-# of those rows are well formed, as int() rejects the separators
-# U+001C..U+001F that str.strip removes.
+def _typer(
+    catalog: FeatureCatalog, header: Sequence[str], features: Sequence[str] | None = None
+) -> Callable[[Sequence[str]], dict[str, FlowValue]]:
+    """A function that types the cells of ``features`` (by default every
+    catalog feature) of a row that parses, without checking them again."""
+    specs = catalog.features if features is None else [catalog.get(name) for name in features]
+    columns = [header.index(spec.name) for spec in specs]
+    plan = [(spec.name, _CONVERTERS[spec.value_kind], col) for spec, col in zip(specs, columns)]
+
+    def type_row(row: Sequence[str]) -> dict[str, FlowValue]:
+        try:
+            return {name: convert(row[col]) for name, convert, col in plan}
+        except (ValueError, ArithmeticError):  # such as "6.0" in an integer column
+            return {spec.name: parse_value(row[col], spec) for spec, col in zip(specs, columns)}
+
+    return type_row
+
+
+# Per value kind, a builtin that turns a cell that parse_value accepts into
+# what parse_value returns for it, or raises, as int() does for "6.0" and
+# for the separators U+001C..U+001F that str.strip removes.
 _CONVERTERS = {"integer": int, "decimal": Decimal, "address": str.strip, "string": str.strip}
-
-
-def _row_check(catalog: FeatureCatalog) -> Callable[[dict], bool]:
-    """A predicate on a row of converted values: whether it passes the
-    checks of parse_value that the converters leave out."""
-    numeric = [s for s in catalog.features if s.value_kind in ("integer", "decimal")]
-    port = [s for s in numeric if s.unit == "port"]
-    protocol = [s for s in numeric if s.unit == "protocol-id" and s.value_kind == "integer"]
-    decimals = _columns([s for s in numeric if s.value_kind == "decimal"])
-    non_negative = _columns([s for s in numeric if s.unit in NON_NEGATIVE_UNITS] + port + protocol)
-    ports = _columns(port)
-    protocols = _columns(protocol)
-    addresses = _columns([s for s in catalog.features if s.value_kind == "address"])
-
-    def check(values: dict) -> bool:
-        return (
-            all(map(Decimal.is_finite, decimals(values)))
-            and min(non_negative(values), default=0) >= 0
-            and max(ports(values), default=0) <= 65535
-            and max(protocols(values), default=0) <= 255
-            and all(map(checked_address, addresses(values)))
-        )
-
-    return check
-
-
-def _columns(specs: list[FeatureSpec]) -> Callable[[dict], tuple]:
-    if not specs:
-        return lambda values: ()
-    # the first name twice, so that a single column still yields a tuple
-    return itemgetter(specs[0].name, *(spec.name for spec in specs))
 
 
 def _check_header(header: list[str], catalog: FeatureCatalog, report: ParseReport) -> None:
@@ -410,12 +527,16 @@ def render_flow_text(record: FlowRecord, catalog: FeatureCatalog) -> str:
     return "\n".join(lines)
 
 
+#: a FlowRecord or a ScannedRow: what sampling reads is its label and attack class
+Flow = TypeVar("Flow", FlowRecord, ScannedRow)
+
+
 def sample_malicious(
-    records: Iterable[FlowRecord],
+    records: Iterable[Flow],
     n: int,
     seed: int,
     stratified: bool = True,
-) -> list[FlowRecord]:
+) -> list[Flow]:
     """Draw ``n`` malicious records, deterministically for a given seed.
 
     With ``stratified`` (the default) the draw is spread as evenly as
@@ -436,7 +557,7 @@ def sample_malicious(
     if not stratified:
         chosen = rng.sample(indexed, n)
     else:
-        groups: dict[str, list[tuple[int, FlowRecord]]] = {}
+        groups: dict[str, list[tuple[int, Flow]]] = {}
         for item in indexed:
             groups.setdefault(item[1].attack_class or "", []).append(item)
         classes = sorted(groups)

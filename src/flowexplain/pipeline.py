@@ -32,6 +32,7 @@ from .evaluation import (
 from .flows import (
     FlowRecord,
     LABEL_MALICIOUS,
+    ScannedRow,
     clip,
     format_value,
     parse_dataset,
@@ -39,6 +40,8 @@ from .flows import (
     parse_value,
     row_parser,
     sample_malicious,
+    scan_dataset,
+    type_rows,
 )
 from .gateway import (
     DEFAULT_MAX_TOKENS,
@@ -87,6 +90,18 @@ _PATH_KEYS = ("dataset", "output_dir", "catalog", "basic_template", "augmented_t
 
 #: config keys whose value is a JSON object
 _SECTION_KEYS = ("geo_provider", "cti_provider", "backend", "pricing")
+
+#: config keys whose value is an integer (``store_max_entries`` may also be null)
+_INTEGER_KEYS = (
+    "k_history",
+    "token_budget",
+    "sample_size",
+    "seed",
+    "workers",
+    "max_in_flight",
+    "max_tokens",
+    "store_max_entries",
+)
 
 
 class ConfigError(ValueError):
@@ -171,6 +186,16 @@ class PipelineConfig:
         ):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"configured {label} path does not exist: {path}")
+        # by type, not isinstance: JSON's true and false are bools, which are ints
+        for name in _INTEGER_KEYS:
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "store_max_entries" and value is None):
+                raise ConfigError(
+                    f"config key {name!r} must be an integer, not {type(value).__name__}"
+                )
+        if type(self.temperature) not in (int, float):
+            kind = type(self.temperature).__name__
+            raise ConfigError(f"config key 'temperature' must be a number, not {kind}")
         if self.k_history < 0:
             raise ConfigError("k_history must be non-negative")
         if self.token_budget <= 0:
@@ -272,12 +297,26 @@ def _read_canned(path: str) -> dict[str, str]:
 
 
 def pricing_from_config(config: dict) -> PricingTable:
+    unknown = config.keys() - _DEFAULT_PRICING.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys in pricing: {sorted(unknown)}")
     prices = {**_DEFAULT_PRICING, **config}
     try:
         return PricingTable.per_million(prices["input_per_million"], prices["output_per_million"])
     except (InvalidOperation, ValueError) as exc:  # not a number, or negative
         quoted = ", ".join(f"{key}={clip(str(prices[key]))}" for key in _DEFAULT_PRICING)
         raise ConfigError(f"pricing must be non-negative numbers, got {quoted}") from exc
+
+
+#: the cells history_entry_for reads, which are all that ingest types
+_HISTORY_FEATURES = (
+    SRC_IP_FEATURE,
+    DST_IP_FEATURE,
+    L4_FEATURE,
+    "IN_BYTES",
+    "OUT_BYTES",
+    "FLOW_DURATION_MILLISECONDS",
+)
 
 
 def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
@@ -460,7 +499,11 @@ def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSumm
 
     runtime = Runtime(config)
     try:
-        records, report = parse_dataset(config.dataset, runtime.catalog)
+        records, report = parse_dataset(
+            config.dataset,
+            runtime.catalog,
+            [name for name in _HISTORY_FEATURES if name in runtime.catalog],
+        )
         if rebuild_store:
             runtime.store.clear()
         runtime.store.append_many(history_entry_for(record) for record in records)
@@ -481,15 +524,15 @@ def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSumm
 
 def run_sample(config: PipelineConfig, out_path: Path | None = None) -> dict:
     """Draw the evaluation sample and write its flow ids to a sample file."""
-    records, _ = parse_dataset(config.dataset, _catalog_for(config))
+    rows, _ = scan_dataset(config.dataset, _catalog_for(config))
     sample = sample_malicious(
-        records, config.sample_size, config.seed, stratified=config.stratified_sampling
+        rows, config.sample_size, config.seed, stratified=config.stratified_sampling
     )
     payload = {
         "n": config.sample_size,
         "seed": config.seed,
         "stratified": config.stratified_sampling,
-        "flow_ids": [record.flow_id for record in sample],
+        "flow_ids": [row.flow_id for row in sample],
     }
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -508,28 +551,33 @@ class ExplainRunResult:
 
 
 def _select_records(
-    records: list[FlowRecord],
+    config: PipelineConfig,
+    catalog: FeatureCatalog,
     flow_ids: Iterable[str] | None,
     sample_file: Path | None,
-    config: PipelineConfig,
 ) -> list[FlowRecord]:
-    by_id = {record.flow_id: record for record in records}
+    """The flows to explain: scan the dataset, pick rows, and type only those."""
+    rows, _ = scan_dataset(config.dataset, catalog)
     if flow_ids:
-        missing = [fid for fid in flow_ids if fid not in by_id]
-        if missing:
-            raise PipelineError(f"unknown flow ids: {missing}")
-        return [by_id[fid] for fid in flow_ids]
-    if sample_file is not None:
+        picked = _rows_by_id(rows, list(flow_ids), "unknown flow ids")
+    elif sample_file is not None:
         wanted = _read_json_object(sample_file, "sample file", PipelineError).get("flow_ids")
         if not isinstance(wanted, list) or not all(isinstance(fid, str) for fid in wanted):
             raise PipelineError(f"sample file {sample_file} needs a 'flow_ids' list of strings")
-        missing = [fid for fid in wanted if fid not in by_id]
-        if missing:
-            raise PipelineError(f"sample file references unknown flow ids: {missing}")
-        return [by_id[fid] for fid in wanted]
-    return sample_malicious(
-        records, config.sample_size, config.seed, stratified=config.stratified_sampling
-    )
+        picked = _rows_by_id(rows, wanted, "sample file references unknown flow ids")
+    else:
+        picked = sample_malicious(
+            rows, config.sample_size, config.seed, stratified=config.stratified_sampling
+        )
+    return type_rows(config.dataset, catalog, picked)
+
+
+def _rows_by_id(rows: list[ScannedRow], wanted: list[str], problem: str) -> list[ScannedRow]:
+    by_id = {row.flow_id: row for row in rows}
+    missing = [fid for fid in wanted if fid not in by_id]
+    if missing:
+        raise PipelineError(f"{problem}: {missing}")
+    return [by_id[fid] for fid in wanted]
 
 
 def run_explain(
@@ -549,8 +597,7 @@ def run_explain(
         raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
     runtime = Runtime(config)
     try:
-        records, _ = parse_dataset(config.dataset, runtime.catalog)
-        selected = _select_records(records, flow_ids, sample_file, config)
+        selected = _select_records(config, runtime.catalog, flow_ids, sample_file)
 
         run_id = run_id or datetime.now(timezone.utc).strftime("run-%Y%m%dT%H%M%SZ")
         config.output_dir.mkdir(parents=True, exist_ok=True)

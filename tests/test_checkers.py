@@ -235,6 +235,14 @@ class TestFactualClaims:
         text = f"{ms} ms is {'1' * 1_000_010} seconds"
         assert [f.kind for f in check_factual_claims(text)] == ["arithmetic_error"]
 
+    def test_duration_detail_is_bounded_for_a_long_quote(self):
+        (finding,) = check_factual_claims(f"5 ms is {'9' * 100_000} seconds")
+        assert finding.detail.startswith("5 ms is 0.00 seconds, not 999")
+        assert finding.detail.endswith("… (100000 characters)")
+        assert len(finding.detail) < 200
+        (finding,) = check_factual_claims(f"{'9' * 100_000} ms is 5 seconds")
+        assert finding.detail.count("characters)") == 2 and len(finding.detail) < 300
+
     def test_unlisted_service_not_checked(self):
         assert check_factual_claims("the FOOBARD port number is 9999") == []
 

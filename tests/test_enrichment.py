@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from decimal import Decimal
 
@@ -29,6 +30,7 @@ from .conftest import (
     section_text,
     seeded_store,
 )
+from .data.record_parse_golden import ADDRESS_EDGES, ADDRESSES
 from .loopback import KeepAliveServer, SilentServer, refused_port
 
 
@@ -55,6 +57,35 @@ class TestClassifyIp:
     def test_invalid_text_rejected(self):
         with pytest.raises(ValueError, match="invalid IP"):
             classify_ip("999.999.1.1")
+
+    def test_memoised_answers_equal_the_unmemoised_function(self):
+        for text in ADDRESSES + ADDRESS_EDGES:
+            try:
+                expected = classify_ip.__wrapped__(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    classify_ip(text)
+            else:
+                assert classify_ip(text) == expected
+
+    def test_cache_is_bounded(self):
+        classify_ip.cache_clear()
+        bound = classify_ip.cache_info().maxsize
+        try:
+            for i in range(bound + 10):
+                classify_ip(f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}")
+            assert classify_ip.cache_info().currsize == bound
+        finally:
+            classify_ip.cache_clear()
+
+    def test_a_rejection_is_not_cached_and_its_message_is_clipped(self):
+        text = "1" * 10_000
+        before = classify_ip.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"… \(10000 characters\)$"):
+                classify_ip(text)
+        after = classify_ip.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
 
 
 class TestGeolocate:

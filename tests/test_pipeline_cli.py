@@ -111,6 +111,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
             PipelineConfig.from_dict({"dataset": str(DATASET), key: value})
 
+    @pytest.mark.parametrize("key", ["k_history", "workers", "store_max_entries"])
+    @pytest.mark.parametrize("value", ["4", 4.0, True], ids=["str", "float", "bool"])
+    def test_non_integer_count_is_config_error(self, key, value):
+        message = f"config key '{key}' must be an integer, not {type(value).__name__}"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict({"dataset": str(DATASET), key: value})
+
+    @pytest.mark.parametrize("value", ["0.7", None, False], ids=["str", "null", "bool"])
+    def test_non_numeric_temperature_is_config_error(self, value):
+        message = f"config key 'temperature' must be a number, not {type(value).__name__}"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict({"dataset": str(DATASET), "temperature": value})
+
+    def test_unknown_pricing_key_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"unknown keys in pricing: \['input_price'\]"):
+            pricing_from_config({"input_price": "9"})
+
     def test_overrides_win(self, tmp_path):
         config = PipelineConfig.from_file(write_config_file(tmp_path), seed=99)
         assert config.seed == 99
@@ -595,10 +612,17 @@ class TestCommandLine:
              "ledger must be a JSON object, not list"),
             (["cost", "--ledger", "in.json"], {"in.json": '{"results": "many"}'}, {},
              "malformed ledger"),
+            (["cost", "--avg-input", "1", "--avg-output", "1"], {}, {"workers": "4"},
+             "config key 'workers' must be an integer, not str"),
+            (["cost", "--avg-input", "1", "--avg-output", "1"], {}, {"temperature": "hot"},
+             "config key 'temperature' must be a number, not str"),
+            (["cost", "--avg-input", "1", "--avg-output", "1"], {},
+             {"pricing": {"input_price": "9"}}, "unknown keys in pricing: ['input_price']"),
         ],
         ids=["sample-not-json", "sample-without-flow-ids", "pricing-not-a-number",
              "pricing-negative", "negative-average", "ledger-not-json", "ledger-not-object",
-             "ledger-count-not-integer"],
+             "ledger-count-not-integer", "workers-str", "temperature-str",
+             "pricing-unknown-key"],
     )
     def test_bad_cost_or_sample_input_ends_with_one_error_line(
         self, tmp_path, command, files, config, message
