@@ -50,7 +50,7 @@ UNIT_LABELS = {
 DEFAULT_CATALOG_RESOURCE = "nfv2_catalog.json"
 
 #: Feature names are single identifiers, which is what lets the checkers
-#: find them in prose with one scan over the text's word runs.
+#: find them in prose as whole word runs.
 _FEATURE_NAME = re.compile(r"\w+")
 
 
@@ -98,6 +98,9 @@ class FeatureCatalog:
     _by_upper_name: dict[str, str] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _plain_names: re.Pattern[str] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not self.version:
@@ -113,6 +116,9 @@ class FeatureCatalog:
             by_upper_name.setdefault(spec.name.upper(), spec.name)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_by_upper_name", by_upper_name)
+        plain = [(upper, len(name)) for upper, name in by_upper_name.items() if "_" not in name]
+        if plain:
+            object.__setattr__(self, "_plain_names", _words_matching(plain))
 
     def __len__(self) -> int:
         return len(self.features)
@@ -137,11 +143,38 @@ class FeatureCatalog:
         name = self._by_upper_name.get(token.upper())
         return name if name is not None and len(name) == len(token) else None
 
+    def plain_name_words(self, text: str) -> Iterator[re.Match[str]]:
+        """The words of ``text`` that match a name without ``_``, ignoring case.
+
+        A word is a whole ``\\w`` run. Every word that :meth:`name_for` maps
+        to such a name is among them, and only a word with ``_`` can spell
+        any other name.
+        """
+        return self._plain_names.finditer(text) if self._plain_names else iter(())
+
     def get(self, name: str) -> FeatureSpec:
         try:
             return self._by_name[name]
         except KeyError:
             raise CatalogError(f"feature {name!r} is not in catalog {self.version}") from None
+
+
+def _words_matching(names: list[tuple[str, int]]) -> re.Pattern[str]:
+    """A pattern for the whole words that match one of ``names``, ignoring case.
+
+    ``names`` holds (upper-case form, length) pairs. Ignoring case, each
+    letter matches every letter that upper-cases to it. A name whose upper
+    case is longer than itself (it holds a letter such as "ß") stands for
+    every word of its length instead. Each name is followed by a look back
+    at the whole word it ends, so that a search can skip ahead to the names'
+    first letters.
+    """
+    words = "|".join(
+        rf"{re.escape(upper) if len(upper) == length else '.' * length}"
+        rf"(?<=(?<!\w)\w{{{length}}})"
+        for upper, length in names
+    )
+    return re.compile(rf"(?:{words})(?!\w)", re.IGNORECASE)
 
 
 def load_catalog(source: str | Path | dict) -> FeatureCatalog:

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
@@ -204,6 +205,7 @@ class ScannedRow(NamedTuple):
     label: str
     attack_class: str | None
     timestamp: int
+    lines: tuple[int, int]  # the file's lines [first, end) that hold the row, from 0
 
 
 def parse_dataset(
@@ -254,25 +256,33 @@ def type_rows(
     source: str | Path | TextIO, catalog: FeatureCatalog, rows: Sequence[ScannedRow]
 ) -> list[FlowRecord]:
     """The typed records of ``rows``, in their order, read again from the
-    source that :func:`scan_dataset` scanned them from."""
-    wanted = {fate.row: fate for fate in rows}
+    source that :func:`scan_dataset` scanned them from.
+
+    Only the header and the lines of ``rows`` go through the CSV reader;
+    the lines in between are skipped unread.
+    """
+    wanted = sorted({fate.row: fate for fate in rows}.values())
     typed: dict[int, FlowRecord] = {}
     with _reading(source) as stream:
-        header, numbered = _data_rows(stream, catalog, ParseReport())
+        lines = iter(stream)
+        reader = csv.reader(lines)
+        header = _header(reader, catalog, ParseReport())
         type_row = _typer(catalog, header)
-        for row_number, row in numbered:
-            if row_number not in wanted:
-                continue
-            if isinstance(row, csv.Error) or len(row) != len(header):
-                break
+        at = reader.line_num
+        for fate in wanted:
+            first, end = fate.lines
+            next(islice(lines, first - at, first - at), None)  # skip to the row's first line
+            held = list(islice(lines, end - first))
+            at = end
             try:
-                typed[row_number] = _record(wanted[row_number], type_row(row))
-            except ValueError:
-                break
-            if len(typed) == len(wanted):
+                (row,) = csv.reader(held)
+                if len(held) != end - first or len(row) != len(header):
+                    break
+                typed[fate.row] = _record(fate, type_row(row))
+            except (csv.Error, ValueError):  # ValueError: no row or several, or a bad cell
                 break
     if len(typed) != len(wanted):
-        changed = min(wanted.keys() - typed.keys())
+        changed = min(fate.row for fate in wanted if fate.row not in typed)
         raise DatasetFormatError(f"data row {changed} changed since the dataset was scanned")
     return [typed[fate.row] for fate in rows]
 
@@ -281,23 +291,29 @@ def _record(fate: ScannedRow, values: dict[str, FlowValue]) -> FlowRecord:
     return FlowRecord(fate.flow_id, values, fate.label, fate.attack_class, fate.timestamp)
 
 
-def _data_rows(
-    stream: TextIO, catalog: FeatureCatalog, report: ParseReport
-) -> tuple[list[str], Iterator[tuple[int, list[str] | csv.Error]]]:
-    """The checked header of an export and its numbered data rows."""
-    reader = csv.reader(stream)
+def _header(reader: Iterator[list[str]], catalog: FeatureCatalog, report: ParseReport) -> list[str]:
+    """The checked header row of an export."""
     try:
         header = next(reader)
     except StopIteration:
         raise DatasetFormatError("dataset is empty: no header row") from None
     header = [h.strip() for h in header]
     _check_header(header, catalog, report)
+    return header
+
+
+def _data_rows(
+    stream: TextIO, catalog: FeatureCatalog, report: ParseReport
+) -> tuple[list[str], Iterator[tuple[int, tuple[list[str] | csv.Error, tuple[int, int]]]]]:
+    """The checked header of an export and its numbered data rows, each with its lines."""
+    reader = csv.reader(stream)
+    header = _header(reader, catalog, report)
     return header, enumerate(_rows(reader), start=1)
 
 
 def _scan(
     header: list[str],
-    rows: Iterator[tuple[int, list[str] | csv.Error]],
+    rows: Iterator[tuple[int, tuple[list[str] | csv.Error, tuple[int, int]]]],
     catalog: FeatureCatalog,
     report: ParseReport,
 ) -> Iterator[tuple[ScannedRow, list[str]]]:
@@ -311,7 +327,7 @@ def _scan(
     parse_row = row_parser(catalog, header)
     label_idx = header.index(catalog.label_column)
     attack_idx = header.index(catalog.attack_column) if catalog.attack_column in header else None
-    for row_number, row in rows:
+    for row_number, (row, lines) in rows:
         if isinstance(row, csv.Error):  # such as a cell over the csv field limit
             report.rows_total += 1
             report.issues.append(ParseIssue(row=row_number, column="*", message=str(row)))
@@ -344,19 +360,23 @@ def _scan(
         if not row_ok:
             continue
         attack = row[attack_idx].strip() or None if attack_idx is not None else None
-        yield ScannedRow(row_number, f"row-{row_number:06d}", label, attack, report.rows_ok), row
+        fate = ScannedRow(row_number, f"row-{row_number:06d}", label, attack, report.rows_ok, lines)
+        yield fate, row
         report.rows_ok += 1
 
 
-def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
-    """The rows of ``reader``, with the error in place of a row it cannot read."""
+def _rows(reader) -> Iterator[tuple[list[str] | csv.Error, tuple[int, int]]]:
+    """The rows of a ``csv.reader``, with the error in place of a row it
+    cannot read, each with the lines [first, end) it was read from."""
     while True:
+        first = reader.line_num
         try:
-            yield next(reader)
+            row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield exc
+            row = exc
+        yield row, (first, reader.line_num)
 
 
 #: What an integer or decimal cell looks like to _fast_accept. An integer

@@ -243,7 +243,7 @@ class HTTPBackend:
         if status == 429:
             raise RateLimitError(
                 f"{self.backend_id} rate limited the request",
-                retry_after=_retry_after_seconds(reply_headers.get("Retry-After")),
+                retry_after=_retry_after_seconds(reply_headers.get("retry-after")),
             )
         if status >= 500:
             raise BackendServerError(f"{self.backend_id} returned HTTP {status}")

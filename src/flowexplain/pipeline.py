@@ -488,13 +488,19 @@ def _catalog_for(config: PipelineConfig) -> FeatureCatalog:
     return load_catalog(config.catalog) if config.catalog else default_catalog()
 
 
+def _is_blank(path: Path) -> bool:
+    """Whether a text file holds only whitespace; reading stops at its first other line."""
+    with open(path, encoding="utf-8") as stream:
+        return not any(line.strip() for line in stream)
+
+
 def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSummary:
     """Parse the dataset, bootstrap the history store, write a parse report."""
     dataset = Path(config.dataset)
     if not dataset.exists():
         raise PipelineError(f"dataset not readable: {dataset}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    if dataset.stat().st_size == 0 or dataset.read_text(encoding="utf-8").strip() == "":
+    if _is_blank(dataset):
         return IngestSummary(total=0, malicious=0, benign=0, quarantined=0, store_entries=0)
 
     runtime = Runtime(config)

@@ -91,3 +91,40 @@ class KeepAliveServer:
     def __exit__(self, *exc):
         self.httpd.shutdown()
         self.httpd.server_close()
+
+
+class RawReplyServer:
+    """Answers each connection's first request with ``reply`` as raw bytes, then closes it."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(5)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    def url(self, path: str) -> str:
+        return f"http://127.0.0.1:{self.sock.getsockname()[1]}{path}"
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:  # closed, or no client came
+                return
+            with conn, conn.makefile("rb") as reader:
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                conn.sendall(self.reply)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.sock.close()
+        self.thread.join(5)

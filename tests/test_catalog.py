@@ -89,3 +89,21 @@ def test_malformed_document_rejected(tmp_path):
 
 def test_default_catalog_is_cached():
     assert default_catalog() is default_catalog()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "protocol PROTOCOL Protocol_x xprotocol protocolx",
+        "straße STRASSE ﬅRASSE straßen",  # "ß" upper-cases to "SS", U+FB05 to "ST"
+        "İN ıN in IN_",
+    ],
+)
+def test_plain_name_words_hold_every_word_that_spells_a_plain_name(text):
+    catalog = load_catalog(
+        _doc([_feature(name="PROTOCOL"), _feature(name="STRAßE"), _feature(name="IN")])
+    )
+    found = [word.group() for word in catalog.plain_name_words(text)]
+    spelled = [word for word in text.split() if catalog.name_for(word) is not None]
+    assert spelled and set(spelled) <= set(found)
+    assert all(word in text.split() for word in found)  # whole words only

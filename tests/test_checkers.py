@@ -4,9 +4,10 @@ import time
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowexplain.catalog import default_catalog
 from flowexplain.checkers import (
     check_factual_claims,
     check_feature_consistency,
@@ -18,7 +19,7 @@ from flowexplain.checkers import (
     well_known_ports,
 )
 
-from . import unit_reference
+from . import checkers_reference, unit_reference
 from .conftest import DATA_DIR, make_record
 from .data.record_checkers_golden import (
     FUZZ_CASES,
@@ -415,8 +416,20 @@ class TestUntrustedText:
             "1," * 50_000,
             "1." + "2" * 99_998,
             " ".join(entry["text"] for entry in GOLDEN["texts"]["stub"])[:100_000],
+            "_" * 100_000,
+            "a_" * 50_000,
+            "port " * 20_000,
+            "(port" * 20_000,
+            "x" * 100_000 + "_",
+            " " * 100_000,
+            "protocol " * 10_000,
+            "tcp " * 25_000,
         ],
-        ids=["digit-run", "digit-comma-run", "decimal-run", "stub-answers"],
+        ids=[
+            "digit-run", "digit-comma-run", "decimal-run", "stub-answers", "underscore-run",
+            "underscored-word", "port-anchors", "paren-port-anchors", "word-then-underscore",
+            "space-run", "plain-name-run", "tcp-anchors",
+        ],
     )
     def test_checks_are_linear_in_text_length(self, catalog, record, text):
         started = time.perf_counter()
@@ -468,3 +481,76 @@ class TestCheckersGolden:
         digests, raised = chunk_digests(cases, catalog, chunk=FUZZ_CHUNK, skip=skip)
         assert raised == []
         assert digests == GOLDEN["digests"]["fuzz"]
+
+
+def _words(*words: str) -> st.SearchStrategy[str]:
+    """One of ``words``, each letter in either case."""
+    return st.tuples(st.sampled_from(words), st.integers(0, 2**20 - 1)).map(
+        lambda pick: "".join(
+            c.swapcase() if pick[1] >> i & 1 else c for i, c in enumerate(pick[0])
+        )
+    )
+
+
+def _joined(*parts: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.tuples(*parts).map("".join)
+
+
+# Service names up to and past the 16 characters a claim's name can have;
+# the hyphenated ones end in a listed service, which a claim found from too
+# short a window would start at.
+_SERVICE = st.one_of(
+    _words("SSH", "HTTP", "HTTPS", "DNS", "FTP-DATA", "POP3", "FOOBARD", "x+y"),
+    _words("ABCDEFGHIJK-SSH", "ABCDEFGHIJKL-SSH", "ABCDEFGHIJKLM-SSH"),
+)
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n", " " * 8])
+_NUMBER = _joined(
+    st.sampled_from(["", ","]), st.integers(0, 99_999).map(str),
+    st.sampled_from(["", ",000", ",5"]), st.sampled_from(["", ".5", ".25"]),
+)
+_FLAGS = st.lists(_words("SYN", "ACK", "FIN", "RST", "PSH", "URG"), min_size=1, max_size=3)
+_CLAIM = st.one_of(
+    _joined(_SERVICE, _SPACE, _words("port"), _words("", " number", " is", ":"), _SPACE, _NUMBER),
+    _joined(_SERVICE, _SPACE, st.just("("), _SPACE, _words("port"), _SPACE, _NUMBER, _SPACE,
+            st.just(")")),
+    _joined(_words("port"), _SPACE, _NUMBER, _SPACE, st.just("("), _SPACE, _SERVICE, _SPACE,
+            st.just(")")),
+    _joined(_words("tcp"), st.sampled_from(["", " ", "_"]), _words("flags", "flag"), _SPACE,
+            _NUMBER, _SPACE, _words("means", "(", ":"), _SPACE, _FLAGS.map(", ".join)),
+    _joined(_NUMBER, _SPACE, _words("ms", "msec", "milliseconds"), _words(" is", " which is",
+            " equals", "", ","), _SPACE, _words("", "about "), _NUMBER, _SPACE,
+            _words("sec", "seconds", "min", "minutes", "hours")),
+)
+_NAMES = default_catalog().feature_names
+_LOOKALIKES = (("I", "ı"), ("I", "İ"), ("S", "ſ"), ("K", "\u212a"), ("FL", "ﬂ"))
+_NAME = st.one_of(
+    _words(*_NAMES),
+    _words(*(name for name in _NAMES if "_" not in name), "PROTOCOLS", "PROTO"),
+    _words("PACKET_ENTROPY", "IN", "BYTES", "_", *(odd for _, odd in _LOOKALIKES)),
+    st.tuples(st.sampled_from(_NAMES), st.sampled_from(_LOOKALIKES)).map(
+        lambda pick: pick[0].replace(*pick[1], 1)
+    ),
+)
+_MENTION = _joined(_NAME, _SPACE, st.sampled_from([":", "=", "(", ""]), _SPACE, _NUMBER, _SPACE,
+                   _words("", "ms", "sec", "min", "bytes", "bps", "Bps", "KB"))
+_WORD = _words("port", "tcp", "flags", "(", ")", ":", "=", ",", ".", "ms", "sec", "min")
+_PIECE = st.one_of(_CLAIM, _MENTION, _NAME, _WORD, _NUMBER)
+_TEXT = st.lists(st.tuples(_PIECE, _SPACE), max_size=16).map(
+    lambda pieces: "".join(piece + space for piece, space in pieces)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT)
+@example(text="ABCDEFGHIJKL-SSH port 23, abcdefghijk-ssh \t (port 2) and Protocol: 17")
+def test_checks_match_the_reference_checkers(catalog, text):
+    """The anchored scans give the mentions and findings of the every-word scans."""
+    record = make_record(
+        catalog, PROTOCOL=6, IN_BYTES=1200, TCP_FLAGS=27, FLOW_DURATION_MILLISECONDS=4294964
+    )
+    assert repr(extract_feature_mentions(text, catalog)) == repr(
+        checkers_reference.extract_feature_mentions(text, catalog)
+    )
+    assert repr(run_all_checks(text, record, catalog)) == repr(
+        checkers_reference.run_all_checks(text, record, catalog)
+    )

@@ -266,6 +266,12 @@ class TestIngest:
             0, 0, 0, 0,
         )
 
+    def test_whitespace_only_file_yields_zero_summary(self, tmp_path):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n  \r\n\t\n\u2003\n")
+        summary = run_ingest(make_config(tmp_path, dataset=blank))
+        assert (summary.total, summary.store_entries, summary.report_path) == (0, 0, None)
+
     def test_reingest_rebuilds_store_by_default(self, tmp_path):
         config = make_config(tmp_path)
         run_ingest(config)

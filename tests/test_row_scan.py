@@ -162,3 +162,24 @@ def test_typing_a_row_that_changed_since_the_scan_is_an_error(catalog):
     shorter = "".join(document.splitlines(keepends=True)[:3])
     with pytest.raises(DatasetFormatError, match="data row 3 changed"):
         type_rows(io.StringIO(shorter), catalog, rows)
+
+
+def test_rows_over_several_lines_and_blank_lines_are_typed_from_their_lines(catalog):
+    document = _document(catalog, {}, {})
+    document = document.replace(",1,scan\r\n", ',1,"scan\r\nthen dos"\r\n\r\n')
+    records = assert_same_as_reference(document, catalog)
+    assert [r.attack_class for r in records] == ["scan\r\nthen dos"] * 3
+    rows, _ = scan_dataset(io.StringIO(document), catalog)
+    assert [row.lines for row in rows] == [(1, 3), (4, 6), (7, 9)]
+
+
+@pytest.mark.parametrize(
+    "row_2", ['"{}', "\r\n", "x" * 200_000 + ",{}"], ids=["open-quote", "blank", "huge-cell"]
+)
+def test_typing_a_row_whose_lines_changed_is_an_error(catalog, row_2):
+    document = _document(catalog, {}, {})
+    rows, _ = scan_dataset(io.StringIO(document), catalog)
+    lines = document.splitlines(keepends=True)
+    changed = "".join([*lines[:2], row_2.format(lines[2]), *lines[3:]])
+    with pytest.raises(DatasetFormatError, match="data row 2 changed"):
+        type_rows(io.StringIO(changed), catalog, rows)
