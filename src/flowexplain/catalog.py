@@ -123,9 +123,6 @@ class FeatureCatalog:
     def __len__(self) -> int:
         return len(self.features)
 
-    def __iter__(self) -> Iterator[FeatureSpec]:
-        return iter(self.features)
-
     def __contains__(self, name: object) -> bool:
         return name in self._by_name
 

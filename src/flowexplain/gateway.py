@@ -339,9 +339,6 @@ class UsageLedger:
     latency_histogram_ms: dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def cost(self, pricing: PricingTable) -> Decimal:
-        return estimate_cost(1, self.prompt_tokens, self.completion_tokens, pricing)
-
     def record(self, result: GenerationResult) -> None:
         """Add one result's usage to the totals."""
         bucket = _latency_bucket(result.latency_ms)

@@ -103,6 +103,9 @@ _INTEGER_KEYS = (
     "store_max_entries",
 )
 
+#: config keys whose value is JSON ``true`` or ``false``
+_BOOLEAN_KEYS = ("stratified_sampling", "history_include_benign")
+
 
 class ConfigError(ValueError):
     """Raised when the pipeline configuration is unusable."""
@@ -192,6 +195,12 @@ class PipelineConfig:
             if type(value) is not int and not (name == "store_max_entries" and value is None):
                 raise ConfigError(
                     f"config key {name!r} must be an integer, not {type(value).__name__}"
+                )
+        for name in _BOOLEAN_KEYS:
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ConfigError(
+                    f"config key {name!r} must be true or false, not {type(value).__name__}"
                 )
         if type(self.temperature) not in (int, float):
             kind = type(self.temperature).__name__

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 from .catalog import UNIT_LABELS, FeatureCatalog
 from .enrichment import EnrichmentContext, IpKnowledge
@@ -32,11 +31,6 @@ SECTION_FLOW = "flow"
 SECTION_SPEC = "netflow_spec"
 SECTION_PROTOCOLS = "protocol_knowledge"
 SECTION_IP = "ip_knowledge"
-
-#: Average characters per token used by the default counting heuristic.
-HEURISTIC_CHARS_PER_TOKEN = 2.7
-
-Tokenizer = Callable[[str], int]
 
 _PLACEHOLDER = re.compile(r"\{\{([a-zA-Z_][a-zA-Z0-9_]*)\}\}")
 
@@ -122,15 +116,13 @@ def default_augmented_template() -> PromptTemplate:
     return parse_template(text, "augmented-default", AUGMENTED_SLOTS)
 
 
-def count_tokens(text: str, tokenizer: Tokenizer | None = None) -> int:
-    """Token count of ``text`` under the configured tokenizer.
+def count_tokens(text: str) -> int:
+    """Token count of ``text`` under a character-ratio heuristic.
 
-    The default is a character-ratio heuristic (one token per 2.7
-    characters, rounded up) computed in exact integer arithmetic, so the
-    count is monotone non-decreasing under concatenation.
+    One token per 2.7 characters, rounded up, computed in exact integer
+    arithmetic, so the count is monotone non-decreasing under
+    concatenation.
     """
-    if tokenizer is not None:
-        return tokenizer(text)
     if not text:
         return 0
     return (len(text) * 10 + 26) // 27
@@ -165,7 +157,6 @@ def build_basic_prompt(
     record: FlowRecord,
     catalog: FeatureCatalog,
     template: PromptTemplate,
-    tokenizer: Tokenizer | None = None,
 ) -> PromptBundle:
     """Instruction text followed by the rendered flow block."""
     if template.slots != BASIC_SLOTS:
@@ -186,7 +177,7 @@ def build_basic_prompt(
             SECTION_INSTRUCTION: (0, len(instruction)),
             SECTION_FLOW: (len(instruction), len(flow_block)),
         },
-        token_count=count_tokens(text, tokenizer),
+        token_count=count_tokens(text),
         mode=MODE_BASIC,
         flow_id=record.flow_id,
         metadata={
@@ -295,7 +286,6 @@ class _Layout:
     history_trims: tuple[int, ...]  # endpoint index of each history trim
     plan: tuple[str, ...]
     metadata: dict[str, object]
-    tokenizer: Tokenizer | None
 
     def _segments(self, n: int) -> tuple[str, str, str]:
         applied = set(self.plan[:n])
@@ -324,7 +314,7 @@ class _Layout:
             sections[section_id] = (offset, len(segment))
             offset += len(segment)
         if token_count is None:
-            token_count = count_tokens(text, self.tokenizer)
+            token_count = count_tokens(text)
         return PromptBundle(
             text=text,
             sections=sections,
@@ -346,7 +336,6 @@ def build_augmented_prompt(
     catalog: FeatureCatalog,
     basic_template: PromptTemplate,
     augmented_template: PromptTemplate,
-    tokenizer: Tokenizer | None = None,
 ) -> PromptBundle:
     """Basic prompt plus the three titled knowledge sections, in order."""
     if context.flow_id != record.flow_id:
@@ -358,7 +347,7 @@ def build_augmented_prompt(
             f"augmented prompt requires a template with slots {AUGMENTED_SLOTS}, "
             f"got {augmented_template.slots}"
         )
-    basic = build_basic_prompt(record, catalog, basic_template, tokenizer)
+    basic = build_basic_prompt(record, catalog, basic_template)
 
     endpoints = (context.src, context.dst)
     oldest_first = [
@@ -397,22 +386,18 @@ def build_augmented_prompt(
             "providers": dict(context.provider_ids),
             "unavailable": [[u.component, u.reason] for u in context.unavailable],
         },
-        tokenizer=tokenizer,
     )
     return layout.bundle(0)
 
 
-def enforce_budget(
-    bundle: PromptBundle, budget: int, tokenizer: Tokenizer | None = None
-) -> PromptBundle:
+def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
     """Shrink a bundle to the token budget, or fail if the core cannot fit.
 
     The result is the bundle with the shortest prefix of its trim plan
     (see :class:`_Layout`) whose text fits. Prefixes are tried in order
-    and each is counted with the tokenizer, so the rule needs no
-    assumption about how the count changes as text is removed. Every trim
-    is recorded in ``metadata["trims"]``. A basic prompt has nothing to
-    trim.
+    and each is counted, so the rule needs no assumption about how the
+    count changes as text is removed. Every trim is recorded in
+    ``metadata["trims"]``. A basic prompt has nothing to trim.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
@@ -421,10 +406,9 @@ def enforce_budget(
     layout = bundle._layout
     if layout is None:
         raise BudgetInfeasibleError(bundle.token_count, budget)
-    tokenizer = tokenizer or layout.tokenizer
     token_count = bundle.token_count
     for n in range(len(bundle.metadata["trims"]) + 1, len(layout.plan) + 1):
-        token_count = count_tokens(layout.text(n), tokenizer)
+        token_count = count_tokens(layout.text(n))
         if token_count <= budget:
             return layout.bundle(n, token_count)
     raise BudgetInfeasibleError(token_count, budget)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
@@ -115,6 +116,10 @@ class ExplainService:
             return
         except PipelineError as exc:
             _send(handler, 422, {"error": str(exc)})
+            return
+        except Exception:  # e.g. a StoreError from the history append: still answer
+            traceback.print_exc()
+            _send(handler, 500, {"error": "internal error", "explanation_id": explanation_id})
             return
         _send(handler, 200, result)
 

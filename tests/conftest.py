@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import flowexplain
 from flowexplain.catalog import FeatureCatalog, default_catalog
 from flowexplain.evaluation import METRICS, AnnotationSet
 from flowexplain.flows import FlowRecord, parse_dataset
@@ -15,6 +19,18 @@ DATA_DIR = Path(__file__).parent / "data"
 DATASET = DATA_DIR / "flows_small.csv"
 GEO_FIXTURE = DATA_DIR / "geo_fixture.jsonl"
 CTI_FIXTURE = DATA_DIR / "cti_fixture.jsonl"
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this copy of the package."""
+    src = str(Path(flowexplain.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ and one token budget. The whole dataset is ingested as connection history
 and the fixture geo and CTI providers are on, so prompts carry every kind
 of trimmable content. Each case's outcome is the fitted bundle's ``text``,
 ``sections``, ``token_count`` and ``metadata``, or the token count of the
-``BudgetInfeasibleError``. Outcomes are hashed per (tokenizer, k, flow)
-over all budgets and written to ``budget_golden.json``.
+``BudgetInfeasibleError``. Outcomes are hashed per (k, flow) over all
+budgets and written to ``budget_golden.json``.
 
 The committed digests were recorded with the rebuild-per-trim budget fit
 that preceded the single-pass one; ``tests/test_prompts.py`` checks that
@@ -42,16 +42,10 @@ GOLDEN = HERE / "budget_golden.json"
 
 BUDGETS = range(600, 3001, 100)
 HISTORY_DEPTHS = range(0, 9)
-#: name -> (tokenizer, history depths it is recorded for)
-TOKENIZERS = {
-    "heuristic": (None, HISTORY_DEPTHS),
-    "words": (lambda text: len(text.split()), (5,)),
-}
 
 
-def augmented_bundles(tokenizer_name: str, k: int) -> Iterator[PromptBundle]:
+def augmented_bundles(k: int) -> Iterator[PromptBundle]:
     """The untrimmed augmented prompt of every malicious flow, in file order."""
-    tokenizer = TOKENIZERS[tokenizer_name][0]
     catalog = default_catalog()
     records, _ = parse_dataset(HERE / "flows_small.csv", catalog)
     store = FlowHistoryStore(":memory:")
@@ -67,17 +61,15 @@ def augmented_bundles(tokenizer_name: str, k: int) -> Iterator[PromptBundle]:
         for record in records:
             if record.label == LABEL_MALICIOUS:
                 yield build_augmented_prompt(
-                    record, builder.build(record), catalog, basic, augmented, tokenizer
+                    record, builder.build(record), catalog, basic, augmented
                 )
     finally:
         store.close()
 
 
-def fitted_cases(
-    tokenizer_name: str, k: int
-) -> Iterator[tuple[str, int, PromptBundle | BudgetInfeasibleError]]:
+def fitted_cases(k: int) -> Iterator[tuple[str, int, PromptBundle | BudgetInfeasibleError]]:
     """Yield ``(flow_id, budget, fitted bundle or error)`` for every case."""
-    for bundle in augmented_bundles(tokenizer_name, k):
+    for bundle in augmented_bundles(k):
         for budget in BUDGETS:
             try:
                 yield bundle.flow_id, budget, enforce_budget(bundle, budget)
@@ -98,8 +90,9 @@ def outcome_text(outcome: PromptBundle | BudgetInfeasibleError) -> str:
     )
 
 
-def group_key(tokenizer_name: str, k: int) -> str:
-    return f"{tokenizer_name} k={k}"
+def group_key(k: int) -> str:
+    # "heuristic" names the token count every group is recorded with
+    return f"heuristic k={k}"
 
 
 def group_digests(
@@ -116,11 +109,7 @@ def group_digests(
 def record_golden() -> dict:
     return {
         "budgets": [BUDGETS.start, BUDGETS.stop, BUDGETS.step],
-        "groups": {
-            group_key(name, k): group_digests(fitted_cases(name, k))
-            for name, (_, depths) in TOKENIZERS.items()
-            for k in depths
-        },
+        "groups": {group_key(k): group_digests(fitted_cases(k)) for k in HISTORY_DEPTHS},
     }
 
 

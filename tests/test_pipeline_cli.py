@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from flowexplain.cli import main
+from flowexplain.flows import format_value
 from flowexplain.gateway import HTTPBackendProfile, PricingTable
 from flowexplain.pipeline import (
     ConfigError,
@@ -115,6 +116,13 @@ class TestConfig:
     @pytest.mark.parametrize("value", ["4", 4.0, True], ids=["str", "float", "bool"])
     def test_non_integer_count_is_config_error(self, key, value):
         message = f"config key '{key}' must be an integer, not {type(value).__name__}"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict({"dataset": str(DATASET), key: value})
+
+    @pytest.mark.parametrize("key", ["stratified_sampling", "history_include_benign"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None], ids=["str", "zero", "one", "null"])
+    def test_non_boolean_switch_is_config_error(self, key, value):
+        message = f"config key '{key}' must be true or false, not {type(value).__name__}"
         with pytest.raises(ConfigError, match=message):
             PipelineConfig.from_dict({"dataset": str(DATASET), key: value})
 
@@ -357,6 +365,37 @@ class TestSampleAndExplain:
         run_explain(config, "basic", flow_ids=malicious, run_id="t6", progress=slow_writer)
         assert len(ahead) == len(malicious)
         assert max(ahead) < 2 * config.workers
+
+    def test_configured_sample_is_explained_without_ids_or_file(self, tmp_path, records):
+        config = make_config(tmp_path)
+        result = run_explain(config, "augmented", run_id="t7")
+        entries = [json.loads(l) for l in result.log_path.read_text().splitlines()]
+        assert [e["flow_id"] for e in entries] == run_sample(config)["flow_ids"]
+        assert result.written == config.sample_size
+        by_id = {record.flow_id: record for record in records}
+        for entry in entries:
+            record = by_id[entry["flow_id"]]
+            assert entry["flow"] == {
+                name: format_value(value) for name, value in record.values.items()
+            }
+
+    @pytest.mark.parametrize("include_benign", [True, False])
+    def test_benign_history_follows_the_switch(self, tmp_path, records, include_benign):
+        config = make_config(
+            tmp_path, token_budget=100_000, history_include_benign=include_benign
+        )
+        run_ingest(config)
+        runtime = Runtime(config)
+        try:
+            prompts = [
+                runtime.build_prompt(record, "augmented").text
+                for record in records
+                if record.label == "malicious"
+            ]
+        finally:
+            runtime.close()
+        assert any("[malicious]" in text for text in prompts)
+        assert any("[benign]" in text for text in prompts) == include_benign
 
     def test_unknown_flow_id_is_fatal(self, tmp_path):
         config = make_config(tmp_path)

@@ -35,7 +35,7 @@ from .conftest import (
 )
 from .data.record_budget_golden import (
     BUDGETS,
-    TOKENIZERS,
+    HISTORY_DEPTHS,
     augmented_bundles,
     fitted_cases,
     group_digests,
@@ -225,9 +225,6 @@ class TestCountTokens:
     def test_exact_multiple_has_no_float_artifact(self):
         assert count_tokens("x" * 27) == 10
 
-    def test_pluggable_tokenizer(self):
-        assert count_tokens("one two three", tokenizer=lambda t: len(t.split())) == 3
-
     @settings(max_examples=50, deadline=None)
     @given(a=st.text(max_size=300), b=st.text(max_size=300))
     def test_monotone_under_concatenation(self, a, b):
@@ -307,16 +304,12 @@ class TestEnforceBudget:
             assert result.token_count <= budget
 
 
-GOLDEN_GROUPS = [(name, k) for name, (_, depths) in TOKENIZERS.items() for k in depths]
-
-
 class TestBudgetFitGolden:
     """Fitted prompts of the fixture flows match digests of the rebuild-per-trim fit.
 
     The digests in ``data/budget_golden.json`` cover every malicious fixture
-    flow with its history ingested, k 0..8 and budgets 600..3000 by 100,
-    and k=5 under a word-count tokenizer; ``data/record_budget_golden.py``
-    records them.
+    flow with its history ingested, k 0..8 and budgets 600..3000 by 100;
+    ``data/record_budget_golden.py`` records them.
     """
 
     golden = json.loads((DATA_DIR / "budget_golden.json").read_text(encoding="utf-8"))
@@ -324,25 +317,25 @@ class TestBudgetFitGolden:
     def test_budget_grid_matches_recording(self):
         assert self.golden["budgets"] == [BUDGETS.start, BUDGETS.stop, BUDGETS.step]
 
-    @pytest.mark.parametrize("tokenizer_name,k", GOLDEN_GROUPS)
-    def test_outcomes_match_golden_digests(self, tokenizer_name, k):
-        cases = list(fitted_cases(tokenizer_name, k))
+    @pytest.mark.parametrize("k", HISTORY_DEPTHS, ids="heuristic-{}".format)
+    def test_outcomes_match_golden_digests(self, k):
+        cases = list(fitted_cases(k))
         for _, _, outcome in cases:
             if isinstance(outcome, PromptBundle):
                 assert_tiles(outcome)
-        assert group_digests(iter(cases)) == self.golden["groups"][group_key(tokenizer_name, k)]
+        assert group_digests(iter(cases)) == self.golden["groups"][group_key(k)]
 
 
 @functools.lru_cache(maxsize=None)
-def _fixture_bundles(tokenizer_name: str, k: int) -> tuple[PromptBundle, ...]:
-    return tuple(augmented_bundles(tokenizer_name, k))
+def _fixture_bundles(k: int) -> tuple[PromptBundle, ...]:
+    return tuple(augmented_bundles(k))
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_fitted_bundle_properties(data):
-    tokenizer_name, k = data.draw(st.sampled_from(GOLDEN_GROUPS))
-    bundle = data.draw(st.sampled_from(_fixture_bundles(tokenizer_name, k)))
+    k = data.draw(st.sampled_from(HISTORY_DEPTHS))
+    bundle = data.draw(st.sampled_from(_fixture_bundles(k)))
     budget = data.draw(st.integers(min_value=1, max_value=3500))
     try:
         fitted = enforce_budget(bundle, budget)
@@ -350,7 +343,7 @@ def test_fitted_bundle_properties(data):
         assert exc.token_count > budget
         return
     assert_tiles(fitted)
-    assert fitted.token_count == count_tokens(fitted.text, TOKENIZERS[tokenizer_name][0])
+    assert fitted.token_count == count_tokens(fitted.text)
     assert fitted.token_count <= budget
     for section_id in ("instruction", "flow"):
         assert section_text(fitted, section_id) == section_text(bundle, section_id)

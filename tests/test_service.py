@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flowexplain.flows import LABEL_MALICIOUS, FlowRecord, parse_label, parse_value
 from flowexplain.gateway import AuthenticationError
-from flowexplain.history import HistoryQuery
+from flowexplain.history import HistoryQuery, StoreError
 from flowexplain.pipeline import FieldValidationError, PipelineConfig, Runtime, run_ingest
 from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
@@ -258,6 +258,28 @@ class TestService:
             assert err.value.headers["Content-Type"] == "application/json"
             assert "credentials rejected" in json.loads(err.value.read())["error"]
         assert service.runtime.store.count() == before
+
+    def test_unexpected_error_is_500_naming_the_explanation(self, service, monkeypatch, capsys):
+        store = service.runtime.store
+        failures = []
+
+        def failing_append(entry):
+            failures.append(entry.flow_id)
+            raise StoreError("append failed: disk I/O error")
+
+        monkeypatch.setattr(store, "append", failing_append)
+        payload = {"flow": _dataset_row(), "mode": "basic"}
+        status, body = _request(service, "/explain", payload)
+        assert status == 500
+        assert body == {"error": "internal error", "explanation_id": "service-000001"}
+        assert failures == ["service-000001"]
+        assert "StoreError: append failed" in capsys.readouterr().err
+
+        monkeypatch.undo()
+        status, body = _request(service, "/explain", payload)
+        assert status == 200
+        assert body["explanation_id"] == "service-000002"
+        assert store.count() == 1
 
 
 def test_served_flow_is_newest_after_eviction(tmp_path):
