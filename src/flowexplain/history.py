@@ -98,6 +98,10 @@ class FlowHistoryStore:
         self._lock = threading.RLock()
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
+            # a commit appends to the write-ahead log instead of writing and
+            # deleting a rollback journal; synchronous stays FULL, so a commit
+            # that returned survives a power loss. In-memory stores ignore it.
+            self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
             (newest,) = self._conn.execute("SELECT MAX(timestamp) FROM flow_history").fetchone()

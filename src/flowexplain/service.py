@@ -11,15 +11,20 @@ from __future__ import annotations
 import json
 import threading
 import traceback
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Mapping
 
+from .flows import clip
 from .gateway import BackendError
 from .pipeline import FieldValidationError, PipelineError, Runtime
 from .prompts import BudgetInfeasibleError
 
 #: Largest ``POST`` body the service reads; a longer one gets 413.
 MAX_BODY_BYTES = 1 << 20
+#: Seconds a handler waits on one read or write of its client before it
+#: drops the connection, so a silent or stalled client frees its thread.
+REQUEST_TIMEOUT_S = 30.0
 
 
 class ExplainService:
@@ -28,7 +33,9 @@ class ExplainService:
     Routes: ``GET /health`` and ``POST /explain`` with a JSON body
     ``{"flow": {column: value, ...}, "mode": "basic"|"augmented"}``.
     Explained flows are appended to the history store so later requests
-    see them as connection history.
+    see them as connection history. Connections are served by a pool of
+    ``max_in_flight + 1`` reused threads, so every backend slot can be busy
+    while one thread still answers ``/health`` and error replies.
     """
 
     def __init__(self, runtime: Runtime, host: str = "127.0.0.1", port: int = 0):
@@ -38,6 +45,8 @@ class ExplainService:
         service = self
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_TIMEOUT_S
+
             def log_message(self, fmt, *args):  # quiet; the CLI reports the bind address
                 pass
 
@@ -73,7 +82,7 @@ class ExplainService:
                     return
                 service._handle_explain(self, body)
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        self._server = _PooledHTTPServer((host, port), Handler, runtime.config.max_in_flight + 1)
         self._thread: threading.Thread | None = None
 
     @property
@@ -92,7 +101,8 @@ class ExplainService:
             _send(handler, 400, {"error": "body must carry a 'flow' object"})
             return
         if mode not in ("basic", "augmented"):
-            _send(handler, 400, {"error": f"mode must be basic or augmented, got {mode!r}"})
+            error = f"mode must be basic or augmented, got {clip(repr(mode))}"
+            _send(handler, 400, {"error": error})
             return
         explanation_id = self._next_id()
         flow_id = str(body.get("flow_id") or explanation_id)
@@ -138,6 +148,38 @@ class ExplainService:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+
+
+class _PooledHTTPServer(HTTPServer):
+    """An ``HTTPServer`` that serves each connection on one of ``threads`` reused threads.
+
+    An accepted connection waits for a free thread before it is handed
+    over, and meanwhile later connections wait in the listen backlog rather
+    than in an unbounded queue. Threads start as connections first need them.
+    """
+
+    def __init__(self, address, handler, threads: int):
+        super().__init__(address, handler)
+        self._free = threading.BoundedSemaphore(threads)
+        self._pool = ThreadPoolExecutor(threads, thread_name_prefix="flowexplain-serve")
+
+    def process_request(self, request, client_address) -> None:
+        self._free.acquire()
+        self._pool.submit(self._serve, request, client_address)
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+            self._free.release()
+
+    def server_close(self) -> None:
+        """Stop listening, then wait for the connections already handed to the pool."""
+        super().server_close()
+        self._pool.shutdown(wait=True)
 
 
 def _send(

@@ -1,4 +1,5 @@
 import os
+import sqlite3
 import sys
 import threading
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowexplain.history import (
+    _INSERT,
+    _SCHEMA,
     HISTORY_LABELS,
     FlowHistoryEntry,
     FlowHistoryStore,
@@ -98,6 +101,48 @@ class TestPersistence:
         reopened = FlowHistoryStore(path)
         assert reopened.count() == 1
         reopened.close()
+
+    def test_rollback_journal_store_opens_and_answers_the_same(self, tmp_path):
+        path = tmp_path / "history.db"
+        addresses = ["10.0.0.1", "10.0.0.2", "8.8.8.8", "2001:db8::1"]
+        entries = [
+            history_entry(flow_id=f"e{i}", timestamp=i // 3, src_ip=addresses[i % 4],
+                          dst_ip=addresses[i * 7 % 4], label=HISTORY_LABELS[i % 3])
+            for i in range(60)
+        ]
+        conn = sqlite3.connect(path)  # a store file as written before WAL
+        conn.executescript(_SCHEMA)
+        conn.executemany(_INSERT, [
+            (e.flow_id, e.timestamp, e.src_ip, e.dst_ip, e.l4_protocol_id, e.label, e.summary)
+            for e in entries
+        ])
+        conn.commit()
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+        conn.close()
+        reference = seeded_store(entries)
+        with FlowHistoryStore(path) as store:
+            for ip in addresses:
+                for query, labels in [(HistoryQuery(ip=ip, k=7), None),
+                                      (HistoryQuery(ip=ip, k=100, before=12), ("benign",))]:
+                    assert store.query_history(query, labels) == reference.query_history(
+                        query, labels)
+            store.append(history_entry(flow_id="new", timestamp=None))
+            assert store.query_history(HistoryQuery(ip="8.8.8.8", k=1))[0].timestamp == 20
+
+    def test_file_store_is_write_ahead_logged_and_fully_synchronous(self, tmp_path):
+        with FlowHistoryStore(tmp_path / "history.db") as store:
+            assert store._conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert store._conn.execute("PRAGMA synchronous").fetchone() == (2,)
+
+    def test_closed_store_is_readable_read_only(self, tmp_path):
+        path = tmp_path / "history.db"
+        with FlowHistoryStore(path) as store:
+            store.append_many(history_entry(flow_id=f"e{i}") for i in range(3))
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        try:
+            assert conn.execute("SELECT COUNT(*) FROM flow_history").fetchone() == (3,)
+        finally:
+            conn.close()
 
     def test_max_entries_cap_evicts_oldest(self):
         store = FlowHistoryStore(":memory:", max_entries=3)

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import http.client
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowexplain import service as service_module
 from flowexplain.flows import LABEL_MALICIOUS, FlowRecord, parse_label, parse_value
 from flowexplain.gateway import AuthenticationError
 from flowexplain.history import HistoryQuery, StoreError
@@ -159,6 +163,13 @@ class TestService:
         )
         assert status == 400
 
+    def test_bad_mode_is_quoted_bounded(self, service):
+        mode = "m" * 1_000_000
+        status, body = _request(service, "/explain", {"flow": _dataset_row(), "mode": mode})
+        assert status == 400
+        assert body["error"].startswith("mode must be basic or augmented, got 'mmm")
+        assert body["error"].endswith("… (1000002 characters)") and len(body["error"]) < 200
+
     def test_unlabelled_flow_defaults_to_malicious(self, service):
         row = _dataset_row()
         del row["Label"]
@@ -295,6 +306,103 @@ def test_served_flow_is_newest_after_eviction(tmp_path):
     # the 200 ingested rows carry timestamps 0..199; eviction kept 50..199
     assert (entries[0].flow_id, entries[0].timestamp) == ("new", 200)
     assert all(entry.timestamp < 200 for entry in entries[1:])
+
+
+def _serve_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("flowexplain-serve")]
+
+
+class _BlockingBackend:
+    """Delegates to ``inner`` once ``release`` is set, counting the calls waiting on it."""
+
+    def __init__(self, inner):
+        self.inner, self.backend_id, self.model = inner, inner.backend_id, inner.model
+        self.release = threading.Event()
+        self.waiting = threading.Semaphore(0)
+
+    def complete(self, request):
+        self.waiting.release()
+        self.release.wait(10)
+        return self.inner.complete(request)
+
+
+class TestHandlerPool:
+    def test_health_answers_while_every_backend_slot_is_busy(self, tmp_path):
+        with _serving(make_config(tmp_path, max_in_flight=3)) as service:
+            backend = _BlockingBackend(service.runtime.gateway.backend)
+            service.runtime.gateway.backend = backend
+            statuses = []
+            posts = [
+                threading.Thread(target=lambda i=i: statuses.append(_request(
+                    service, "/explain",
+                    {"flow": _dataset_row(), "mode": "basic", "flow_id": f"held-{i}"})[0]))
+                for i in range(3)
+            ]
+            for post in posts:
+                post.start()
+            try:
+                for _ in posts:
+                    assert backend.waiting.acquire(timeout=10)
+                started = time.perf_counter()
+                conn = http.client.HTTPConnection(*service.address, timeout=1)
+                try:
+                    conn.request("GET", "/health")
+                    assert conn.getresponse().status == 200
+                finally:
+                    conn.close()
+                assert time.perf_counter() - started < 1
+            finally:
+                backend.release.set()
+                for post in posts:
+                    post.join(10)
+            assert not any(post.is_alive() for post in posts)
+            assert statuses == [200, 200, 200]
+
+    def test_sequential_requests_reuse_the_pool_threads(self, service, monkeypatch):
+        pool_size = service.runtime.config.max_in_flight + 1
+        before = threading.active_count()
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        explain = {"flow": _dataset_row(), "mode": "basic"}
+        for i in range(50):
+            path, payload = ("/explain", explain) if i % 5 == 0 else ("/health", None)
+            assert _request(service, path, payload)[0] == 200
+        assert threading.active_count() <= before + pool_size
+        assert len(starts) <= pool_size
+        assert len(_serve_threads()) <= pool_size
+
+    def test_silent_client_is_dropped_while_another_is_served(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "REQUEST_TIMEOUT_S", 0.2)
+        with _serving(make_config(tmp_path, max_in_flight=1)) as service:
+            # two stalled clients fill the pool of two: one sends nothing, one
+            # stops in the middle of its body
+            silent = socket.create_connection(service.address, timeout=5)
+            stalled = socket.create_connection(service.address, timeout=5)
+            with silent, stalled:
+                stalled.sendall(b"POST /explain HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"flow\"")
+                assert _request(service, "/health") == (200, {"status": "ok"})
+                assert silent.recv(1) == b""
+                assert stalled.recv(1) == b""
+
+    def test_stop_joins_the_pool_and_closes_waiting_connections(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "REQUEST_TIMEOUT_S", 0.2)
+        with _serving(make_config(tmp_path, max_in_flight=1)) as service:
+            assert _request(service, "/health")[0] == 200
+            clients = [socket.create_connection(service.address, timeout=5) for _ in range(3)]
+            service.stop()
+            assert _serve_threads() == []
+            for client in clients:
+                with client:
+                    try:
+                        assert client.recv(1) == b""
+                    except ConnectionResetError:
+                        pass
 
 
 def _reference_record_from_row(catalog, row, flow_id):
