@@ -8,11 +8,12 @@ pushes flagged flows.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Mapping
 
 from .flows import clip
@@ -33,61 +34,23 @@ class ExplainService:
     Routes: ``GET /health`` and ``POST /explain`` with a JSON body
     ``{"flow": {column: value, ...}, "mode": "basic"|"augmented"}``.
     Explained flows are appended to the history store so later requests
-    see them as connection history. Connections are served by a pool of
-    ``max_in_flight + 1`` reused threads, so every backend slot can be busy
-    while one thread still answers ``/health`` and error replies.
+    see them as connection history. ``start()`` starts ``max_in_flight + 1``
+    threads that each accept and serve their own connections, so every
+    backend slot can be busy while one thread still answers ``/health`` and
+    error replies; further connections wait in the listen backlog.
     """
 
     def __init__(self, runtime: Runtime, host: str = "127.0.0.1", port: int = 0):
         self.runtime = runtime
         self._counter = 0
         self._counter_lock = threading.Lock()
-        service = self
-
-        class Handler(BaseHTTPRequestHandler):
-            timeout = REQUEST_TIMEOUT_S
-
-            def log_message(self, fmt, *args):  # quiet; the CLI reports the bind address
-                pass
-
-            def do_GET(self) -> None:
-                if self.path == "/health":
-                    _send(self, 200, {"status": "ok"})
-                else:
-                    _send(self, 404, {"error": "unknown path"})
-
-            def do_POST(self) -> None:
-                if self.path != "/explain":
-                    _send(self, 404, {"error": "unknown path"})
-                    return
-                # checked before reading: rfile.read(-1) would wait for the
-                # client to close, and a huge length would be read in full
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    _send(self, 400, {"error": "Content-Length must be a non-negative integer"})
-                    return
-                if length > MAX_BODY_BYTES:
-                    _send(self, 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
-                    return
-                try:
-                    body = json.loads(self.rfile.read(length) or b"{}")
-                except ValueError:  # JSONDecodeError and UnicodeDecodeError among them
-                    _send(self, 400, {"error": "request body is not valid JSON"})
-                    return
-                if not isinstance(body, dict):
-                    _send(self, 400, {"error": "request body must be a JSON object"})
-                    return
-                service._handle_explain(self, body)
-
-        self._server = _PooledHTTPServer((host, port), Handler, runtime.config.max_in_flight + 1)
-        self._thread: threading.Thread | None = None
+        self._sock = socket.create_server((host, port))  # sets SO_REUSEADDR, as HTTPServer did
+        self._threads: list[threading.Thread] = []
+        self._stopping = False
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+        return self._sock.getsockname()[:2]
 
     def _next_id(self) -> str:
         with self._counter_lock:
@@ -134,52 +97,85 @@ class ExplainService:
         _send(handler, 200, result)
 
     def start(self) -> None:
-        # a short poll, so that stop() returns promptly
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._thread.start()
+        self._threads = [
+            threading.Thread(target=self._serve, name=f"flowexplain-serve-{i}", daemon=True)
+            for i in range(self.runtime.config.max_in_flight + 1)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     def serve_forever(self) -> None:
-        self._server.serve_forever()
+        self.start()
+        for thread in self._threads:
+            thread.join()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        """Wake the threads blocked in ``accept()``, let each finish its connection, join them."""
+        self._stopping = True
+        with contextlib.suppress(OSError):  # stopped before
+            self._sock.shutdown(socket.SHUT_RDWR)
+        for thread in self._threads:
+            thread.join()
+        self._sock.close()  # after the join: no thread may accept() on a reused descriptor
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, client = self._sock.accept()
+            except OSError:  # e.g. ConnectionAbortedError or EMFILE: only stop() ends the loop
+                if self._stopping:
+                    return
+                continue
+            try:
+                conn.settimeout(REQUEST_TIMEOUT_S)
+                _Handler(conn, client, self)
+            except Exception:
+                traceback.print_exc()
+            finally:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_WR)
+                conn.close()
 
 
-class _PooledHTTPServer(HTTPServer):
-    """An ``HTTPServer`` that serves each connection on one of ``threads`` reused threads.
+class _Handler(BaseHTTPRequestHandler):
+    """Answers one request; ``self.server`` is the :class:`ExplainService`."""
 
-    An accepted connection waits for a free thread before it is handed
-    over, and meanwhile later connections wait in the listen backlog rather
-    than in an unbounded queue. Threads start as connections first need them.
-    """
+    server: ExplainService
 
-    def __init__(self, address, handler, threads: int):
-        super().__init__(address, handler)
-        self._free = threading.BoundedSemaphore(threads)
-        self._pool = ThreadPoolExecutor(threads, thread_name_prefix="flowexplain-serve")
+    def log_message(self, fmt, *args):  # quiet; the CLI reports the bind address
+        pass
 
-    def process_request(self, request, client_address) -> None:
-        self._free.acquire()
-        self._pool.submit(self._serve, request, client_address)
+    def do_GET(self) -> None:
+        if self.path == "/health":
+            _send(self, 200, {"status": "ok"})
+        else:
+            _send(self, 404, {"error": "unknown path"})
 
-    def _serve(self, request, client_address) -> None:
+    def do_POST(self) -> None:
+        if self.path != "/explain":
+            _send(self, 404, {"error": "unknown path"})
+            return
+        # checked before reading: rfile.read(-1) would wait for the
+        # client to close, and a huge length would be read in full
         try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        finally:
-            self.shutdown_request(request)
-            self._free.release()
-
-    def server_close(self) -> None:
-        """Stop listening, then wait for the connections already handed to the pool."""
-        super().server_close()
-        self._pool.shutdown(wait=True)
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            _send(self, 400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        if length > MAX_BODY_BYTES:
+            _send(self, 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+            return
+        try:
+            body = json.loads(self.rfile.read(length) or b"{}")
+        except (ValueError, RecursionError):  # RecursionError: nesting too deep
+            _send(self, 400, {"error": "request body is not valid JSON"})
+            return
+        if not isinstance(body, dict):
+            _send(self, 400, {"error": "request body must be a JSON object"})
+            return
+        self.server._handle_explain(self, body)
 
 
 def _send(

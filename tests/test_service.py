@@ -135,10 +135,14 @@ class TestService:
         (name,) = body["fields"]
         assert name.endswith("… (100000 characters)") and len(name) < 100
 
-    def test_bad_json_is_400(self, service):
+    @pytest.mark.parametrize(
+        "body", [b"{broken", b"[" * 200_000, b'{"a":' * 200_000],
+        ids=["broken", "deep-array", "deep-object"],
+    )
+    def test_bad_json_is_400(self, service, body):
         host, port = service.address
         req = urllib.request.Request(
-            f"http://{host}:{port}/explain", data=b"{broken", method="POST"
+            f"http://{host}:{port}/explain", data=body, method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
@@ -326,6 +330,24 @@ class _BlockingBackend:
         return self.inner.complete(request)
 
 
+class _FlakyListener:
+    """A listening socket whose first ``accept()`` on each thread fails."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.failed = set()
+
+    def accept(self):
+        name = threading.current_thread().name
+        if name not in self.failed:
+            self.failed.add(name)
+            raise ConnectionAbortedError("software caused connection abort")
+        return self.sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
 class TestHandlerPool:
     def test_health_answers_while_every_backend_slot_is_busy(self, tmp_path):
         with _serving(make_config(tmp_path, max_in_flight=3)) as service:
@@ -403,6 +425,41 @@ class TestHandlerPool:
                         assert client.recv(1) == b""
                     except ConnectionResetError:
                         pass
+
+    @pytest.mark.parametrize("state", ["never-started", "started", "served"])
+    def test_stop_returns_in_every_state(self, tmp_path, state):
+        runtime = Runtime(make_config(tmp_path))
+        try:
+            service = ExplainService(runtime)
+            if state != "never-started":
+                service.start()
+            if state == "served":
+                assert _request(service, "/health")[0] == 200
+            stopper = threading.Thread(target=service.stop, daemon=True)
+            stopper.start()
+            stopper.join(2)  # a stop() that hangs fails here rather than hanging the suite
+            assert not stopper.is_alive()
+            assert _serve_threads() == []
+        finally:
+            runtime.close()
+
+    def test_failed_accept_leaves_the_pool_whole(self, tmp_path, monkeypatch):
+        listeners = []
+        create_server = socket.create_server
+
+        def flaky_create_server(*args, **kwargs):
+            listeners.append(_FlakyListener(create_server(*args, **kwargs)))
+            return listeners[-1]
+
+        monkeypatch.setattr(socket, "create_server", flaky_create_server)
+        with _serving(make_config(tmp_path, max_in_flight=2)) as service:
+            (listener,) = listeners
+            deadline = time.monotonic() + 5
+            while len(listener.failed) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(listener.failed) == 3
+            assert _request(service, "/health") == (200, {"status": "ok"})
+            assert len(_serve_threads()) == 3
 
 
 def _reference_record_from_row(catalog, row, flow_id):
