@@ -17,7 +17,8 @@ status line, ``BadStatusLine`` or ``UnknownProtocol`` for a malformed one,
 with neither a length nor chunked encoding runs to the end of the
 connection. Proxy variables, ``.netrc`` and redirects are not handled; a
 3xx reply reaches the caller like any other status. HTTPS verifies the
-server with the system's default TLS context.
+server with the system's default TLS context. The same line and head
+readers parse the request heads of ``flowexplain.service``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from urllib.parse import urlsplit
 # send or status line; no byte of a response has been read at that point.
 _STALE = (RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 
-_MAX_LINE = 65536  # longest status, header or chunk-size line, as http.client
+_MAX_LINE = 65536  # longest request, status, header or chunk-size line, as http.client
 _MAX_HEADERS = 100
 _READ_HEADERS = frozenset({b"content-length", b"transfer-encoding", b"connection", b"retry-after"})
 _END_OF_HEAD = (b"\r\n", b"\n", b"")

@@ -621,6 +621,7 @@ def run_explain(
 
         def explain_one(record: FlowRecord) -> dict:
             explanation_id = f"{run_id}:{record.flow_id}"
+            started = _utc_now()
             try:
                 return runtime.explain_record(record, mode, explanation_id)
             except Exception as exc:  # per-flow failure: recorded, run continues
@@ -632,7 +633,7 @@ def run_explain(
                     "backend": getattr(runtime.backend, "backend_id", ""),
                     "status": "error",
                     "error": {"type": type(exc).__name__, "message": str(exc)},
-                    "timestamps": {"started": _utc_now(), "finished": _utc_now()},
+                    "timestamps": {"started": started, "finished": _utc_now()},
                 }
 
         def in_order(pool: ThreadPoolExecutor) -> Iterable[dict]:

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 import socket
 import threading
 import traceback
-from http.server import BaseHTTPRequestHandler
-from typing import Mapping
+from email.utils import formatdate
+from http import HTTPStatus
+from http.client import HTTPException, LineTooLong
+from typing import BinaryIO, Mapping
 
+from ._http import _read_head, _read_line
 from .flows import clip
 from .gateway import BackendError
 from .pipeline import FieldValidationError, PipelineError, Runtime
@@ -23,9 +27,10 @@ from .prompts import BudgetInfeasibleError
 
 #: Largest ``POST`` body the service reads; a longer one gets 413.
 MAX_BODY_BYTES = 1 << 20
-#: Seconds a handler waits on one read or write of its client before it
+#: Seconds a serving thread waits on one read or write of its client before it
 #: drops the connection, so a silent or stalled client frees its thread.
 REQUEST_TIMEOUT_S = 30.0
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")  # RFC 9112 section 2.3
 
 
 class ExplainService:
@@ -57,44 +62,33 @@ class ExplainService:
             self._counter += 1
             return f"service-{self._counter:06d}"
 
-    def _handle_explain(self, handler: BaseHTTPRequestHandler, body: dict) -> None:
+    def _handle_explain(self, body: dict) -> tuple:
         flow = body.get("flow")
         mode = body.get("mode", "augmented")
         if not isinstance(flow, dict):
-            _send(handler, 400, {"error": "body must carry a 'flow' object"})
-            return
+            return 400, {"error": "body must carry a 'flow' object"}
         if mode not in ("basic", "augmented"):
-            error = f"mode must be basic or augmented, got {clip(repr(mode))}"
-            _send(handler, 400, {"error": error})
-            return
+            return 400, {"error": f"mode must be basic or augmented, got {clip(repr(mode))}"}
         explanation_id = self._next_id()
         flow_id = str(body.get("flow_id") or explanation_id)
         try:
             record = self.runtime.record_from_row(flow, flow_id=flow_id)
         except FieldValidationError as exc:
-            _send(handler, 400, {"error": "invalid flow", "fields": exc.errors})
-            return
+            return 400, {"error": "invalid flow", "fields": exc.errors}
         if record.label != "malicious":
-            _send(handler, 422, {"error": "only malicious flows are explained"})
-            return
+            return 422, {"error": "only malicious flows are explained"}
         try:
-            result = self.runtime.explain_record(
-                record, mode, explanation_id, append_history=True
-            )
+            result = self.runtime.explain_record(record, mode, explanation_id, append_history=True)
         except BudgetInfeasibleError as exc:
-            _send(handler, 422, {"error": str(exc)})
-            return
+            return 422, {"error": str(exc)}
         except BackendError as exc:
-            _send(handler, 503, {"error": f"backend exhausted: {exc}"}, {"Retry-After": "1"})
-            return
+            return 503, {"error": f"backend exhausted: {exc}"}, {"Retry-After": "1"}
         except PipelineError as exc:
-            _send(handler, 422, {"error": str(exc)})
-            return
+            return 422, {"error": str(exc)}
         except Exception:  # e.g. a StoreError from the history append: still answer
             traceback.print_exc()
-            _send(handler, 500, {"error": "internal error", "explanation_id": explanation_id})
-            return
-        _send(handler, 200, result)
+            return 500, {"error": "internal error", "explanation_id": explanation_id}
+        return 200, result
 
     def start(self) -> None:
         self._threads = [
@@ -121,14 +115,18 @@ class ExplainService:
     def _serve(self) -> None:
         while True:
             try:
-                conn, client = self._sock.accept()
+                conn, _ = self._sock.accept()
             except OSError:  # e.g. ConnectionAbortedError or EMFILE: only stop() ends the loop
                 if self._stopping:
                     return
                 continue
             try:
                 conn.settimeout(REQUEST_TIMEOUT_S)
-                _Handler(conn, client, self)
+                with conn.makefile("rb") as reader:
+                    if reply := self._answer(reader):
+                        conn.sendall(_reply(*reply))
+            except TimeoutError:  # a silent or stalled client is dropped without a reply
+                pass
             except Exception:
                 traceback.print_exc()
             finally:
@@ -136,59 +134,59 @@ class ExplainService:
                     conn.shutdown(socket.SHUT_WR)
                 conn.close()
 
-
-class _Handler(BaseHTTPRequestHandler):
-    """Answers one request; ``self.server`` is the :class:`ExplainService`."""
-
-    server: ExplainService
-
-    def log_message(self, fmt, *args):  # quiet; the CLI reports the bind address
-        pass
-
-    def do_GET(self) -> None:
-        if self.path == "/health":
-            _send(self, 200, {"status": "ok"})
-        else:
-            _send(self, 404, {"error": "unknown path"})
-
-    def do_POST(self) -> None:
-        if self.path != "/explain":
-            _send(self, 404, {"error": "unknown path"})
-            return
-        # checked before reading: rfile.read(-1) would wait for the
-        # client to close, and a huge length would be read in full
+    def _answer(self, reader: BinaryIO) -> tuple | None:
+        """``(status, payload[, headers])``, or None for a client that sent nothing."""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            line = _read_line(reader, "request line")
+        except LineTooLong:
+            return 414, {"error": "request line too long"}
+        if not line:
+            return None
+        words = str(line, "iso-8859-1").split()
+        version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            return 400, {"error": "malformed request line"}
+        if int(version[1]) != 1:
+            return 505, {"error": "only HTTP/1.x is supported"}
+        method, path = words[:2]
+        try:
+            head = _read_head(reader)
+        except HTTPException:
+            return 431, {"error": "request header fields too large"}
+        if path.startswith("//"):  # "//x" would read as host x (RFC 3986 section 4.2)
+            path = "/" + path.lstrip("/")
+        if method not in ("GET", "POST"):
+            return 501, {"error": "only GET and POST are supported"}
+        if (method, path) == ("GET", "/health"):
+            return 200, {"status": "ok"}
+        if (method, path) != ("POST", "/explain"):
+            return 404, {"error": "unknown path"}
+        # checked before reading: read(-1) would wait for EOF, a huge length read it all
+        try:
+            length = int(str(head.get(b"content-length", b"0"), "iso-8859-1"))
         except ValueError:
             length = -1
         if length < 0:
-            _send(self, 400, {"error": "Content-Length must be a non-negative integer"})
-            return
+            return 400, {"error": "Content-Length must be a non-negative integer"}
         if length > MAX_BODY_BYTES:
-            _send(self, 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
-            return
+            return 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(reader.read(length) or b"{}")
         except (ValueError, RecursionError):  # RecursionError: nesting too deep
-            _send(self, 400, {"error": "request body is not valid JSON"})
-            return
+            return 400, {"error": "request body is not valid JSON"}
         if not isinstance(body, dict):
-            _send(self, 400, {"error": "request body must be a JSON object"})
-            return
-        self.server._handle_explain(self, body)
+            return 400, {"error": "request body must be a JSON object"}
+        return self._handle_explain(body)
 
 
-def _send(
-    handler: BaseHTTPRequestHandler,
-    status: int,
-    payload: dict,
-    headers: Mapping[str, str] | None = None,
-) -> None:
+def _reply(status: int, payload: dict, headers: Mapping[str, str] = {}) -> bytes:
+    """The whole HTTP/1.0 reply: status line, headers and the JSON body."""
     body = json.dumps(payload).encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", "application/json")
-    for name, value in (headers or {}).items():
-        handler.send_header(name, value)
-    handler.send_header("Content-Length", str(len(body)))
-    handler.end_headers()
-    handler.wfile.write(body)
+    lines = [
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}",
+        f"Date: {formatdate(usegmt=True)}",
+        "Content-Type: application/json",
+        *(f"{name}: {value}" for name, value in headers.items()),
+        f"Content-Length: {len(body)}",
+    ]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body

@@ -1,13 +1,15 @@
 import json
 import time
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from flowexplain import pipeline
 from flowexplain.cli import main
 from flowexplain.flows import format_value
-from flowexplain.gateway import HTTPBackendProfile, PricingTable
+from flowexplain.gateway import AuthenticationError, HTTPBackendProfile, PricingTable
 from flowexplain.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -332,6 +334,27 @@ class TestSampleAndExplain:
         assert "not malicious" in entries[0]["error"]["message"]
         assert entries[1]["status"] == "ok"
         assert result.failed == 1
+
+    def test_failed_flow_timestamps_span_the_attempt(self, tmp_path, records, monkeypatch):
+        class SlowRejectingBackend:
+            backend_id = "slow-rejecting"
+            model = "none"
+
+            def complete(self, request):
+                time.sleep(0.05)
+                raise AuthenticationError("credentials rejected")
+
+        monkeypatch.setattr(pipeline, "build_backend", lambda config: SlowRejectingBackend())
+        malicious_id = next(r.flow_id for r in records if r.label == "malicious")
+        config = make_config(tmp_path)
+        result = run_explain(config, "basic", flow_ids=[malicious_id], run_id="t8")
+        (entry,) = [json.loads(l) for l in result.log_path.read_text().splitlines()]
+        assert (entry["status"], entry["error"]["type"]) == ("error", "AuthenticationError")
+        started, finished = (
+            datetime.strptime(entry["timestamps"][key], "%Y-%m-%dT%H:%M:%S.%fZ")
+            for key in ("started", "finished")
+        )
+        assert (finished - started).total_seconds() >= 0.05
 
     @pytest.mark.parametrize("workers", [4, 1])
     def test_output_order_matches_selection_order(self, tmp_path, records, workers):

@@ -412,6 +412,20 @@ class TestHandlerPool:
                 assert silent.recv(1) == b""
                 assert stalled.recv(1) == b""
 
+    def test_dropped_clients_get_no_reply_and_nothing_on_stderr(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(service_module, "REQUEST_TIMEOUT_S", 0.2)
+        with _serving(make_config(tmp_path)) as service:
+            with socket.create_connection(service.address, timeout=5) as empty:
+                empty.shutdown(socket.SHUT_WR)  # closes its side without sending a byte
+                assert empty.recv(1) == b""
+            with socket.create_connection(service.address, timeout=5) as stalled:
+                stalled.sendall(b"GET /hea")
+                assert stalled.recv(1) == b""
+            assert _request(service, "/health") == (200, {"status": "ok"})
+        assert capfd.readouterr().err == ""
+
     def test_stop_joins_the_pool_and_closes_waiting_connections(self, tmp_path, monkeypatch):
         monkeypatch.setattr(service_module, "REQUEST_TIMEOUT_S", 0.2)
         with _serving(make_config(tmp_path, max_in_flight=1)) as service:
