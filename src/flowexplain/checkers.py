@@ -297,11 +297,13 @@ def check_feature_consistency(
                 continue  # any other unrelated unit is too ambiguous to judge
             if value is None or not isinstance(recorded, (int, Decimal)):
                 continue
-            # a quoted value scaled past the exponent range becomes Infinity,
-            # which then differs from any recorded value
-            with localcontext() as ctx:
-                ctx.traps[Overflow] = False
-                value = Decimal(value) * multiplier
+            # multiplying by 1 would round a value of over 28 digits; a value
+            # scaled past the exponent range becomes Infinity, which then
+            # differs from any recorded value
+            if multiplier != 1:
+                with localcontext() as ctx:
+                    ctx.traps[Overflow] = False
+                    value = Decimal(value) * multiplier
 
         if value is None or recorded is None:
             continue

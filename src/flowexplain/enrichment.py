@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .flows import FlowRecord, clip
-from .history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
+from .history import FlowHistoryEntry, FlowHistoryStore
 from .protocols import ProtocolInfo, map_l4_protocol, map_l7_protocol
 from .providers import (
     GeoInfo,
@@ -111,8 +111,8 @@ class ContextBuilder:
 
     Holds the provider handles (``None`` for a disabled one) and the lookup
     cache so repeated builds in one run share cached answers. Providers are
-    asked only about public addresses. ``history_labels`` optionally restricts
-    which history entries are surfaced (for deployments that only want the
+    asked only about public addresses. ``include_benign=False`` leaves benign
+    entries out of the history (for deployments that only want the
     malicious back-story).
     """
 
@@ -123,7 +123,7 @@ class ContextBuilder:
         cti_provider: ThreatIntelProvider | None = None,
         k: int = DEFAULT_HISTORY_K,
         cache: TTLCache | None = None,
-        history_labels: tuple[str, ...] | None = None,
+        include_benign: bool = True,
     ):
         if k < 0:
             raise ValueError("history limit k must be non-negative")
@@ -132,7 +132,7 @@ class ContextBuilder:
         self.cti_provider = cti_provider
         self.k = k
         self.cache = cache if cache is not None else TTLCache()
-        self.history_labels = history_labels
+        self.include_benign = include_benign
 
     def build(self, record: FlowRecord) -> EnrichmentContext:
         for needed in (SRC_IP_FEATURE, DST_IP_FEATURE, L4_FEATURE, L7_FEATURE):
@@ -190,11 +190,9 @@ class ContextBuilder:
         if self.store is None:
             unavailable["history"] = "no store"
         else:
-            entries = self.store.query_history(
-                HistoryQuery(ip=ip, k=self.k, before=record.timestamp),
-                labels=self.history_labels,
+            history = tuple(
+                self.store.query_history(ip, self.k, record.timestamp, self.include_benign)
             )
-            history = tuple(entries)
 
         return IpKnowledge(
             ip=ip,

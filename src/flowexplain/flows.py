@@ -583,17 +583,12 @@ def sample_malicious(
         classes = sorted(groups)
         quota = {c: 0 for c in classes}
         remaining = n
+        # every round allocates at least one record: availability is checked above
         while remaining > 0:
-            allocated = False
             for c in classes:
-                if remaining == 0:
-                    break
-                if quota[c] < len(groups[c]):
+                if remaining and quota[c] < len(groups[c]):
                     quota[c] += 1
                     remaining -= 1
-                    allocated = True
-            if not allocated:  # unreachable: total availability checked above
-                raise SamplingError("insufficient records across attack classes")
         chosen = []
         for c in classes:
             chosen.extend(rng.sample(groups[c], quota[c]))

@@ -390,12 +390,11 @@ class Gateway:
         backend: Backend,
         retry: RetryPolicy = DEFAULT_RETRY,
         max_in_flight: int = 4,
-        ledger: UsageLedger | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
         self.retry = retry
-        self.ledger = ledger if ledger is not None else UsageLedger()
+        self.ledger = UsageLedger()
         self._sleep = sleep
         self._slots = threading.BoundedSemaphore(max_in_flight)
 

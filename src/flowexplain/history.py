@@ -49,19 +49,6 @@ class FlowHistoryEntry:
             raise ValueError(f"label must be one of {HISTORY_LABELS}, got {self.label!r}")
 
 
-@dataclass(frozen=True)
-class HistoryQuery:
-    """Ask for the most recent ``k`` connections of one address."""
-
-    ip: str
-    k: int
-    before: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-
-
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS flow_history (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -80,6 +67,25 @@ CREATE INDEX IF NOT EXISTS idx_history_dst ON flow_history (dst_ip, timestamp);
 # the fields of FlowHistoryEntry, in order
 _COLUMNS = "flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary"
 _INSERT = f"INSERT INTO flow_history ({_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?)"
+
+
+def _newest_k(where: str) -> str:
+    """The union of the newest-``k`` arms of both endpoint indexes.
+
+    Each arm binds the address, the parameters of ``where`` and ``k``; the
+    union binds ``k`` once more.
+    """
+    newest_k = "ORDER BY timestamp DESC, id DESC LIMIT ?"
+    return " UNION ".join(
+        f"SELECT * FROM (SELECT id, {_COLUMNS} FROM flow_history"
+        f" WHERE {column} = ?{where} {newest_k})"
+        for column in ("src_ip", "dst_ip")
+    ) + f" {newest_k}"
+
+
+# the bound switch keeps or drops benign entries
+_QUERY = _newest_k(" AND (? OR label != 'benign')")
+_QUERY_BEFORE = _newest_k(" AND timestamp < ? AND (? OR label != 'benign')")
 
 
 class FlowHistoryStore:
@@ -171,12 +177,13 @@ class FlowHistoryStore:
             )
 
     def query_history(
-        self, query: HistoryQuery, labels: Iterable[str] | None = None
+        self, ip: str, k: int, before: int | None = None, include_benign: bool = True
     ) -> list[FlowHistoryEntry]:
-        """Most recent entries touching ``query.ip``, newest first.
+        """The ``k`` most recent entries touching ``ip``, newest first.
 
-        Ties on timestamp are broken by reverse insertion order. ``labels``
-        optionally restricts the result to entries with those labels.
+        Ties on timestamp are broken by reverse insertion order. ``before``
+        keeps only entries stamped strictly earlier; ``include_benign=False``
+        drops benign entries.
 
         Each endpoint arm walks its ``(ip, timestamp)`` index backwards, in
         ``(timestamp, id)`` order as every index ends in the rowid, and stops
@@ -185,25 +192,15 @@ class FlowHistoryStore:
         found by both arms (``src_ip == dst_ip``), never distinct entries of
         equal content.
         """
-        where, filters = "", []
-        if query.before is not None:
-            where += " AND timestamp < ?"
-            filters.append(query.before)
-        if labels is not None:
-            wanted = sorted(set(labels))
-            where += " AND label IN (%s)" % ",".join("?" for _ in wanted)
-            filters.extend(wanted)
-        newest_k = "ORDER BY timestamp DESC, id DESC LIMIT ?"
-        sql = " UNION ".join(
-            f"SELECT * FROM (SELECT id, {_COLUMNS} FROM flow_history"
-            f" WHERE {column} = ?{where} {newest_k})"
-            for column in ("src_ip", "dst_ip")
-        ) + f" {newest_k}"
-        arm = [query.ip, *filters, query.k]
-        params = [*arm, *arm, query.k]
+        if k < 0:  # SQLite reads a negative LIMIT as no limit
+            raise ValueError("k must be non-negative")
+        if before is None:
+            sql, arm = _QUERY, (ip, include_benign, k)
+        else:
+            sql, arm = _QUERY_BEFORE, (ip, before, include_benign, k)
         with self._lock:
             try:
-                rows = self._conn.execute(sql, params).fetchall()
+                rows = self._conn.execute(sql, (*arm, *arm, k)).fetchall()
             except sqlite3.Error as exc:
                 raise StoreError(f"query failed: {exc}") from exc
         return [FlowHistoryEntry(*row[1:]) for row in rows]

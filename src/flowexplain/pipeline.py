@@ -392,7 +392,7 @@ class Runtime:
             geo_provider=self.geo_provider,
             cti_provider=self.cti_provider,
             k=config.k_history,
-            history_labels=None if config.history_include_benign else ("malicious", "unlabeled"),
+            include_benign=config.history_include_benign,
         )
         self.gateway = Gateway(self.backend, max_in_flight=config.max_in_flight)
         self._parse_posted = row_parser(self.catalog, self.catalog.feature_names)

@@ -52,10 +52,9 @@ class BudgetInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A template file's text plus its validated placeholder layout."""
+    """A template file's validated placeholder layout."""
 
     template_id: str
-    text: str
     slots: tuple[str, ...]
     pieces: tuple[str, ...]  # literal text around the placeholders; len(slots) + 1
 
@@ -68,7 +67,7 @@ def parse_template(
     The template must contain each expected placeholder exactly once, in
     order, and nothing else in double braces. Trailing whitespace after
     the final placeholder is dropped so the last substituted block ends
-    the prompt.
+    the prompt; a basic template may have nothing else after ``{{flow}}``.
     """
     found = [(m.group(1), m.start(), m.end()) for m in _PLACEHOLDER.finditer(text)]
     names = [name for name, _, _ in found]
@@ -88,12 +87,11 @@ def parse_template(
         pieces.append(text[cursor:start])
         cursor = end
     pieces.append(text[cursor:].rstrip())
-    return PromptTemplate(
-        template_id=template_id,
-        text=text,
-        slots=tuple(names),
-        pieces=tuple(pieces),
-    )
+    if expected_slots == BASIC_SLOTS and pieces[-1]:
+        raise TemplateError(
+            "basic template must end with {{flow}} so the flow block is the final section"
+        )
+    return PromptTemplate(template_id=template_id, slots=tuple(names), pieces=tuple(pieces))
 
 
 def load_template(
@@ -163,10 +161,6 @@ def build_basic_prompt(
         raise TemplateError(
             f"basic prompt requires a template with slots {BASIC_SLOTS}, "
             f"got {template.slots}"
-        )
-    if template.pieces[-1]:
-        raise TemplateError(
-            "basic template must end with {{flow}} so the flow block is the final section"
         )
     instruction = template.pieces[0]
     flow_block = render_flow_text(record, catalog)

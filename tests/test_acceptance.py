@@ -23,7 +23,7 @@ from flowexplain.enrichment import ContextBuilder
 from flowexplain.evaluation import METRICS, aggregate_metrics
 from flowexplain.flows import parse_dataset
 from flowexplain.gateway import PricingTable, estimate_cost
-from flowexplain.history import FlowHistoryEntry, FlowHistoryStore, HistoryQuery
+from flowexplain.history import FlowHistoryEntry, FlowHistoryStore
 from flowexplain.pipeline import run_explain, run_ingest, run_sample
 from flowexplain.protocols import map_l4_protocol
 
@@ -250,7 +250,7 @@ def test_criterion_6_history_contract():
                 summary=f"{i * 100}B in / 0B out, 10 ms",
             )
         )
-    result = store.query_history(HistoryQuery(ip="172.31.69.50", k=5))
+    result = store.query_history("172.31.69.50", 5)
     assert [e.flow_id for e in result] == [
         "fixture-6", "fixture-5", "fixture-4", "fixture-3", "fixture-2",
     ]

@@ -181,6 +181,14 @@ class TestFeatureConsistency:
         findings = self._findings(catalog, record, "IN_BYTES: 5.2 KB transferred")
         assert [f.kind for f in findings] == ["value_mismatch"]
 
+    def test_exact_quote_of_a_long_value_with_its_unit(self, catalog):
+        # 31 significant digits, more than a default decimal context keeps
+        recorded = 10**30 + 7
+        record = make_record(catalog, IN_BYTES=recorded)
+        assert self._findings(catalog, record, f"IN_BYTES: {recorded} bytes") == []
+        findings = self._findings(catalog, record, f"IN_BYTES: {recorded + 1} bytes")
+        assert [f.kind for f in findings] == ["value_mismatch"]
+
     def test_time_unit_normalised(self, catalog, record):
         text = "FLOW_DURATION_MILLISECONDS: 4294964 ms"
         assert self._findings(catalog, record, text) == []

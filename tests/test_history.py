@@ -13,7 +13,6 @@ from flowexplain.history import (
     HISTORY_LABELS,
     FlowHistoryEntry,
     FlowHistoryStore,
-    HistoryQuery,
 )
 
 from .conftest import history_entry, seeded_store
@@ -22,19 +21,19 @@ from .conftest import history_entry, seeded_store
 class TestAppendAndQuery:
     def test_append_then_query_by_src(self):
         store = seeded_store([history_entry(flow_id="e1")])
-        result = store.query_history(HistoryQuery(ip="172.31.69.17", k=1))
+        result = store.query_history("172.31.69.17", 1)
         assert [e.flow_id for e in result] == ["e1"]
 
     def test_entry_retrievable_by_both_endpoints(self):
         store = seeded_store([history_entry(flow_id="e1")])
-        assert store.query_history(HistoryQuery(ip="8.8.8.8", k=5))
-        assert store.query_history(HistoryQuery(ip="172.31.69.17", k=5))
+        assert store.query_history("8.8.8.8", 5)
+        assert store.query_history("172.31.69.17", 5)
 
     def test_duplicate_appends_are_both_retained(self):
         entry = history_entry(flow_id="dup")
         store = seeded_store([entry, entry])
         assert store.count() == 2
-        assert len(store.query_history(HistoryQuery(ip="8.8.8.8", k=10))) == 2
+        assert len(store.query_history("8.8.8.8", 10)) == 2
 
     def test_invalid_address_rejected(self):
         with pytest.raises(ValueError, match="src_ip"):
@@ -47,32 +46,32 @@ class TestAppendAndQuery:
     def test_seven_entries_k5_returns_five_most_recent_descending(self):
         entries = [history_entry(flow_id=f"e{i}", timestamp=i * 100) for i in range(7)]
         store = seeded_store(entries)
-        result = store.query_history(HistoryQuery(ip="172.31.69.17", k=5))
+        result = store.query_history("172.31.69.17", 5)
         assert [e.flow_id for e in result] == ["e6", "e5", "e4", "e3", "e2"]
         stamps = [e.timestamp for e in result]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_unknown_ip_yields_empty_list(self):
         store = seeded_store([history_entry()])
-        assert store.query_history(HistoryQuery(ip="10.9.9.9", k=5)) == []
+        assert store.query_history("10.9.9.9", 5) == []
 
     def test_fewer_entries_than_k_returns_all(self):
         store = seeded_store(
             [history_entry(flow_id=f"e{i}", timestamp=i) for i in range(3)]
         )
-        assert len(store.query_history(HistoryQuery(ip="8.8.8.8", k=5))) == 3
+        assert len(store.query_history("8.8.8.8", 5)) == 3
 
     def test_equal_timestamps_break_by_reverse_insertion(self):
         entries = [history_entry(flow_id=f"e{i}", timestamp=50) for i in range(3)]
         store = seeded_store(entries)
-        result = store.query_history(HistoryQuery(ip="8.8.8.8", k=3))
+        result = store.query_history("8.8.8.8", 3)
         assert [e.flow_id for e in result] == ["e2", "e1", "e0"]
 
     def test_before_filter_is_strict(self):
         store = seeded_store(
             [history_entry(flow_id=f"e{i}", timestamp=i * 10) for i in range(5)]
         )
-        result = store.query_history(HistoryQuery(ip="8.8.8.8", k=10, before=20))
+        result = store.query_history("8.8.8.8", 10, before=20)
         assert [e.flow_id for e in result] == ["e1", "e0"]
 
     def test_label_filter(self):
@@ -82,14 +81,13 @@ class TestAppendAndQuery:
                 history_entry(flow_id="b", label="benign", timestamp=2),
             ]
         )
-        result = store.query_history(
-            HistoryQuery(ip="8.8.8.8", k=10), labels=("malicious",)
-        )
+        result = store.query_history("8.8.8.8", 10, include_benign=False)
         assert [e.flow_id for e in result] == ["m"]
 
     def test_negative_k_rejected(self):
+        store = seeded_store([history_entry()])
         with pytest.raises(ValueError):
-            HistoryQuery(ip="8.8.8.8", k=-1)
+            store.query_history("8.8.8.8", -1)
 
 
 class TestPersistence:
@@ -122,12 +120,10 @@ class TestPersistence:
         reference = seeded_store(entries)
         with FlowHistoryStore(path) as store:
             for ip in addresses:
-                for query, labels in [(HistoryQuery(ip=ip, k=7), None),
-                                      (HistoryQuery(ip=ip, k=100, before=12), ("benign",))]:
-                    assert store.query_history(query, labels) == reference.query_history(
-                        query, labels)
+                for args in [(ip, 7), (ip, 100, 12, False)]:
+                    assert store.query_history(*args) == reference.query_history(*args)
             store.append(history_entry(flow_id="new", timestamp=None))
-            assert store.query_history(HistoryQuery(ip="8.8.8.8", k=1))[0].timestamp == 20
+            assert store.query_history("8.8.8.8", 1)[0].timestamp == 20
 
     def test_file_store_is_write_ahead_logged_and_fully_synchronous(self, tmp_path):
         with FlowHistoryStore(tmp_path / "history.db") as store:
@@ -148,7 +144,7 @@ class TestPersistence:
         store = FlowHistoryStore(":memory:", max_entries=3)
         for i in range(5):
             store.append(history_entry(flow_id=f"e{i}", timestamp=i))
-        remaining = store.query_history(HistoryQuery(ip="8.8.8.8", k=10))
+        remaining = store.query_history("8.8.8.8", 10)
         assert [e.flow_id for e in remaining] == ["e4", "e3", "e2"]
 
 
@@ -156,13 +152,13 @@ class TestStamping:
     def test_unstamped_entry_follows_the_newest(self):
         store = seeded_store([history_entry(timestamp=7), history_entry(timestamp=3)])
         store.append(history_entry(flow_id="new", timestamp=None))
-        newest = store.query_history(HistoryQuery(ip="8.8.8.8", k=1))
+        newest = store.query_history("8.8.8.8", 1)
         assert [(e.flow_id, e.timestamp) for e in newest] == [("new", 8)]
 
     def test_empty_store_stamps_zero(self):
         store = FlowHistoryStore(":memory:")
         store.append_many([history_entry(flow_id="a", timestamp=None)] * 2)
-        stamps = [e.timestamp for e in store.query_history(HistoryQuery(ip="8.8.8.8", k=5))]
+        stamps = [e.timestamp for e in store.query_history("8.8.8.8", 5)]
         assert stamps == [1, 0]
 
     def test_stamps_stay_monotone_after_eviction(self):
@@ -170,7 +166,7 @@ class TestStamping:
         store.append_many(history_entry(flow_id=f"e{i}", timestamp=i) for i in range(10))
         store.append(history_entry(flow_id="new", timestamp=None))
         assert store.count() == 3
-        newest = store.query_history(HistoryQuery(ip="8.8.8.8", k=1))[0]
+        newest = store.query_history("8.8.8.8", 1)[0]
         assert (newest.flow_id, newest.timestamp) == ("new", 10)
 
     def test_reopened_store_stamps_past_its_rows(self, tmp_path):
@@ -179,7 +175,7 @@ class TestStamping:
             store.append(history_entry(timestamp=41))
         with FlowHistoryStore(path) as store:
             store.append(history_entry(flow_id="new", timestamp=None))
-            newest = store.query_history(HistoryQuery(ip="8.8.8.8", k=1))[0]
+            newest = store.query_history("8.8.8.8", 1)[0]
         assert newest.timestamp == 42
 
     def test_concurrent_appends_get_distinct_stamps(self):
@@ -204,7 +200,7 @@ class TestStamping:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         total = workers * per_worker
-        stamps = [e.timestamp for e in store.query_history(HistoryQuery(ip="8.8.8.8", k=total))]
+        stamps = [e.timestamp for e in store.query_history("8.8.8.8", total)]
         assert sorted(stamps) == list(range(total))
 
 
@@ -217,12 +213,12 @@ def test_query_size_and_ordering_properties(stamps, k):
     entries = [history_entry(flow_id=f"e{i}", timestamp=ts) for i, ts in enumerate(stamps)]
     store = seeded_store(entries)
     try:
-        result = store.query_history(HistoryQuery(ip="8.8.8.8", k=k))
+        result = store.query_history("8.8.8.8", k)
         assert len(result) == min(k, len(entries))
         ordered = [e.timestamp for e in result]
         assert ordered == sorted(ordered, reverse=True)
         # an unbounded query returns every entry of the address
-        everything = store.query_history(HistoryQuery(ip="8.8.8.8", k=len(entries) + 1))
+        everything = store.query_history("8.8.8.8", len(entries) + 1)
         assert len(everything) == store.count()
     finally:
         store.close()
@@ -231,17 +227,17 @@ def test_query_size_and_ordering_properties(stamps, k):
 ADDRESSES = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
 
 
-def reference_query(entries, query, labels=None):
+def reference_query(entries, ip, k, before=None, include_benign=True):
     """Brute-force ``query_history``: ``entries`` are in insertion order."""
     matching = [
         (entry.timestamp, position, entry)
         for position, entry in enumerate(entries)
-        if query.ip in (entry.src_ip, entry.dst_ip)
-        and (query.before is None or entry.timestamp < query.before)
-        and (labels is None or entry.label in labels)
+        if ip in (entry.src_ip, entry.dst_ip)
+        and (before is None or entry.timestamp < before)
+        and (include_benign or entry.label != "benign")
     ]
     matching.sort(key=lambda item: item[:2], reverse=True)
-    return [entry for _, _, entry in matching[: query.k]]
+    return [entry for _, _, entry in matching[:k]]
 
 
 @st.composite
@@ -261,22 +257,22 @@ def history_cases(draw):
             max_size=30,
         )
     )
-    query = HistoryQuery(
-        ip=draw(st.sampled_from(ADDRESSES)),
-        k=draw(st.integers(min_value=0, max_value=len(entries) + 1)),
-        before=draw(st.none() | st.integers(min_value=0, max_value=6)),
+    query = (
+        draw(st.sampled_from(ADDRESSES)),
+        draw(st.integers(min_value=0, max_value=len(entries) + 1)),
+        draw(st.none() | st.integers(min_value=0, max_value=6)),
+        draw(st.booleans()),
     )
-    labels = draw(st.none() | st.lists(st.sampled_from(HISTORY_LABELS), unique=True).map(tuple))
-    return entries, query, labels
+    return entries, query
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=history_cases())
 def test_query_matches_brute_force_reference(case):
-    entries, query, labels = case
+    entries, query = case
     store = seeded_store(entries)
     try:
-        assert store.query_history(query, labels) == reference_query(entries, query, labels)
+        assert store.query_history(*query) == reference_query(entries, *query)
     finally:
         store.close()
 
@@ -316,7 +312,7 @@ class TestQueryCost:
 
         store._conn.set_progress_handler(tick, 1)
         try:
-            assert len(store.query_history(HistoryQuery(ip=ip, k=5))) == 5
+            assert len(store.query_history(ip, 5)) == 5
         finally:
             store._conn.set_progress_handler(None, 1)
         return spent
@@ -330,7 +326,7 @@ class TestQueryCost:
         statements = []
         store._conn.set_trace_callback(statements.append)
         try:
-            store.query_history(HistoryQuery(ip=self.DEEP, k=5, before=50), ("malicious",))
+            store.query_history(self.DEEP, 5, before=50, include_benign=False)
         finally:
             store._conn.set_trace_callback(None)
         (statement,) = statements

@@ -642,20 +642,25 @@ class TestCommandLine:
             (["sample"], "catalog", "malformed catalog document"),
             (["serve", "--port", "0"], "catalog", "malformed catalog document"),
             (["explain", "--mode", "basic"], "basic_template", "must contain placeholders"),
+            (["explain", "--mode", "basic"], "basic_template:trailing",
+             "must end with {{flow}}"),
             (["ingest"], "store", "cannot open history store"),
         ],
         ids=["catalog-ingest", "catalog-explain", "catalog-sample", "catalog-serve",
-             "template-without-placeholder", "store-in-missing-directory"],
+             "template-without-placeholder", "template-with-text-after-flow",
+             "store-in-missing-directory"],
     )
     def test_package_error_ends_with_one_error_line(self, tmp_path, command, key, message):
         (tmp_path / "catalog.json").write_text("{not json")
         (tmp_path / "basic.txt").write_text("Explain this flow.\n")
+        (tmp_path / "trailing.txt").write_text("Explain {{flow}} briefly.\n")
         bad = {
             "catalog": str(tmp_path / "catalog.json"),
             "basic_template": str(tmp_path / "basic.txt"),
+            "basic_template:trailing": str(tmp_path / "trailing.txt"),
             "store": str(tmp_path / "missing" / "history.db"),
         }
-        config_path = write_config_file(tmp_path, **{key: bad[key]})
+        config_path = write_config_file(tmp_path, **{key.partition(":")[0]: bad[key]})
         name, *options = command
         result = CliRunner().invoke(main, [name, "-c", str(config_path), *options])
         assert isinstance(result.exception, SystemExit) and result.exit_code == 1

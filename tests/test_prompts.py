@@ -93,6 +93,10 @@ class TestTemplates:
         with pytest.raises(TemplateError, match="exactly once"):
             parse_template("{{flow}} and {{flow}}", "t", BASIC_SLOTS)
 
+    def test_template_not_ending_with_flow_rejected(self):
+        with pytest.raises(TemplateError, match="end with"):
+            parse_template("intro {{flow}} trailing text", "t", BASIC_SLOTS)
+
     def test_wrong_order_rejected(self):
         with pytest.raises(TemplateError):
             parse_template(
@@ -122,11 +126,6 @@ class TestBasicPrompt:
             build_basic_prompt(record, catalog, template).text
             == build_basic_prompt(record, catalog, template).text
         )
-
-    def test_template_not_ending_with_flow_rejected(self, catalog):
-        template = parse_template("intro {{flow}} trailing text", "t", BASIC_SLOTS)
-        with pytest.raises(TemplateError, match="end with"):
-            build_basic_prompt(_record(catalog), catalog, template)
 
     def test_sections_tile_text(self, catalog):
         assert_tiles(build_basic_prompt(_record(catalog), catalog, default_basic_template()))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from flowexplain import service as service_module
 from flowexplain.flows import LABEL_MALICIOUS, FlowRecord, parse_label, parse_value
 from flowexplain.gateway import AuthenticationError
-from flowexplain.history import HistoryQuery, StoreError
+from flowexplain.history import StoreError
 from flowexplain.pipeline import FieldValidationError, PipelineConfig, Runtime, run_ingest
 from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
@@ -184,9 +184,9 @@ class TestService:
         row = _dataset_row()
         src = row["IPV4_SRC_ADDR"]
         store = service.runtime.store
-        before = len(store.query_history(HistoryQuery(ip=src, k=store.count() + 1)))
+        before = len(store.query_history(src, store.count() + 1))
         _request(service, "/explain", {"flow": row, "mode": "basic"})
-        assert len(store.query_history(HistoryQuery(ip=src, k=store.count() + 1))) == before + 1
+        assert len(store.query_history(src, store.count() + 1)) == before + 1
 
     @pytest.mark.parametrize("answer", ["IN_P\u212aTS: 5", "\u0130N_BYTES: 3"])
     def test_lookalike_feature_name_in_answer_is_served(self, service, answer):
@@ -306,7 +306,7 @@ def test_served_flow_is_newest_after_eviction(tmp_path):
         store = service.runtime.store
         assert status == 200
         assert store.count() == 150
-        entries = store.query_history(HistoryQuery(ip=row["IPV4_SRC_ADDR"], k=150))
+        entries = store.query_history(row["IPV4_SRC_ADDR"], 150)
     # the 200 ingested rows carry timestamps 0..199; eviction kept 50..199
     assert (entries[0].flow_id, entries[0].timestamp) == ("new", 200)
     assert all(entry.timestamp < 200 for entry in entries[1:])
