@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
@@ -179,13 +179,21 @@ def format_value(value: FlowValue) -> str:
     return str(value)
 
 
+#: a label cell, stripped and in lower case, to the label it spells
+_LABELS = {
+    "0": LABEL_BENIGN,
+    LABEL_BENIGN: LABEL_BENIGN,
+    "1": LABEL_MALICIOUS,
+    LABEL_MALICIOUS: LABEL_MALICIOUS,
+}
+
+
 def parse_label(text: str) -> str:
     text = text.strip().lower()
-    if text in ("0", LABEL_BENIGN):
-        return LABEL_BENIGN
-    if text in ("1", LABEL_MALICIOUS):
-        return LABEL_MALICIOUS
-    raise ValueError(f"label must be 0/1, got {clip(text, repr)}")
+    try:
+        return _LABELS[text]
+    except KeyError:
+        raise ValueError(f"label must be 0/1, got {clip(text, repr)}") from None
 
 
 @contextmanager
@@ -230,11 +238,8 @@ def parse_dataset(
     """
     report = ParseReport()
     with _reading(source) as stream:
-        header, rows = _data_rows(stream, catalog, report)
-        type_row = _typer(catalog, header, features)
-        records = [
-            _record(fate, type_row(row)) for fate, row in _scan(header, rows, catalog, report)
-        ]
+        scanned = _scan(stream, catalog, report, features)
+        records = [_record(fate, values) for fate, values in scanned]
     return records, report
 
 
@@ -248,8 +253,7 @@ def scan_dataset(
     """
     report = ParseReport()
     with _reading(source) as stream:
-        header, rows = _data_rows(stream, catalog, report)
-        return [fate for fate, _ in _scan(header, rows, catalog, report)], report
+        return [fate for fate, _ in _scan(stream, catalog, report, ())], report
 
 
 def type_rows(
@@ -265,10 +269,8 @@ def type_rows(
     typed: dict[int, FlowRecord] = {}
     with _reading(source) as stream:
         lines = iter(stream)
-        reader = csv.reader(lines)
-        header = _header(reader, catalog, ParseReport())
+        header, at = _header(lines, catalog, ParseReport())
         type_row = _typer(catalog, header)
-        at = reader.line_num
         for fate in wanted:
             first, end = fate.lines
             next(islice(lines, first - at, first - at), None)  # skip to the row's first line
@@ -291,92 +293,109 @@ def _record(fate: ScannedRow, values: dict[str, FlowValue]) -> FlowRecord:
     return FlowRecord(fate.flow_id, values, fate.label, fate.attack_class, fate.timestamp)
 
 
-def _header(reader: Iterator[list[str]], catalog: FeatureCatalog, report: ParseReport) -> list[str]:
-    """The checked header row of an export."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError("dataset is empty: no header row") from None
-    header = [h.strip() for h in header]
+def _header(
+    lines: Iterator[str], catalog: FeatureCatalog, report: ParseReport
+) -> tuple[list[str], int]:
+    """The checked header row of an export's lines, read past a leading
+    byte-order mark, and the number of lines it took."""
+    first = next(lines, None)
+    if first is None:
+        raise DatasetFormatError("dataset is empty: no header row")
+    reader = csv.reader(chain([first.removeprefix("\ufeff")], lines))
+    header = [h.strip() for h in next(reader)]
     _check_header(header, catalog, report)
-    return header
-
-
-def _data_rows(
-    stream: TextIO, catalog: FeatureCatalog, report: ParseReport
-) -> tuple[list[str], Iterator[tuple[int, tuple[list[str] | csv.Error, tuple[int, int]]]]]:
-    """The checked header of an export and its numbered data rows, each with its lines."""
-    reader = csv.reader(stream)
-    header = _header(reader, catalog, report)
-    return header, enumerate(_rows(reader), start=1)
+    return header, reader.line_num
 
 
 def _scan(
-    header: list[str],
-    rows: Iterator[tuple[int, tuple[list[str] | csv.Error, tuple[int, int]]]],
+    stream: TextIO,
     catalog: FeatureCatalog,
     report: ParseReport,
-) -> Iterator[tuple[ScannedRow, list[str]]]:
-    """Decide the fate of every row: its issues go to the report, and each
-    row that parses is yielded with its cells.
+    features: Sequence[str] | None,
+) -> Iterator[tuple[ScannedRow, dict[str, FlowValue]]]:
+    """Decide the fate of every row of an export: its issues go to the
+    report, and each row that parses is yielded with its cells of
+    ``features`` typed (by default every catalog feature).
 
-    A row that :func:`_fast_accept` passes parses; any other goes through
-    :func:`row_parser`, which alone words the issues.
+    A line that :func:`_fast_accept` passes as it stands, with a label that
+    parses, is a row that parses, split at its commas as ``csv`` would
+    split it. Any other line starts a row that ``csv`` reads, perhaps over
+    several lines, and :func:`row_parser` checks; only that path words
+    issues.
     """
-    accepts = _fast_accept(catalog, header)
-    parse_row = row_parser(catalog, header)
+    lines = iter(stream)
+    header, at = _header(lines, catalog, report)
+    specs = catalog.features if features is None else [catalog.get(name) for name in features]
+    columns = [header.index(spec.name) for spec in specs]
     label_idx = header.index(catalog.label_column)
     attack_idx = header.index(catalog.attack_column) if catalog.attack_column in header else None
-    for row_number, (row, lines) in rows:
-        if isinstance(row, csv.Error):  # such as a cell over the csv field limit
+    keep = [label_idx, *columns] if attack_idx is None else [label_idx, attack_idx, *columns]
+    accept, slot = _fast_accept(catalog, header, keep)
+    label_at, attack_at = slot[label_idx], slot.get(attack_idx)
+    plan = [
+        (spec.name, _CONVERTERS[spec.value_kind], slot[column])
+        for spec, column in zip(specs, columns)
+    ]
+    type_row = _typer(catalog, header, features)
+    parse_row = row_parser(catalog, header)
+    # csv reads a longer field as an error, so a longer line is left to it
+    limit = csv.field_size_limit()
+    for row_number, line in enumerate(lines, start=1):
+        first = at
+        text = line.rstrip("\r\n")
+        cells = accept(text) if len(text) <= limit else None
+        label = None if cells is None else _LABELS.get(cells[label_at].strip().lower())
+        if label is not None:
+            at += 1
             report.rows_total += 1
-            report.issues.append(ParseIssue(row=row_number, column="*", message=str(row)))
-            continue
-        if not "".join(row).strip():
-            continue
-        report.rows_total += 1
-        if len(row) != len(header):
-            report.issues.append(
-                ParseIssue(
-                    row=row_number,
-                    column="*",
-                    message=f"expected {len(header)} columns, found {len(row)}",
+            attack = None if attack_at is None else cells[attack_at]
+            values = {name: convert(cells[i]) for name, convert, i in plan}
+        else:
+            reader = csv.reader(chain([line], lines))
+            try:
+                row = next(reader)
+            except csv.Error as exc:  # such as a cell over the csv field limit
+                at += reader.line_num
+                report.rows_total += 1
+                report.issues.append(ParseIssue(row=row_number, column="*", message=str(exc)))
+                continue
+            at += reader.line_num
+            if not "".join(row).strip():
+                continue
+            report.rows_total += 1
+            if len(row) != len(header):
+                report.issues.append(
+                    ParseIssue(
+                        row=row_number,
+                        column="*",
+                        message=f"expected {len(header)} columns, found {len(row)}",
+                    )
                 )
-            )
-            continue
-        row_ok = accepts(row)
-        if not row_ok:
+                continue
             _, problems = parse_row(row)
             for name, message in problems.items():
                 report.issues.append(ParseIssue(row=row_number, column=name, message=message))
-            row_ok = not problems
-        try:
-            label = parse_label(row[label_idx])
-        except ValueError as exc:
-            report.issues.append(
-                ParseIssue(row=row_number, column=catalog.label_column, message=str(exc))
-            )
-            continue
-        if not row_ok:
-            continue
-        attack = row[attack_idx].strip() or None if attack_idx is not None else None
-        fate = ScannedRow(row_number, f"row-{row_number:06d}", label, attack, report.rows_ok, lines)
-        yield fate, row
+            try:
+                label = parse_label(row[label_idx])
+            except ValueError as exc:
+                report.issues.append(
+                    ParseIssue(row=row_number, column=catalog.label_column, message=str(exc))
+                )
+                continue
+            if problems:
+                continue
+            attack = None if attack_idx is None else row[attack_idx]
+            values = type_row(row)
+        fate = ScannedRow(
+            row_number,
+            f"row-{row_number:06d}",
+            label,
+            (attack or "").strip() or None,
+            report.rows_ok,
+            (first, at),
+        )
+        yield fate, values
         report.rows_ok += 1
-
-
-def _rows(reader) -> Iterator[tuple[list[str] | csv.Error, tuple[int, int]]]:
-    """The rows of a ``csv.reader``, with the error in place of a row it
-    cannot read, each with the lines [first, end) it was read from."""
-    while True:
-        first = reader.line_num
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            row = exc
-        yield row, (first, reader.line_num)
 
 
 #: What an integer or decimal cell looks like to _fast_accept. An integer
@@ -385,55 +404,63 @@ def _rows(reader) -> Iterator[tuple[list[str] | csv.Error, tuple[int, int]]]:
 #: accepts from text wherever its limit is set (640 at the least).
 _INTEGER_CELL = "[0-9]{1,100}"
 _DECIMAL_CELL = "[0-9]+(?:\\.[0-9]+)?"
+#: Any other cell holds no comma, and none of the characters that csv
+#: reads as more than text in an unquoted field: the quote, a carriage
+#: return and NUL (an error to csv before Python 3.11).
+_TEXT_CELL = '[^,"\\r\\x00]*'
 
 
-def _fast_accept(catalog: FeatureCatalog, header: Sequence[str]) -> Callable[[list[str]], bool]:
-    """A predicate on the cells of a row laid out as ``header``: true only if
-    parse_value accepts every feature cell, though false for some such rows.
+def _fast_accept(
+    catalog: FeatureCatalog, header: Sequence[str], keep: Iterable[int] = ()
+) -> tuple[Callable[[str], tuple[str, ...] | None], dict[int, int]]:
+    """A function of the text of a row laid out as ``header``, its cells
+    joined by commas, that returns the cells it captured only if
+    parse_value accepts every feature cell (and None for some such rows),
+    and for each captured column its place among them.
 
-    One pattern matches the comma-joined row. No segment matches a comma,
-    so a cell holding one fails the match. Numeric cells must be plain
-    non-negative numbers; the pattern captures the cells of the port and
+    One pattern matches the whole text. No segment matches a comma, so a
+    cell holding one fails the match, and a line that matches is split at
+    its commas by ``csv`` too. Numeric cells must be plain non-negative
+    numbers; the pattern captures the cells of ``keep``, of the port and
     protocol-id ranges and of the address check.
     """
     specs = {spec.name: spec for spec in catalog.features}
+    keep = set(keep)
     segments: list[str] = []
-    ranged: list[tuple[str, Callable[[str], int | Decimal], int]] = []
-    addresses: list[str] = []
+    slot: dict[int, int] = {}
+    ranged: list[tuple[int, Callable[[str], int | Decimal], int]] = []
+    addresses: list[int] = []
     for column, name in enumerate(header):
         spec = specs.get(name)
         kind = spec.value_kind if spec else "string"
-        group = f"c{column}"
-        if kind == "address":
-            segments.append(f"(?P<{group}>[^,]*)")
-            addresses.append(group)
-        elif kind in ("integer", "decimal"):
-            cell = _INTEGER_CELL if kind == "integer" else _DECIMAL_CELL
-            limit = _range_limit(spec)
-            if limit is None:
-                segments.append(cell)
-            else:
-                segments.append(f"(?P<{group}>{cell})")
-                ranged.append((group, _CONVERTERS[kind], limit))
-        else:
-            segments.append("[^,]*")
+        cell = {"integer": _INTEGER_CELL, "decimal": _DECIMAL_CELL}.get(kind, _TEXT_CELL)
+        limit = _range_limit(spec) if kind in ("integer", "decimal") else None
+        if column in keep or kind == "address" or limit is not None:
+            slot[column] = len(slot)
+            cell = f"({cell})"
+            if kind == "address":
+                addresses.append(slot[column])
+            elif limit is not None:
+                ranged.append((slot[column], _CONVERTERS[kind], limit))
+        segments.append(cell)
     pattern = re.compile(",".join(segments))
 
-    def accepts(row: list[str]) -> bool:
-        match = pattern.fullmatch(",".join(row))
+    def accept(text: str) -> tuple[str, ...] | None:
+        match = pattern.fullmatch(text)
         if match is None:
-            return False
+            return None
+        cells = match.groups()
         try:
-            for group, convert, limit in ranged:
-                if convert(match[group]) > limit:
-                    return False
-            for group in addresses:
-                checked_address(match[group].strip())
+            for i, convert, limit in ranged:
+                if convert(cells[i]) > limit:
+                    return None
+            for i in addresses:
+                checked_address(cells[i].strip())
         except ValueError:
-            return False
-        return True
+            return None
+        return cells
 
-    return accepts
+    return accept, slot
 
 
 def _range_limit(spec: FeatureSpec) -> int | None:
@@ -455,12 +482,12 @@ def row_parser(
     :func:`parse_value`. A row with problems has values for the rest of
     its cells only.
     """
-    accepts = _fast_accept(catalog, header)
+    accept, _ = _fast_accept(catalog, header)
     type_row = _typer(catalog, header)
     cells = [(spec, header.index(spec.name)) for spec in catalog.features]
 
     def parse(row: Sequence[str | None]) -> tuple[dict[str, FlowValue], dict[str, str]]:
-        if None not in row and accepts(row):
+        if None not in row and accept(",".join(row)) is not None:
             return type_row(row), {}
         values, problems = {}, {}
         for spec, col in cells:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .flows import checked_address
 
@@ -22,13 +21,7 @@ class StoreError(RuntimeError):
     """Raised when the persistent store itself fails."""
 
 
-@dataclass(frozen=True)
-class FlowHistoryEntry:
-    """One observed flow, indexed by both of its endpoint addresses.
-
-    An entry appended with no ``timestamp`` is stamped by the store.
-    """
-
+class _EntryRow(NamedTuple):
     flow_id: str
     timestamp: int | None
     src_ip: str
@@ -37,16 +30,39 @@ class FlowHistoryEntry:
     label: str
     summary: str
 
-    def __post_init__(self) -> None:
-        for field_name, ip in (("src_ip", self.src_ip), ("dst_ip", self.dst_ip)):
+
+class FlowHistoryEntry(_EntryRow):
+    """One observed flow, indexed by both of its endpoint addresses.
+
+    An entry is the store row it is written as; the constructor checks
+    its values. An entry appended with no ``timestamp`` is stamped by the
+    store.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        flow_id: str,
+        timestamp: int | None,
+        src_ip: str,
+        dst_ip: str,
+        l4_protocol_id: int,
+        label: str,
+        summary: str,
+    ) -> "FlowHistoryEntry":
+        for field_name, ip in (("src_ip", src_ip), ("dst_ip", dst_ip)):
             try:
                 checked_address(ip)
             except ValueError:
                 raise ValueError(f"{field_name} is not a valid address: {ip!r}") from None
-        if not 0 <= self.l4_protocol_id <= 255:
-            raise ValueError(f"l4_protocol_id out of range: {self.l4_protocol_id}")
-        if self.label not in HISTORY_LABELS:
-            raise ValueError(f"label must be one of {HISTORY_LABELS}, got {self.label!r}")
+        if not 0 <= l4_protocol_id <= 255:
+            raise ValueError(f"l4_protocol_id out of range: {l4_protocol_id}")
+        if label not in HISTORY_LABELS:
+            raise ValueError(f"label must be one of {HISTORY_LABELS}, got {label!r}")
+        return super().__new__(
+            cls, flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary
+        )
 
 
 _SCHEMA = """
@@ -99,6 +115,8 @@ class FlowHistoryStore:
     """
 
     def __init__(self, path: str | Path = ":memory:", max_entries: int | None = None):
+        if max_entries is not None and max_entries < 1:
+            raise ValueError(f"max_entries must be at least 1, got {max_entries}")
         self.path = str(path)
         self.max_entries = max_entries
         self._lock = threading.RLock()
@@ -130,39 +148,40 @@ class FlowHistoryStore:
         """Persist one entry; returns its insertion id."""
         with self._lock:
             try:
-                cur = self._conn.execute(_INSERT, self._row(entry))
+                cur = self._conn.execute(_INSERT, self._stamped([entry])[0])
                 self._enforce_cap()
                 self._conn.commit()
                 return int(cur.lastrowid)
             except sqlite3.Error as exc:
                 raise StoreError(f"append failed: {exc}") from exc
 
-    def append_many(self, entries: Iterable[FlowHistoryEntry]) -> int:
-        """Bulk append; returns the number of entries written."""
+    def append_many(self, rows: Iterable[Sequence]) -> int:
+        """Bulk append of entries, or of rows that hold checked values in the
+        order of an entry's fields; returns the number written."""
         with self._lock:
-            rows = [self._row(entry) for entry in entries]
+            stamped = self._stamped(rows)
             try:
-                self._conn.executemany(_INSERT, rows)
+                self._conn.executemany(_INSERT, stamped)
                 self._enforce_cap()
                 self._conn.commit()
             except sqlite3.Error as exc:
                 raise StoreError(f"bulk append failed: {exc}") from exc
-        return len(rows)
+        return len(stamped)
 
-    def _row(self, entry: FlowHistoryEntry) -> tuple:
-        """Insert parameters of ``entry``, stamped if it has no timestamp; needs the lock."""
-        timestamp = self._newest + 1 if entry.timestamp is None else entry.timestamp
-        if timestamp > self._newest:
-            self._newest = timestamp
-        return (
-            entry.flow_id,
-            timestamp,
-            entry.src_ip,
-            entry.dst_ip,
-            entry.l4_protocol_id,
-            entry.label,
-            entry.summary,
-        )
+    def _stamped(self, rows: Iterable[Sequence]) -> list[Sequence]:
+        """``rows`` with each missing timestamp filled in; needs the lock."""
+        newest = self._newest
+        stamped = []
+        for row in rows:
+            timestamp = row[1]
+            if timestamp is None:
+                newest += 1
+                row = (row[0], newest, *row[2:])
+            elif timestamp > newest:
+                newest = timestamp
+            stamped.append(row)
+        self._newest = newest
+        return stamped
 
     def _enforce_cap(self) -> None:
         if self.max_entries is None:

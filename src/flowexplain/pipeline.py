@@ -18,9 +18,15 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .catalog import FeatureCatalog, default_catalog, load_catalog
+from .catalog import CatalogError, FeatureCatalog, default_catalog, load_catalog
 from .checkers import run_all_checks
-from .enrichment import DST_IP_FEATURE, L4_FEATURE, SRC_IP_FEATURE, ContextBuilder
+from .enrichment import (
+    DST_IP_FEATURE,
+    L4_FEATURE,
+    L7_FEATURE,
+    SRC_IP_FEATURE,
+    ContextBuilder,
+)
 from .evaluation import (
     AggregationError,
     AnnotationSet,
@@ -211,8 +217,9 @@ class PipelineConfig:
             raise ConfigError("token_budget must be positive")
         if not 0 <= self.temperature <= 2:
             raise ConfigError("temperature must be within [0, 2]")
-        for name in ("workers", "max_in_flight", "max_tokens"):
-            if getattr(self, name) < 1:
+        for name in ("workers", "max_in_flight", "max_tokens", "store_max_entries"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ConfigError(f"{name} must be at least 1")
 
 
@@ -317,7 +324,7 @@ def pricing_from_config(config: dict) -> PricingTable:
         raise ConfigError(f"pricing must be non-negative numbers, got {quoted}") from exc
 
 
-#: the cells history_entry_for reads, which are all that ingest types
+#: the cells history_row reads, which are all that ingest types
 _HISTORY_FEATURES = (
     SRC_IP_FEATURE,
     DST_IP_FEATURE,
@@ -327,23 +334,42 @@ _HISTORY_FEATURES = (
     "FLOW_DURATION_MILLISECONDS",
 )
 
+#: what a catalog must hold for history entries and enrichment: each column,
+#: with the value kind and unit it must have
+_REQUIRED_COLUMNS = {
+    SRC_IP_FEATURE: {"value_kind": "address"},
+    DST_IP_FEATURE: {"value_kind": "address"},
+    L4_FEATURE: {"value_kind": "integer", "unit": "protocol-id"},
+    L7_FEATURE: {},
+}
 
-def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
-    """Derive the store entry for one parsed flow; the store stamps one without a timestamp."""
+
+def history_row(record: FlowRecord) -> tuple:
+    """The store row of one parsed flow, in the order of FlowHistoryEntry's fields.
+
+    A record typed by the catalog holds values an entry accepts, since the
+    catalog gives the addresses and the protocol the kinds an entry holds;
+    the store stamps a row without a timestamp.
+    """
     values = record.values
     summary = (
         f"{values.get('IN_BYTES', '?')}B in / {values.get('OUT_BYTES', '?')}B out, "
         f"{values.get('FLOW_DURATION_MILLISECONDS', '?')} ms"
     )
-    return FlowHistoryEntry(
-        flow_id=record.flow_id,
-        timestamp=record.timestamp,
-        src_ip=str(values[SRC_IP_FEATURE]),
-        dst_ip=str(values[DST_IP_FEATURE]),
-        l4_protocol_id=int(values[L4_FEATURE]),
-        label=record.label,
-        summary=summary,
+    return (
+        record.flow_id,
+        record.timestamp,
+        values[SRC_IP_FEATURE],
+        values[DST_IP_FEATURE],
+        values[L4_FEATURE],
+        record.label,
+        summary,
     )
+
+
+def history_entry_for(record: FlowRecord) -> FlowHistoryEntry:
+    """The checked store entry of one parsed flow."""
+    return FlowHistoryEntry(*history_row(record))
 
 
 @dataclass
@@ -494,12 +520,26 @@ def _utc_now() -> str:
 
 
 def _catalog_for(config: PipelineConfig) -> FeatureCatalog:
-    return load_catalog(config.catalog) if config.catalog else default_catalog()
+    catalog = load_catalog(config.catalog) if config.catalog else default_catalog()
+    for name, required in _REQUIRED_COLUMNS.items():
+        if name not in catalog:
+            raise CatalogError(
+                f"catalog has no {name} column, which history entries and prompts read"
+            )
+        spec = catalog.get(name)
+        for attribute, value in required.items():
+            if getattr(spec, attribute) != value:
+                raise CatalogError(
+                    f"catalog column {name} must have {attribute} {value!r}, "
+                    f"not {getattr(spec, attribute)!r}"
+                )
+    return catalog
 
 
 def _is_blank(path: Path) -> bool:
-    """Whether a text file holds only whitespace; reading stops at its first other line."""
-    with open(path, encoding="utf-8") as stream:
+    """Whether a text file holds only whitespace after any byte-order mark;
+    reading stops at its first other line."""
+    with open(path, encoding="utf-8-sig") as stream:
         return not any(line.strip() for line in stream)
 
 
@@ -521,7 +561,7 @@ def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSumm
         )
         if rebuild_store:
             runtime.store.clear()
-        runtime.store.append_many(history_entry_for(record) for record in records)
+        runtime.store.append_many([history_row(record) for record in records])
         report_path = config.output_dir / "parse_report.json"
         report_path.write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
         malicious = sum(1 for r in records if r.label == LABEL_MALICIOUS)

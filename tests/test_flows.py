@@ -18,10 +18,12 @@ from flowexplain.flows import (
     render_flow_text,
     row_parser,
     sample_malicious,
+    scan_dataset,
+    type_rows,
 )
 from flowexplain.pipeline import history_entry_for
 
-from .conftest import DATA_DIR, make_record, synth_values
+from .conftest import DATA_DIR, DATASET, make_record, synth_values
 from .data.record_parse_golden import FUZZ_CASES, FUZZ_SEED, MAX_ROWS, digests
 
 GOLDEN = json.loads((DATA_DIR / "parse_golden.json").read_text(encoding="utf-8"))
@@ -103,6 +105,19 @@ class TestParseDataset:
         )
         assert report.header_reordered is True
         assert records[0].values["L4_SRC_PORT"] == 1234
+
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path, catalog):
+        # spreadsheets' "CSV UTF-8" starts the file with one
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes("\ufeff".encode() + DATASET.read_bytes())
+        records, report = parse_dataset(DATASET, catalog)
+        with open(marked, encoding="utf-8", newline="") as stream:
+            sources = [marked, stream, io.StringIO(marked.read_bytes().decode())]
+            for source in sources:
+                marked_records, marked_report = parse_dataset(source, catalog)
+                assert (marked_records, marked_report) == (records, report)
+        rows, _ = scan_dataset(marked, catalog)
+        assert type_rows(marked, catalog, rows[:3]) == records[:3]
 
     def test_integer_tolerates_decimal_suffix(self, catalog):
         records, _ = parse_dataset(_csv_text(catalog, [_row(catalog, PROTOCOL="6.0")]), catalog)

@@ -140,6 +140,11 @@ class TestPersistence:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("max_entries", [0, -1])
+    def test_max_entries_below_one_rejected(self, max_entries):
+        with pytest.raises(ValueError, match="max_entries must be at least 1"):
+            FlowHistoryStore(":memory:", max_entries=max_entries)
+
     def test_max_entries_cap_evicts_oldest(self):
         store = FlowHistoryStore(":memory:", max_entries=3)
         for i in range(5):

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
 
@@ -108,7 +109,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             PipelineConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("key", ["workers", "max_in_flight", "max_tokens"])
+    @pytest.mark.parametrize("key", ["workers", "max_in_flight", "max_tokens", "store_max_entries"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_counts_below_one_are_config_errors(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
@@ -278,9 +279,10 @@ class TestIngest:
 
     def test_whitespace_only_file_yields_zero_summary(self, tmp_path):
         blank = tmp_path / "blank.csv"
-        blank.write_text("\n  \r\n\t\n\u2003\n")
-        summary = run_ingest(make_config(tmp_path, dataset=blank))
-        assert (summary.total, summary.store_entries, summary.report_path) == (0, 0, None)
+        for mark in ("", "\ufeff"):  # a byte-order mark is no content either
+            blank.write_text(mark + "\n  \r\n\t\n\u2003\n", encoding="utf-8")
+            summary = run_ingest(make_config(tmp_path, dataset=blank))
+            assert (summary.total, summary.store_entries, summary.report_path) == (0, 0, None)
 
     def test_reingest_rebuilds_store_by_default(self, tmp_path):
         config = make_config(tmp_path)
@@ -645,13 +647,26 @@ class TestCommandLine:
             (["explain", "--mode", "basic"], "basic_template:trailing",
              "must end with {{flow}}"),
             (["ingest"], "store", "cannot open history store"),
+            (["ingest"], "catalog:no-protocol", "catalog has no PROTOCOL column"),
+            (["ingest"], "catalog:string-address",
+             "catalog column IPV4_SRC_ADDR must have value_kind 'address', not 'string'"),
         ],
         ids=["catalog-ingest", "catalog-explain", "catalog-sample", "catalog-serve",
              "template-without-placeholder", "template-with-text-after-flow",
-             "store-in-missing-directory"],
+             "store-in-missing-directory", "catalog-without-protocol",
+             "catalog-with-string-address"],
     )
-    def test_package_error_ends_with_one_error_line(self, tmp_path, command, key, message):
+    def test_package_error_ends_with_one_error_line(
+        self, tmp_path, catalog, command, key, message
+    ):
         (tmp_path / "catalog.json").write_text("{not json")
+        features = [asdict(spec) for spec in catalog.features]
+        (tmp_path / "no-protocol.json").write_text(json.dumps({"version": "t", "features": [
+            f for f in features if f["name"] != "PROTOCOL"
+        ]}))
+        (tmp_path / "string-address.json").write_text(json.dumps({"version": "t", "features": [
+            {**f, "value_kind": "string"} if f["name"] == "IPV4_SRC_ADDR" else f for f in features
+        ]}))
         (tmp_path / "basic.txt").write_text("Explain this flow.\n")
         (tmp_path / "trailing.txt").write_text("Explain {{flow}} briefly.\n")
         bad = {
@@ -659,6 +674,8 @@ class TestCommandLine:
             "basic_template": str(tmp_path / "basic.txt"),
             "basic_template:trailing": str(tmp_path / "trailing.txt"),
             "store": str(tmp_path / "missing" / "history.db"),
+            "catalog:no-protocol": str(tmp_path / "no-protocol.json"),
+            "catalog:string-address": str(tmp_path / "string-address.json"),
         }
         config_path = write_config_file(tmp_path, **{key.partition(":")[0]: bad[key]})
         name, *options = command
