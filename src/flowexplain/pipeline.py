@@ -54,6 +54,7 @@ from .gateway import (
     DEFAULT_TEMPERATURE,
     Gateway,
     GenerationRequest,
+    GenerationResult,
     HTTPBackend,
     HTTPBackendProfile,
     MockBackend,
@@ -438,18 +439,14 @@ class Runtime:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         return enforce_budget(bundle, self.config.token_budget)
 
-    def explain_record(
-        self,
-        record: FlowRecord,
-        mode: str,
-        explanation_id: str,
-        append_history: bool = False,
-    ) -> dict:
-        """Explain one malicious flow; returns the loggable record."""
+    def prepare(
+        self, record: FlowRecord, mode: str, explanation_id: str
+    ) -> tuple[PromptBundle, GenerationRequest]:
+        """The first half of explaining a malicious flow: its fitted prompt
+        and the request that asks the backend about it."""
         if record.label != LABEL_MALICIOUS:
             raise PipelineError(f"flow {record.flow_id} is not malicious; only malicious "
                                 "flows are explained")
-        started = _utc_now()
         bundle = self.build_prompt(record, mode)
         request = GenerationRequest(
             prompt=bundle.text,
@@ -457,7 +454,19 @@ class Runtime:
             max_tokens=self.config.max_tokens,
             request_id=explanation_id,
         )
-        result = self.gateway.generate(request)
+        return bundle, request
+
+    def finish(
+        self,
+        record: FlowRecord,
+        mode: str,
+        explanation_id: str,
+        started: str,
+        bundle: PromptBundle,
+        result: GenerationResult,
+        append_history: bool = False,
+    ) -> dict:
+        """The second half: check the backend's answer and return the loggable record."""
         findings = run_all_checks(result.text, record, self.catalog)
         if append_history:
             self.store.append(history_entry_for(record))
@@ -478,6 +487,19 @@ class Runtime:
             "error": None,
             "timestamps": {"started": started, "finished": _utc_now()},
         }
+
+    def explain_record(
+        self,
+        record: FlowRecord,
+        mode: str,
+        explanation_id: str,
+        append_history: bool = False,
+    ) -> dict:
+        """Explain one malicious flow; returns the loggable record."""
+        started = _utc_now()
+        bundle, request = self.prepare(record, mode, explanation_id)
+        result = self.gateway.generate(request)
+        return self.finish(record, mode, explanation_id, started, bundle, result, append_history)
 
     def record_from_row(self, row: dict, flow_id: str) -> FlowRecord:
         """Build a validated record from a dataset-shaped column mapping."""
@@ -645,8 +667,10 @@ def run_explain(
 ) -> ExplainRunResult:
     """Explain the selected flows and append records to a run log.
 
-    Outputs preserve the selection order regardless of worker scheduling.
-    Per-flow failures are recorded in the log and do not abort the batch.
+    The calling thread prepares each flow's prompt and finishes its record;
+    ``config.workers`` threads only wait on the backend. Outputs preserve
+    the selection order. Per-flow failures are recorded in the log and do
+    not abort the batch.
     """
     if mode not in MODES:
         raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
@@ -659,33 +683,52 @@ def run_explain(
         log_path = config.output_dir / f"{run_id}.jsonl"
         ledger_path = config.output_dir / f"{run_id}.ledger.json"
 
-        def explain_one(record: FlowRecord) -> dict:
-            explanation_id = f"{run_id}:{record.flow_id}"
-            started = _utc_now()
+        def failure(
+            record: FlowRecord, explanation_id: str, started: str, exc: Exception
+        ) -> dict:
+            return {
+                "explanation_id": explanation_id,
+                "flow_id": record.flow_id,
+                "mode": mode,
+                "model": getattr(runtime.backend, "model", ""),
+                "backend": getattr(runtime.backend, "backend_id", ""),
+                "status": "error",
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+                "timestamps": {"started": started, "finished": _utc_now()},
+            }
+
+        def finish(flow: dict | tuple) -> dict:
+            """The record of a flow leaving the window; a failed one has it already."""
+            if isinstance(flow, dict):
+                return flow
+            record, explanation_id, started, bundle, call = flow
             try:
-                return runtime.explain_record(record, mode, explanation_id)
+                return runtime.finish(
+                    record, mode, explanation_id, started, bundle, call.result()
+                )
             except Exception as exc:  # per-flow failure: recorded, run continues
-                return {
-                    "explanation_id": explanation_id,
-                    "flow_id": record.flow_id,
-                    "mode": mode,
-                    "model": getattr(runtime.backend, "model", ""),
-                    "backend": getattr(runtime.backend, "backend_id", ""),
-                    "status": "error",
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                    "timestamps": {"started": started, "finished": _utc_now()},
-                }
+                return failure(record, explanation_id, started, exc)
 
         def in_order(pool: ThreadPoolExecutor) -> Iterable[dict]:
-            # at most two flows per worker are in flight or waiting for the
-            # writer, so finished records never pile up ahead of it
+            # This thread builds every prompt and checks every answer; the
+            # pool's threads only wait on the backend. At most two flows per
+            # worker are in flight or waiting for the writer, so answers
+            # never pile up ahead of it.
             pending: deque = deque()
             for record in selected:
                 if len(pending) == 2 * config.workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(explain_one, record))
+                    yield finish(pending.popleft())
+                explanation_id = f"{run_id}:{record.flow_id}"
+                started = _utc_now()
+                try:
+                    bundle, request = runtime.prepare(record, mode, explanation_id)
+                except Exception as exc:  # per-flow failure: recorded, run continues
+                    pending.append(failure(record, explanation_id, started, exc))
+                else:
+                    call = pool.submit(runtime.gateway.generate, request)
+                    pending.append((record, explanation_id, started, bundle, call))
             while pending:
-                yield pending.popleft().result()
+                yield finish(pending.popleft())
 
         written = failed = 0
         # the pool starts threads only when tasks are submitted to it

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from .catalog import UNIT_LABELS, FeatureCatalog
 from .enrichment import EnrichmentContext, IpKnowledge
@@ -119,11 +120,13 @@ def count_tokens(text: str) -> int:
 
     One token per 2.7 characters, rounded up, computed in exact integer
     arithmetic, so the count is monotone non-decreasing under
-    concatenation.
+    concatenation. It reads only the text's length.
     """
-    if not text:
-        return 0
-    return (len(text) * 10 + 26) // 27
+    return _tokens_for_length(len(text))
+
+
+def _tokens_for_length(length: int) -> int:
+    return (length * 10 + 26) // 27
 
 
 @dataclass(frozen=True)
@@ -253,11 +256,15 @@ def _render_ip_side(title: str, side: IpKnowledge) -> tuple[tuple[str, ...], tup
     return tuple(lines), history
 
 
+def _omitted_line(trimmed: int) -> str:
+    noun = "entry" if trimmed == 1 else "entries"
+    return f"  ({trimmed} older {noun} omitted for budget)"
+
+
 def _trimmed_history(history: tuple[str, ...], trimmed: int) -> list[str]:
     if not trimmed:
         return list(history)
-    noun = "entry" if trimmed == 1 else "entries"
-    return [*history[: len(history) - trimmed], f"  ({trimmed} older {noun} omitted for budget)"]
+    return [*history[: len(history) - trimmed], _omitted_line(trimmed)]
 
 
 @dataclass(frozen=True)
@@ -268,8 +275,10 @@ class _Layout:
     first: history entries oldest first across both endpoints (ties go to
     the source), then the spec entries of zero-valued features, then the
     protocol descriptions. The instruction, the flow block and the
-    availability markers are not in it. :meth:`text` and :meth:`bundle`
-    assemble the prompt with the first ``n`` trims of the plan applied.
+    availability markers are not in it. :meth:`bundle` assembles the
+    prompt with the first ``n`` trims of the plan applied; :meth:`lengths`
+    gives the length of the text each further trim leaves, without
+    rendering it.
     """
 
     basic: PromptBundle
@@ -296,8 +305,36 @@ class _Layout:
             pieces[2] + "\n".join(ip_lines) + pieces[3],
         )
 
-    def text(self, n: int) -> str:
-        return self.basic.text + "".join(self._segments(n))
+    def lengths(self, n: int, length: int) -> Iterator[int]:
+        """The text's length after each trim past the first ``n``, in plan order.
+
+        ``length`` is the length with the first ``n`` trims applied. A
+        history trim drops the endpoint's oldest shown line and its newline,
+        and puts the "(k+1 older entries omitted)" line in place of the "k"
+        one; a spec trim drops one line and its newline, except that the last
+        line leaves the no-entries line in its place; the protocol trim swaps
+        the two renderings.
+        """
+        spec_lines = dict(self.spec)
+        spec_left = len(self.spec) - sum(t.startswith(_TRIM_SPEC) for t in self.plan[:n])
+        omitted = [self.history_trims[:n].count(i) for i in range(len(self.endpoints))]
+        for position in range(n, len(self.plan)):
+            trim = self.plan[position]
+            if trim == _TRIM_HISTORY:
+                index = self.history_trims[position]
+                k = omitted[index]
+                omitted[index] = k + 1
+                # a line of the section costs its length plus its newline
+                dropped = len(self.endpoints[index][1][-k - 1]) + 1
+                replaced = len(_omitted_line(k)) + 1 if k else 0
+                length += len(_omitted_line(k + 1)) + 1 - replaced - dropped
+            elif trim == _TRIM_PROTOCOLS:
+                length += len(self.protocols[1]) - len(self.protocols[0])
+            else:
+                spec_left -= 1
+                line = spec_lines[trim]
+                length += len(_NO_SPEC_ENTRIES) - len(line) if not spec_left else -len(line) - 1
+            yield length
 
     def bundle(self, n: int, token_count: int | None = None) -> PromptBundle:
         segments = self._segments(n)
@@ -389,8 +426,9 @@ def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
 
     The result is the bundle with the shortest prefix of its trim plan
     (see :class:`_Layout`) whose text fits. Prefixes are tried in order
-    and each is counted, so the rule needs no assumption about how the
-    count changes as text is removed. Every trim is recorded in
+    and each is counted. The token count depends on the text's length
+    alone, so each prefix is counted from the length its trims leave,
+    and only the fitted prompt is rendered. Every trim is recorded in
     ``metadata["trims"]``. A basic prompt has nothing to trim.
     """
     if budget <= 0:
@@ -401,8 +439,9 @@ def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
     if layout is None:
         raise BudgetInfeasibleError(bundle.token_count, budget)
     token_count = bundle.token_count
-    for n in range(len(bundle.metadata["trims"]) + 1, len(layout.plan) + 1):
-        token_count = count_tokens(layout.text(n))
+    trimmed = len(bundle.metadata["trims"])
+    for n, length in enumerate(layout.lengths(trimmed, len(bundle.text)), trimmed + 1):
+        token_count = _tokens_for_length(length)
         if token_count <= budget:
             return layout.bundle(n, token_count)
     raise BudgetInfeasibleError(token_count, budget)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,12 @@ class ProviderAuthError(ProviderError):
     """Authentication or configuration problem, distinct from a miss."""
 
     reason = "auth_error"
+
+
+class ProviderMalformed(ProviderError):
+    """The answer is not JSON, or a field holds a value of the wrong kind."""
+
+    reason = "malformed"
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,7 @@ class _HTTPProviderBase:
         try:
             return json.loads(body)
         except ValueError as exc:
-            raise ProviderError(f"{self.provider_id} returned a malformed payload") from exc
+            raise ProviderMalformed(f"{self.provider_id} returned a malformed payload") from exc
 
     def _extract(self, payload: Any, field: str, required: bool = False) -> Any:
         path = self.profile.field_paths.get(field)
@@ -291,9 +298,23 @@ class _HTTPProviderBase:
                 ) from None
             return None
 
+    def _text(self, payload: Any, field: str, required: bool = False) -> str | None:
+        """A field that holds a string, or nothing when the payload has none."""
+        value = self._extract(payload, field, required)
+        if value is not None and not isinstance(value, str):
+            raise self._malformed(field, value)
+        return value
+
+    def _malformed(self, field: str, value: Any) -> ProviderMalformed:
+        return ProviderMalformed(f"{self.provider_id} returned malformed {field} {value!r:.80}")
+
     @staticmethod
     def _now() -> str:
         return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+#: an autonomous system number as providers write it: 15169, "15169" or "AS15169"
+_ASN = re.compile(r"(?:AS)?([0-9]{1,10})", re.IGNORECASE)
 
 
 class HTTPGeoProvider(_HTTPProviderBase):
@@ -301,15 +322,24 @@ class HTTPGeoProvider(_HTTPProviderBase):
 
     def lookup(self, ip: str) -> GeoInfo:
         payload = self._fetch(ip)
-        asn = self._extract(payload, "asn")
         return GeoInfo(
             ip=ip,
-            country=self._extract(payload, "country"),
-            city=self._extract(payload, "city"),
-            asn=int(asn) if asn is not None else None,
-            as_name=self._extract(payload, "as_name"),
+            country=self._text(payload, "country"),
+            city=self._text(payload, "city"),
+            asn=self._asn(payload),
+            as_name=self._text(payload, "as_name"),
             provenance=Provenance(self.provider_id, self._now()),
         )
+
+    def _asn(self, payload: Any) -> int | None:
+        value = self._extract(payload, "asn")
+        if value is None:
+            return None
+        match = _ASN.fullmatch(value) if isinstance(value, str) else None
+        asn = int(match.group(1)) if match else value
+        if type(asn) is not int or not 0 <= asn < 2**32:  # by type: a bool is no number
+            raise self._malformed("asn", value)
+        return asn
 
 
 class HTTPThreatProvider(_HTTPProviderBase):
@@ -317,17 +347,22 @@ class HTTPThreatProvider(_HTTPProviderBase):
 
     def lookup(self, ip: str) -> ThreatIntel:
         payload = self._fetch(ip)
-        verdict = self._extract(payload, "verdict", required=True)
-        if not isinstance(verdict, str) or verdict.lower() not in CTI_VERDICTS:
-            raise ProviderError(f"{self.provider_id} returned malformed verdict {verdict!r}")
-        categories = self._extract(payload, "categories") or ()
-        if isinstance(categories, str):
-            categories = (categories,)
+        verdict = self._text(payload, "verdict", required=True)
+        if verdict.lower() not in CTI_VERDICTS:
+            raise self._malformed("verdict", verdict)
+        categories = self._extract(payload, "categories")
+        if categories is None or categories == "":
+            categories = []
+        elif isinstance(categories, str):
+            categories = [categories]
+        # numbered categories (as some feeds give them) are kept as their digits
+        if not isinstance(categories, list) or any(type(c) not in (str, int) for c in categories):
+            raise self._malformed("categories", categories)
         return ThreatIntel(
             ip=ip,
             verdict=verdict.lower(),
             categories=tuple(str(c) for c in categories),
-            last_seen=self._extract(payload, "last_seen"),
+            last_seen=self._text(payload, "last_seen"),
             provenance=Provenance(self.provider_id, self._now()),
         )
 

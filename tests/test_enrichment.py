@@ -387,6 +387,79 @@ class TestHTTPProviders:
                 provider(server).lookup("8.8.8.8")
 
 
+def _answer(provider_class, field_paths: dict, payload: dict):
+    """One lookup of ``provider_class`` against an endpoint that answers ``payload``."""
+    from flowexplain.providers import HTTPProviderProfile
+
+    with KeepAliveServer(json.dumps(payload).encode("utf-8")) as server:
+        profile = HTTPProviderProfile(
+            provider_id="http-test",
+            url_template=server.url("/lookup/{ip}"),
+            field_paths=field_paths,
+        )
+        return provider_class(profile).lookup("8.8.8.8")
+
+
+class TestHTTPProviderFields:
+    GEO_PATHS = {"country": "country", "city": "city", "asn": "asn", "as_name": "org"}
+    CTI_PATHS = {"verdict": "verdict", "categories": "tags", "last_seen": "seen"}
+
+    @pytest.mark.parametrize("asn", ["AS15169", "as15169", "15169", 15169])
+    def test_asn_forms(self, asn):
+        from flowexplain.providers import HTTPGeoProvider
+
+        assert _answer(HTTPGeoProvider, self.GEO_PATHS, {"asn": asn}).asn == 15169
+
+    def test_numbered_categories_kept_as_digits(self):
+        from flowexplain.providers import HTTPThreatProvider
+
+        intel = _answer(
+            HTTPThreatProvider, self.CTI_PATHS, {"verdict": "malicious", "tags": [18, "ssh"]}
+        )
+        assert intel.categories == ("18", "ssh")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"asn": "ASX"},
+            {"asn": "AS"},
+            {"asn": True},
+            {"asn": -1},
+            {"asn": 2**32},
+            {"asn": 15169.5},
+            {"asn": [15169]},
+            {"country": 5},
+            {"city": ["Brisbane"]},
+            {"org": {"name": "TELSTRA"}},
+        ],
+    )
+    def test_malformed_geo_field(self, payload):
+        from flowexplain.providers import HTTPGeoProvider, ProviderMalformed
+
+        with pytest.raises(ProviderMalformed) as caught:
+            _answer(HTTPGeoProvider, self.GEO_PATHS, payload)
+        assert caught.value.reason == "malformed"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"verdict": "malicious", "tags": 5},
+            {"verdict": "malicious", "tags": {"scanner": True}},
+            {"verdict": "malicious", "tags": [None]},
+            {"verdict": "malicious", "tags": [True]},
+            {"verdict": "malicious", "seen": 1700000000},
+            {"verdict": 7},
+            {"verdict": "catastrophic"},
+        ],
+    )
+    def test_malformed_cti_field(self, payload):
+        from flowexplain.providers import HTTPThreatProvider, ProviderMalformed
+
+        with pytest.raises(ProviderMalformed) as caught:
+            _answer(HTTPThreatProvider, self.CTI_PATHS, payload)
+        assert caught.value.reason == "malformed"
+
+
 class TestHTTPProviderTransport:
     def _geo(self, url_template, timeout_ms=5000):
         from flowexplain.providers import HTTPGeoProvider, HTTPProviderProfile

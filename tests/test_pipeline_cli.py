@@ -24,6 +24,7 @@ from flowexplain.pipeline import (
 from flowexplain.providers import HTTPProviderProfile
 
 from .conftest import CTI_FIXTURE, DATASET, GEO_FIXTURE
+from .loopback import KeepAliveServer
 
 
 def make_config(tmp_path: Path, **extra) -> PipelineConfig:
@@ -372,13 +373,13 @@ class TestSampleAndExplain:
     ):
         malicious = [r.flow_id for r in records if r.label == "malicious"][:24]
         started = []
-        explain_record = Runtime.explain_record
+        prepare = Runtime.prepare
 
         def counted(self, *args, **kwargs):
             started.append(None)
-            return explain_record(self, *args, **kwargs)
+            return prepare(self, *args, **kwargs)
 
-        monkeypatch.setattr(Runtime, "explain_record", counted)
+        monkeypatch.setattr(Runtime, "prepare", counted)
         ahead = []
 
         def slow_writer(flow_id):
@@ -390,6 +391,90 @@ class TestSampleAndExplain:
         run_explain(config, "basic", flow_ids=malicious, run_id="t6", progress=slow_writer)
         assert len(ahead) == len(malicious)
         assert max(ahead) < 2 * config.workers
+
+    @staticmethod
+    def _outcomes(result):
+        entries = [json.loads(line) for line in result.log_path.read_text().splitlines()]
+        ledger = json.loads(result.ledger_path.read_text())
+        return entries, ledger
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flow_whose_core_exceeds_the_budget_fails_in_place(self, tmp_path, catalog, records,
+                                                               workers):
+        from flowexplain.prompts import build_basic_prompt, default_basic_template
+
+        def tokens(record):
+            return build_basic_prompt(record, catalog, default_basic_template()).token_count
+
+        malicious = sorted((r for r in records if r.label == "malicious"), key=tokens)
+        largest = malicious[-1]
+        others = [r for r in malicious if tokens(r) < tokens(largest)][-6:]
+        selected = [r.flow_id for r in others[:3]] + [largest.flow_id] + [
+            r.flow_id for r in others[3:]
+        ]
+        config = make_config(tmp_path, workers=workers, token_budget=tokens(others[-1]))
+        result = run_explain(config, "basic", flow_ids=selected, run_id="t9")
+        entries, ledger = self._outcomes(result)
+        assert [e["flow_id"] for e in entries] == selected
+        assert [e["status"] for e in entries] == ["ok"] * 3 + ["error"] + ["ok"] * 3
+        assert entries[3]["error"]["type"] == "BudgetInfeasibleError"
+        assert result.failed == 1
+        # the failed flow never reached the backend
+        assert (ledger["results"], ledger["failures"]) == (6, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backend_failure_on_one_flow_fails_in_place(self, tmp_path, records, monkeypatch,
+                                                        workers):
+        from flowexplain.gateway import MalformedResponseError, MockBackend
+
+        malicious = [r.flow_id for r in records if r.label == "malicious"][:7]
+
+        class FailingOnce(MockBackend):
+            def complete(self, request):
+                if request.request_id.endswith(malicious[2]):
+                    raise MalformedResponseError("no choices in the answer")
+                return super().complete(request)
+
+        monkeypatch.setattr(pipeline, "build_backend", lambda config: FailingOnce())
+        config = make_config(tmp_path, workers=workers)
+        run_ingest(config)
+        result = run_explain(config, "augmented", flow_ids=malicious, run_id="t10")
+        entries, ledger = self._outcomes(result)
+        assert [e["flow_id"] for e in entries] == malicious
+        assert [e["status"] for e in entries] == ["ok"] * 2 + ["error"] + ["ok"] * 4
+        assert entries[2]["error"] == {
+            "type": "MalformedResponseError", "message": "no choices in the answer"
+        }
+        assert result.failed == 1
+        assert (ledger["results"], ledger["failures"]) == (6, 1)
+
+    def test_malformed_knowledge_answers_degrade_in_a_batch(self, tmp_path, records):
+        from flowexplain.enrichment import classify_ip
+
+        public = [
+            r.flow_id for r in records
+            if r.label == "malicious" and "public" in (
+                classify_ip(r.values["IPV4_SRC_ADDR"]), classify_ip(r.values["IPV4_DST_ADDR"])
+            )
+        ][:3]
+        payload = {"asn": "AS15169", "country": "US", "verdict": "malicious", "tags": 5}
+        with KeepAliveServer(json.dumps(payload).encode("utf-8")) as server:
+            config = make_config(
+                tmp_path,
+                token_budget=100_000,
+                geo_provider={"kind": "http", "url_template": server.url("/geo/{ip}"),
+                              "field_paths": {"asn": "asn", "country": "country"}},
+                cti_provider={"kind": "http", "url_template": server.url("/cti/{ip}"),
+                              "field_paths": {"verdict": "verdict", "categories": "tags"}},
+            )
+            run_ingest(config)
+            result = run_explain(config, "augmented", flow_ids=public, run_id="t11")
+        entries, _ = self._outcomes(result)
+        assert [e["status"] for e in entries] == ["ok"] * len(public)
+        for entry in entries:
+            text = entry["prompt"]["text"]
+            assert "country=US, asn=AS15169" in text
+            assert "- threat intelligence unavailable: malformed" in text
 
     def test_configured_sample_is_explained_without_ids_or_file(self, tmp_path, records):
         config = make_config(tmp_path)

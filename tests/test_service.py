@@ -20,6 +20,7 @@ from flowexplain.pipeline import FieldValidationError, PipelineConfig, Runtime, 
 from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
 from .conftest import DATASET
+from .loopback import KeepAliveServer
 from .data.record_parse_golden import (
     ADDRESS_EDGES,
     ADDRESSES,
@@ -104,6 +105,25 @@ class TestService:
         assert body["explanation"]
         assert body["mode"] == "augmented"
         assert body["prompt"]["token_count"] <= 2048
+
+    def test_malformed_knowledge_answers_degrade(self, tmp_path):
+        payload = {"asn": "as15169", "country": "US", "verdict": "malicious", "tags": 5}
+        with KeepAliveServer(json.dumps(payload).encode("utf-8")) as knowledge:
+            config = make_config(
+                tmp_path,
+                geo_provider={"kind": "http", "url_template": knowledge.url("/geo/{ip}"),
+                              "field_paths": {"asn": "asn", "country": "country"}},
+                cti_provider={"kind": "http", "url_template": knowledge.url("/cti/{ip}"),
+                              "field_paths": {"verdict": "verdict", "categories": "tags"}},
+            )
+            row = _dataset_row()
+            row["IPV4_SRC_ADDR"] = "8.8.8.8"
+            with _serving(config) as service:
+                status, body = _request(service, "/explain", {"flow": row, "mode": "augmented"})
+        assert (status, body["status"]) == (200, "ok")
+        text = body["prompt"]["text"]
+        assert "- geolocation: country=US, asn=AS15169" in text
+        assert "- threat intelligence unavailable: malformed" in text
 
     def test_benign_flow_rejected(self, service):
         status, body = _request(
