@@ -709,14 +709,19 @@ def run_explain(
             except Exception as exc:  # per-flow failure: recorded, run continues
                 return failure(record, explanation_id, started, exc)
 
+        def answered(flow: dict | tuple) -> bool:
+            return isinstance(flow, dict) or flow[-1].done()
+
         def in_order(pool: ThreadPoolExecutor) -> Iterable[dict]:
             # This thread builds every prompt and checks every answer; the
             # pool's threads only wait on the backend. At most two flows per
             # worker are in flight or waiting for the writer, so answers
-            # never pile up ahead of it.
+            # never pile up ahead of it. A flow is finished as soon as it
+            # leads the window and its answer is in, so its timestamps span
+            # its own work, not the preparing of the flows behind it.
             pending: deque = deque()
             for record in selected:
-                if len(pending) == 2 * config.workers:
+                while pending and (len(pending) == 2 * config.workers or answered(pending[0])):
                     yield finish(pending.popleft())
                 explanation_id = f"{run_id}:{record.flow_id}"
                 started = _utc_now()

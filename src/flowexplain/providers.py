@@ -348,7 +348,7 @@ class HTTPThreatProvider(_HTTPProviderBase):
     def lookup(self, ip: str) -> ThreatIntel:
         payload = self._fetch(ip)
         verdict = self._text(payload, "verdict", required=True)
-        if verdict.lower() not in CTI_VERDICTS:
+        if verdict is None or verdict.lower() not in CTI_VERDICTS:  # JSON null is no verdict
             raise self._malformed("verdict", verdict)
         categories = self._extract(payload, "categories")
         if categories is None or categories == "":

@@ -449,6 +449,7 @@ class TestHTTPProviderFields:
             {"verdict": "malicious", "tags": [True]},
             {"verdict": "malicious", "seen": 1700000000},
             {"verdict": 7},
+            {"verdict": None},
             {"verdict": "catastrophic"},
         ],
     )

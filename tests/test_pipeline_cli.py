@@ -1,5 +1,6 @@
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
@@ -10,7 +11,12 @@ from click.testing import CliRunner
 from flowexplain import pipeline
 from flowexplain.cli import main
 from flowexplain.flows import format_value
-from flowexplain.gateway import AuthenticationError, HTTPBackendProfile, PricingTable
+from flowexplain.gateway import (
+    AuthenticationError,
+    HTTPBackendProfile,
+    MockBackend,
+    PricingTable,
+)
 from flowexplain.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -386,11 +392,56 @@ class TestSampleAndExplain:
             ahead.append(len(started) - len(ahead) - 1)
             time.sleep(0.005)
 
+        class SlowBackend(MockBackend):
+            # answers that are not in yet keep flows in the window
+            def complete(self, request):
+                time.sleep(0.01)
+                return super().complete(request)
+
+        monkeypatch.setattr(pipeline, "build_backend", lambda config: SlowBackend())
         config = make_config(tmp_path, workers=2)
         run_ingest(config)
         run_explain(config, "basic", flow_ids=malicious, run_id="t6", progress=slow_writer)
         assert len(ahead) == len(malicious)
         assert max(ahead) < 2 * config.workers
+
+    def test_flow_is_finished_once_its_answer_is_in(self, tmp_path, records, monkeypatch):
+        malicious = [r.flow_id for r in records if r.label == "malicious"][:12]
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+        written = []
+        ahead = []
+        prepare = Runtime.prepare
+
+        def after_previous_answer(self, *args, **kwargs):
+            # each flow is prepared only once the flow before it has its answer
+            if submitted:
+                wait([submitted[-1]])
+            ahead.append(len(ahead) - len(written))
+            return prepare(self, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(Runtime, "prepare", after_previous_answer)
+        config = make_config(tmp_path, workers=4)
+        result = run_explain(
+            config, "basic", flow_ids=malicious, run_id="t12", progress=written.append
+        )
+        entries = [json.loads(l) for l in result.log_path.read_text().splitlines()]
+        assert [e["status"] for e in entries] == ["ok"] * len(malicious)
+        # the window may hold 8 flows, but none waits in it once answered
+        assert max(ahead) <= 1
+        stamps = [
+            {key: datetime.strptime(value, "%Y-%m-%dT%H:%M:%S.%fZ")
+             for key, value in e["timestamps"].items()}
+            for e in entries
+        ]
+        for earlier, later in zip(stamps, stamps[2:]):
+            assert earlier["finished"] <= later["started"]
 
     @staticmethod
     def _outcomes(result):
@@ -425,7 +476,7 @@ class TestSampleAndExplain:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_backend_failure_on_one_flow_fails_in_place(self, tmp_path, records, monkeypatch,
                                                         workers):
-        from flowexplain.gateway import MalformedResponseError, MockBackend
+        from flowexplain.gateway import MalformedResponseError
 
         malicious = [r.flow_id for r in records if r.label == "malicious"][:7]
 
@@ -448,7 +499,8 @@ class TestSampleAndExplain:
         assert result.failed == 1
         assert (ledger["results"], ledger["failures"]) == (6, 1)
 
-    def test_malformed_knowledge_answers_degrade_in_a_batch(self, tmp_path, records):
+    @pytest.mark.parametrize("verdict", ["malicious", None])
+    def test_malformed_knowledge_answers_degrade_in_a_batch(self, tmp_path, records, verdict):
         from flowexplain.enrichment import classify_ip
 
         public = [
@@ -457,7 +509,7 @@ class TestSampleAndExplain:
                 classify_ip(r.values["IPV4_SRC_ADDR"]), classify_ip(r.values["IPV4_DST_ADDR"])
             )
         ][:3]
-        payload = {"asn": "AS15169", "country": "US", "verdict": "malicious", "tags": 5}
+        payload = {"asn": "AS15169", "country": "US", "verdict": verdict, "tags": 5}
         with KeepAliveServer(json.dumps(payload).encode("utf-8")) as server:
             config = make_config(
                 tmp_path,

@@ -106,8 +106,9 @@ class TestService:
         assert body["mode"] == "augmented"
         assert body["prompt"]["token_count"] <= 2048
 
-    def test_malformed_knowledge_answers_degrade(self, tmp_path):
-        payload = {"asn": "as15169", "country": "US", "verdict": "malicious", "tags": 5}
+    @pytest.mark.parametrize("verdict", ["malicious", None])
+    def test_malformed_knowledge_answers_degrade(self, tmp_path, verdict):
+        payload = {"asn": "as15169", "country": "US", "verdict": verdict, "tags": 5}
         with KeepAliveServer(json.dumps(payload).encode("utf-8")) as knowledge:
             config = make_config(
                 tmp_path,
