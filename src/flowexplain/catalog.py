@@ -15,6 +15,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
+from .errors import InputError
+
 UNITS = frozenset(
     {
         "bytes",
@@ -54,7 +56,7 @@ DEFAULT_CATALOG_RESOURCE = "nfv2_catalog.json"
 _FEATURE_NAME = re.compile(r"\w+")
 
 
-class CatalogError(ValueError):
+class CatalogError(InputError, ValueError):
     """Raised when a catalog document is malformed or violates its invariants."""
 
 

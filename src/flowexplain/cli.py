@@ -8,36 +8,18 @@ from pathlib import Path
 
 import click
 
-from .catalog import CatalogError
-from .evaluation import AnnotationError
-from .flows import DatasetFormatError, SamplingError
-from .history import StoreError
-from .pipeline import (
-    ConfigError,
-    PipelineConfig,
-    PipelineError,
-    Runtime,
-    run_cost,
-    run_evaluate,
-    run_explain,
-    run_ingest,
-    run_sample,
-)
-from .prompts import TemplateError
+from .config import PipelineConfig, run_ingest, run_sample
+from .errors import InputError
 
-#: the package's errors about its inputs; a command that raises one ends
-#: with a single ``Error:`` line and exit code 1
-_USER_ERRORS = (
-    AnnotationError, CatalogError, ConfigError, DatasetFormatError, PipelineError,
-    SamplingError, StoreError, TemplateError,
-)
+# The explain stack (prompts, providers, gateway, checkers, evaluation) is
+# imported inside the commands that use it, so ingest and sample load none of it.
 
 
 class _Commands(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except _USER_ERRORS as exc:
+        except InputError as exc:  # one Error: line, exit code 1
             raise click.ClickException(str(exc)) from exc
 
 
@@ -86,6 +68,8 @@ def explain(config_path: str, mode: str, flow_ids: tuple[str, ...], sample_file:
             run_id: str | None, seed: int | None, k_history: int | None,
             budget: int | None) -> None:
     """Generate explanations for selected (or sampled) malicious flows."""
+    from .pipeline import run_explain
+
     config = PipelineConfig.from_file(
         config_path, seed=seed, k_history=k_history, token_budget=budget
     )
@@ -116,6 +100,8 @@ def explain(config_path: str, mode: str, flow_ids: tuple[str, ...], sample_file:
 @click.option("--annotations", required=True, type=click.Path(exists=True))
 def evaluate(config_path: str, explanations: str, annotations: str) -> None:
     """Aggregate human annotations over a run log into a results table."""
+    from .pipeline import run_evaluate
+
     config = PipelineConfig.from_file(config_path)
     reports, table, report_path = run_evaluate(config, Path(explanations), Path(annotations))
     click.echo(table)
@@ -131,6 +117,8 @@ def evaluate(config_path: str, explanations: str, annotations: str) -> None:
 def cost(config_path: str, ledger_path: str | None, queries: int, avg_input: float | None,
          avg_output: float | None) -> None:
     """Project backend cost per N queries from a ledger or token averages."""
+    from .pipeline import run_cost
+
     config = PipelineConfig.from_file(config_path)
     report = run_cost(
         config,
@@ -148,6 +136,7 @@ def cost(config_path: str, ledger_path: str | None, queries: int, avg_input: flo
 @click.option("--port", type=int, default=8080, show_default=True)
 def serve(config_path: str, host: str, port: int) -> None:
     """Run the explain-on-demand HTTP service."""
+    from .pipeline import Runtime
     from .service import ExplainService
 
     config = PipelineConfig.from_file(config_path)

@@ -12,6 +12,7 @@ import ipaddress
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .config import DST_IP_FEATURE, L4_FEATURE, L7_FEATURE, SRC_IP_FEATURE
 from .flows import FlowRecord, clip
 from .history import FlowHistoryEntry, FlowHistoryStore
 from .protocols import ProtocolInfo, map_l4_protocol, map_l7_protocol
@@ -23,12 +24,6 @@ from .providers import (
     ThreatIntelProvider,
     TTLCache,
 )
-
-#: columns every record carries; the history entry of a flow reads them too
-SRC_IP_FEATURE = "IPV4_SRC_ADDR"
-DST_IP_FEATURE = "IPV4_DST_ADDR"
-L4_FEATURE = "PROTOCOL"
-L7_FEATURE = "L7_PROTO"
 
 DEFAULT_HISTORY_K = 5
 

@@ -15,6 +15,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from .errors import InputError
 from .providers import read_jsonl
 
 METRICS = ("correctness", "feature_consistency", "factual_consistency")
@@ -26,7 +27,7 @@ _ANNOTATION_FIELDS = {
 }
 
 
-class AnnotationError(ValueError):
+class AnnotationError(InputError, ValueError):
     """Raised for malformed annotation files or identifier mismatches."""
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
 from .catalog import NON_NEGATIVE_UNITS, FeatureCatalog, FeatureSpec
+from .errors import InputError
 
 FlowValue = int | Decimal | str
 
@@ -27,7 +28,7 @@ LABEL_MALICIOUS = "malicious"
 QUOTE_LIMIT = 64
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(InputError, ValueError):
     """Raised when the dataset header does not match the catalog."""
 
 
@@ -35,7 +36,7 @@ class RecordValidationError(ValueError):
     """Raised when a flow record violates the catalog contract."""
 
 
-class SamplingError(ValueError):
+class SamplingError(InputError, ValueError):
     """Raised when a sample cannot be drawn as requested."""
 
 

@@ -20,11 +20,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Mapping, Protocol
 
 from ._http import Transport
+from .config import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
 from .prompts import count_tokens
 from .providers import _dig
-
-DEFAULT_TEMPERATURE = 0.7
-DEFAULT_MAX_TOKENS = 2048
 
 LATENCY_BUCKETS_MS = (10, 100, 500, 1000, 2000, 5000, 10000)
 

@@ -12,12 +12,13 @@ import threading
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import InputError
 from .flows import checked_address
 
 HISTORY_LABELS = ("benign", "malicious", "unlabeled")
 
 
-class StoreError(RuntimeError):
+class StoreError(InputError, RuntimeError):
     """Raised when the persistent store itself fails."""
 
 

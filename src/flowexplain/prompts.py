@@ -19,6 +19,7 @@ from typing import Iterator
 
 from .catalog import UNIT_LABELS, FeatureCatalog
 from .enrichment import EnrichmentContext, IpKnowledge
+from .errors import InputError
 from .flows import FlowRecord, render_flow_text
 
 MODE_BASIC = "basic"
@@ -36,7 +37,7 @@ SECTION_IP = "ip_knowledge"
 _PLACEHOLDER = re.compile(r"\{\{([a-zA-Z_][a-zA-Z0-9_]*)\}\}")
 
 
-class TemplateError(ValueError):
+class TemplateError(InputError, ValueError):
     """Raised when a prompt template does not match its expected slots."""
 
 

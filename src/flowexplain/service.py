@@ -91,12 +91,13 @@ class ExplainService:
         return 200, result
 
     def start(self) -> None:
-        self._threads = [
-            threading.Thread(target=self._serve, name=f"flowexplain-serve-{i}", daemon=True)
-            for i in range(self.runtime.config.max_in_flight + 1)
-        ]
-        for thread in self._threads:
+        # each thread is recorded once it runs, so that stop() after a start()
+        # cut short (a Ctrl-C while threads start) joins only started threads
+        for i in range(self.runtime.config.max_in_flight + 1):
+            thread = threading.Thread(target=self._serve, name=f"flowexplain-serve-{i}",
+                                      daemon=True)
             thread.start()
+            self._threads.append(thread)
 
     def serve_forever(self) -> None:
         self.start()

@@ -79,3 +79,21 @@ def test_install_wraps_and_uninstall_restores(monkeypatch, tmp_path):
         assert set(vars(owner)) == set(namespace), owner
         for attr, value in namespace.items():
             assert vars(owner)[attr] is value, f"{owner!r}.{attr} was not restored"
+
+
+def test_traced_ingest_records_parse_and_store_spans(monkeypatch, tmp_path):
+    # run_ingest lives outside pipeline and must still call the wrapped functions
+    tracing = _load_tracer(monkeypatch)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        summary = pipeline.run_ingest(make_config(tmp_path))
+    finally:
+        tracer.uninstall()
+
+    sizes = {span[tracing.NAME]: span[tracing.SIZE] for span in tracer.spans}
+    assert sizes["flows.parse_dataset"] == sizes["history.append_many"] == 200
+    assert summary.store_entries == 200
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["flows.parse_dataset.rows_per_s"] > 0
+    assert metrics["history.append_many.rows_per_s"] > 0

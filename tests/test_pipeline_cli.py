@@ -822,6 +822,22 @@ class TestCommandLine:
         assert message in result.output
 
     @pytest.mark.parametrize(
+        "command,fails",
+        [(["ingest"], False), (["sample"], False), (["explain", "--mode", "basic"], True),
+         (["serve", "--port", "0"], True)],
+        ids=["ingest", "sample", "explain", "serve"],
+    )
+    def test_only_explain_and_serve_check_the_backend_section(self, tmp_path, command, fails):
+        config_path = write_config_file(tmp_path, backend={"kind": "nope"})
+        name, *options = command
+        result = CliRunner().invoke(main, [name, "-c", str(config_path), *options])
+        if fails:
+            assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+            assert result.output == "Error: unknown backend kind 'nope'\n"
+        else:
+            assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
         "command,files,config,message",
         [
             (["explain", "--sample-file", "in.json"], {"in.json": "{bad"}, {},

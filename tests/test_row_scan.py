@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from flowexplain import pipeline
+from flowexplain import flows
 from flowexplain.flows import (
     DatasetFormatError,
     parse_dataset,
@@ -91,16 +91,16 @@ class TestAgainstReference:
             "report_path": str(summary.report_path),
         }
 
-    def test_ingest_parses_through_the_pipeline_binding(self, tmp_path, monkeypatch):
-        # the benchmark's tracer wraps pipeline.parse_dataset and counts len(records)
+    def test_ingest_parses_through_the_flows_binding(self, tmp_path, monkeypatch):
+        # the benchmark's tracer wraps flows.parse_dataset and counts len(records)
         results = []
-        real = pipeline.parse_dataset
+        real = flows.parse_dataset
 
         def spy(*args, **kwargs):
             results.append(real(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(pipeline, "parse_dataset", spy)
+        monkeypatch.setattr(flows, "parse_dataset", spy)
         summary = run_ingest(make_config(tmp_path))
         ((records, report),) = results
         assert len(records) == report.rows_ok == summary.store_entries > 0

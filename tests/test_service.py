@@ -478,6 +478,43 @@ class TestHandlerPool:
         finally:
             runtime.close()
 
+    def test_stop_after_an_interrupted_start(self, tmp_path, monkeypatch):
+        # a Ctrl-C while start() starts its threads: the second start raises
+        starts = []
+        start = threading.Thread.start
+
+        def interrupted_start(thread):
+            starts.append(thread.name)
+            if len(starts) == 2:
+                raise KeyboardInterrupt
+            start(thread)
+
+        runtime = Runtime(make_config(tmp_path))
+        try:
+            service = ExplainService(runtime)
+            monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+            with pytest.raises(KeyboardInterrupt):
+                service.start()
+            monkeypatch.undo()
+            assert len(_serve_threads()) == 1
+            errors = []
+
+            def stop():
+                try:
+                    service.stop()
+                except Exception as exc:
+                    errors.append(exc)
+
+            for _ in range(2):  # the second stop() returns at once too
+                stopper = threading.Thread(target=stop, daemon=True)
+                stopper.start()
+                stopper.join(2)
+                assert not stopper.is_alive()
+            assert errors == []
+            assert _serve_threads() == []
+        finally:
+            runtime.close()
+
     def test_failed_accept_leaves_the_pool_whole(self, tmp_path, monkeypatch):
         listeners = []
         create_server = socket.create_server
