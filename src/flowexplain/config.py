@@ -200,7 +200,7 @@ def _catalog_for(config: PipelineConfig) -> FeatureCatalog:
     return catalog
 
 
-#: the cells history_row reads, which are all that ingest types
+#: the cells a store row reads, which are all that ingest types
 _HISTORY_FEATURES = (
     SRC_IP_FEATURE,
     DST_IP_FEATURE,
@@ -218,18 +218,24 @@ def history_row(record: FlowRecord) -> tuple:
     catalog gives the addresses and the protocol the kinds an entry holds;
     the store stamps a row without a timestamp.
     """
-    values = record.values
+    return _store_row(
+        None, record.flow_id, record.label, None, record.timestamp, None, record.values
+    )
+
+
+def _store_row(row, flow_id, label, attack_class, timestamp, lines, values) -> tuple:
+    """The store row of a row of the export: a builder for flows.parse_dataset."""
     summary = (
         f"{values.get('IN_BYTES', '?')}B in / {values.get('OUT_BYTES', '?')}B out, "
         f"{values.get('FLOW_DURATION_MILLISECONDS', '?')} ms"
     )
     return (
-        record.flow_id,
-        record.timestamp,
+        flow_id,
+        timestamp,
         values[SRC_IP_FEATURE],
         values[DST_IP_FEATURE],
         values[L4_FEATURE],
-        record.label,
+        label,
         summary,
     )
 
@@ -279,19 +285,16 @@ def run_ingest(config: PipelineConfig, rebuild_store: bool = True) -> IngestSumm
     store = FlowHistoryStore(config.store, max_entries=config.store_max_entries)
     try:
         # through the module, so that a tracer wrapping flows.parse_dataset sees the call
-        records, report = flows.parse_dataset(
-            config.dataset, catalog, [name for name in _HISTORY_FEATURES if name in catalog]
-        )
-        if rebuild_store:
-            store.clear()
-        store.append_many([history_row(record) for record in records])
+        features = [name for name in _HISTORY_FEATURES if name in catalog]
+        rows, report = flows.parse_dataset(config.dataset, catalog, features, _store_row)
+        store.append_many(rows, replace=rebuild_store)
         report_path = config.output_dir / "parse_report.json"
         report_path.write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
-        malicious = sum(1 for r in records if r.label == LABEL_MALICIOUS)
+        malicious = sum(1 for row in rows if row[5] == LABEL_MALICIOUS)  # a row's label
         return IngestSummary(
             total=report.rows_total,
             malicious=malicious,
-            benign=len(records) - malicious,
+            benign=len(rows) - malicious,
             quarantined=report.rows_quarantined,
             store_entries=store.count(),
             report_path=report_path,

@@ -217,11 +217,25 @@ class ScannedRow(NamedTuple):
     lines: tuple[int, int]  # the file's lines [first, end) that hold the row, from 0
 
 
+#: what a row builder makes of each row that parses
+Built = TypeVar("Built")
+
+
+def _record(row, flow_id, label, attack_class, timestamp, lines, values) -> FlowRecord:
+    return FlowRecord(flow_id, values, label, attack_class, timestamp)
+
+
+def _scanned(row, flow_id, label, attack_class, timestamp, lines, values) -> ScannedRow:
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple adds
+    return tuple.__new__(ScannedRow, (row, flow_id, label, attack_class, timestamp, lines))
+
+
 def parse_dataset(
     source: str | Path | TextIO,
     catalog: FeatureCatalog,
     features: Sequence[str] | None = None,
-) -> tuple[list[FlowRecord], ParseReport]:
+    build: Callable[..., Built] = _record,
+) -> tuple[list[Built], ParseReport]:
     """Parse a comma-delimited NetFlow export into typed records.
 
     The header must contain exactly the catalog's feature columns plus the
@@ -235,13 +249,13 @@ def parse_dataset(
     ingest fills and the queries of explain share one stable ordering.
 
     Every cell is checked, but only the cells of ``features`` (by default
-    every catalog feature) are typed into a record's values.
+    every catalog feature) are typed into a record's values. ``build``
+    makes each row's item in place of a record: it is called with the
+    fields of the row's :class:`ScannedRow`, then its typed values.
     """
     report = ParseReport()
     with _reading(source) as stream:
-        scanned = _scan(stream, catalog, report, features)
-        records = [_record(fate, values) for fate, values in scanned]
-    return records, report
+        return list(_scan(stream, catalog, report, features, build)), report
 
 
 def scan_dataset(
@@ -254,7 +268,7 @@ def scan_dataset(
     """
     report = ParseReport()
     with _reading(source) as stream:
-        return [fate for fate, _ in _scan(stream, catalog, report, ())], report
+        return list(_scan(stream, catalog, report, (), _scanned)), report
 
 
 def type_rows(
@@ -281,17 +295,13 @@ def type_rows(
                 (row,) = csv.reader(held)
                 if len(held) != end - first or len(row) != len(header):
                     break
-                typed[fate.row] = _record(fate, type_row(row))
+                typed[fate.row] = _record(*fate, type_row(row))
             except (csv.Error, ValueError):  # ValueError: no row or several, or a bad cell
                 break
     if len(typed) != len(wanted):
         changed = min(fate.row for fate in wanted if fate.row not in typed)
         raise DatasetFormatError(f"data row {changed} changed since the dataset was scanned")
     return [typed[fate.row] for fate in rows]
-
-
-def _record(fate: ScannedRow, values: dict[str, FlowValue]) -> FlowRecord:
-    return FlowRecord(fate.flow_id, values, fate.label, fate.attack_class, fate.timestamp)
 
 
 def _header(
@@ -313,10 +323,12 @@ def _scan(
     catalog: FeatureCatalog,
     report: ParseReport,
     features: Sequence[str] | None,
-) -> Iterator[tuple[ScannedRow, dict[str, FlowValue]]]:
+    build: Callable[..., Built],
+) -> Iterator[Built]:
     """Decide the fate of every row of an export: its issues go to the
-    report, and each row that parses is yielded with its cells of
-    ``features`` typed (by default every catalog feature).
+    report, and each row that parses is yielded as ``build`` makes it from
+    its fate and its cells of ``features`` typed (by default every catalog
+    feature).
 
     A line that :func:`_fast_accept` passes as it stands, with a label that
     parses, is a row that parses, split at its commas as ``csv`` would
@@ -387,15 +399,15 @@ def _scan(
                 continue
             attack = None if attack_idx is None else row[attack_idx]
             values = type_row(row)
-        fate = ScannedRow(
+        yield build(
             row_number,
             f"row-{row_number:06d}",
             label,
             (attack or "").strip() or None,
             report.rows_ok,
             (first, at),
+            values,
         )
-        yield fate, values
         report.rows_ok += 1
 
 

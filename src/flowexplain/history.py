@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from contextlib import contextmanager, suppress
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .flows import checked_address
@@ -66,6 +68,12 @@ class FlowHistoryEntry(_EntryRow):
         )
 
 
+#: the endpoint indexes, by name
+_INDEXES = {
+    name: f"CREATE INDEX IF NOT EXISTS {name} ON flow_history ({column}, timestamp)"
+    for name, column in (("idx_history_src", "src_ip"), ("idx_history_dst", "dst_ip"))
+}
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS flow_history (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -77,13 +85,17 @@ CREATE TABLE IF NOT EXISTS flow_history (
     label TEXT NOT NULL,
     summary TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_history_src ON flow_history (src_ip, timestamp);
-CREATE INDEX IF NOT EXISTS idx_history_dst ON flow_history (dst_ip, timestamp);
-"""
+""" + "".join(f"{index};\n" for index in _INDEXES.values())
 
 # the fields of FlowHistoryEntry, in order
 _COLUMNS = "flow_id, timestamp, src_ip, dst_ip, l4_protocol_id, label, summary"
-_INSERT = f"INSERT INTO flow_history ({_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?)"
+_WIDTH = len(_EntryRow._fields)
+_VALUES = "(?, ?, ?, ?, ?, ?, ?)"
+_INSERT = f"INSERT INTO flow_history ({_COLUMNS}) VALUES {_VALUES}"
+#: rows per statement of a bulk append: 700 parameters, under the 999 that
+#: every SQLite build allows. One statement per row would cost about twice
+#: as much, since each also reads and writes the AUTOINCREMENT counter.
+_ROWS_PER_INSERT = 100
 
 
 def _newest_k(where: str) -> str:
@@ -148,32 +160,69 @@ class FlowHistoryStore:
     def append(self, entry: FlowHistoryEntry) -> int:
         """Persist one entry; returns its insertion id."""
         with self._lock:
-            try:
-                cur = self._conn.execute(_INSERT, self._stamped([entry])[0])
+            (row,), newest = self._stamped([entry], self._newest)
+            with self._writing("append"):
+                cur = self._conn.execute(_INSERT, row)
                 self._enforce_cap()
-                self._conn.commit()
-                return int(cur.lastrowid)
-            except sqlite3.Error as exc:
-                raise StoreError(f"append failed: {exc}") from exc
+            self._newest = newest
+            return int(cur.lastrowid)
 
-    def append_many(self, rows: Iterable[Sequence]) -> int:
+    def append_many(self, rows: Iterable[Sequence], replace: bool = False) -> int:
         """Bulk append of entries, or of rows that hold checked values in the
-        order of an entry's fields; returns the number written."""
+        order of an entry's fields; returns the number written.
+
+        With ``replace`` the rows take the place of every entry (ids still
+        count on from the largest ever given). The endpoint indexes are
+        dropped for the load and built again after it, in the same
+        transaction, so a failure leaves the store as it was.
+        """
         with self._lock:
-            stamped = self._stamped(rows)
-            try:
-                self._conn.executemany(_INSERT, stamped)
+            stamped, newest = self._stamped(rows, -1 if replace else self._newest)
+            with self._writing("bulk append"):
+                if replace:
+                    self._conn.execute("DELETE FROM flow_history")
+                    for name in _INDEXES:
+                        self._conn.execute(f"DROP INDEX {name}")
+                for start in range(0, len(stamped), _ROWS_PER_INSERT):
+                    batch = stamped[start : start + _ROWS_PER_INSERT]
+                    values = ", ".join([_VALUES] * len(batch))
+                    self._conn.execute(
+                        f"INSERT INTO flow_history ({_COLUMNS}) VALUES {values}",
+                        [*chain.from_iterable(batch)],
+                    )
                 self._enforce_cap()
-                self._conn.commit()
-            except sqlite3.Error as exc:
-                raise StoreError(f"bulk append failed: {exc}") from exc
+                if replace:
+                    for index in _INDEXES.values():
+                        self._conn.execute(index)
+            self._newest = newest
         return len(stamped)
 
-    def _stamped(self, rows: Iterable[Sequence]) -> list[Sequence]:
-        """``rows`` with each missing timestamp filled in; needs the lock."""
-        newest = self._newest
+    @contextmanager
+    def _writing(self, action: str) -> Iterator[None]:
+        """Commit what the block writes, or roll all of it back; a failure
+        of the store raises ``StoreError``. Needs the lock."""
+        try:
+            yield
+            self._conn.commit()
+        except BaseException as exc:
+            with suppress(sqlite3.Error):  # such as a closed connection
+                self._conn.rollback()
+            if isinstance(exc, sqlite3.Error):
+                raise StoreError(f"{action} failed: {exc}") from exc
+            raise
+
+    @staticmethod
+    def _stamped(rows: Iterable[Sequence], newest: int) -> tuple[list[Sequence], int]:
+        """``rows`` with each missing timestamp filled in past ``newest``,
+        and the newest timestamp among them and ``newest``.
+
+        A row of another width than an entry's is a ``StoreError``: a bulk
+        append binds its rows as one flat list, where it would shift the rest.
+        """
         stamped = []
         for row in rows:
+            if len(row) != _WIDTH:
+                raise StoreError(f"bulk append failed: a row of {len(row)} values, not {_WIDTH}")
             timestamp = row[1]
             if timestamp is None:
                 newest += 1
@@ -181,8 +230,7 @@ class FlowHistoryStore:
             elif timestamp > newest:
                 newest = timestamp
             stamped.append(row)
-        self._newest = newest
-        return stamped
+        return stamped, newest
 
     def _enforce_cap(self) -> None:
         if self.max_entries is None:
@@ -232,13 +280,3 @@ class FlowHistoryStore:
         with self._lock:
             (n,) = self._conn.execute("SELECT COUNT(*) FROM flow_history").fetchone()
         return int(n)
-
-    def clear(self) -> None:
-        """Drop all entries (used when re-bootstrapping from a dataset)."""
-        with self._lock:
-            try:
-                self._conn.execute("DELETE FROM flow_history")
-                self._conn.commit()
-                self._newest = -1
-            except sqlite3.Error as exc:
-                raise StoreError(f"clear failed: {exc}") from exc

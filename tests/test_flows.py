@@ -21,10 +21,11 @@ from flowexplain.flows import (
     scan_dataset,
     type_rows,
 )
+from flowexplain.config import _HISTORY_FEATURES, _store_row, history_row
 from flowexplain.pipeline import history_entry_for
 
 from .conftest import DATA_DIR, DATASET, make_record, synth_values
-from .data.record_parse_golden import FUZZ_CASES, FUZZ_SEED, MAX_ROWS, digests
+from .data.record_parse_golden import FUZZ_CASES, FUZZ_SEED, MAX_ROWS, digests, fuzz_documents
 
 GOLDEN = json.loads((DATA_DIR / "parse_golden.json").read_text(encoding="utf-8"))
 
@@ -220,6 +221,19 @@ class TestParseGolden:
 
     def test_fuzz_matches_golden_digests(self, catalog):
         assert digests(catalog) == GOLDEN["digests"]
+
+
+class TestRowBuilder:
+    def test_ingest_builds_the_history_rows_of_the_records(self, catalog):
+        features = [name for name in _HISTORY_FEATURES if name in catalog]
+        for document in [DATASET.read_text(), *fuzz_documents()]:
+            records, report = parse_dataset(io.StringIO(document), catalog)
+            rows, ingest_report = parse_dataset(
+                io.StringIO(document), catalog, features, _store_row
+            )
+            assert ingest_report.to_dict() == report.to_dict()
+            # repr tells an int from an equal Decimal
+            assert repr(rows) == repr([history_row(record) for record in records])
 
 
 class TestRenderFlowText:

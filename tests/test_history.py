@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from flowexplain.history import (
     _INSERT,
+    _QUERY_BEFORE,
     _SCHEMA,
     HISTORY_LABELS,
     FlowHistoryEntry,
     FlowHistoryStore,
+    StoreError,
 )
 
 from .conftest import history_entry, seeded_store
@@ -207,6 +209,136 @@ class TestStamping:
         total = workers * per_worker
         stamps = [e.timestamp for e in store.query_history("8.8.8.8", total)]
         assert sorted(stamps) == list(range(total))
+
+
+def _rows(path) -> list[tuple]:
+    """Every row of a store file with its id, as another connection reads it."""
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT * FROM flow_history ORDER BY id").fetchall()
+    finally:
+        conn.close()
+
+
+def _write_lock_is_free(path) -> bool:
+    conn = sqlite3.connect(path, timeout=0)
+    try:
+        conn.execute("BEGIN IMMEDIATE")
+        conn.rollback()
+        return True
+    except sqlite3.OperationalError:  # database is locked
+        return False
+    finally:
+        conn.close()
+
+
+#: rows the store cannot take: one short of a field, which the store finds,
+#: and one without a summary, which SQLite finds while it loads the rows
+BAD_ROWS = pytest.mark.parametrize(
+    "bad_row",
+    [tuple(history_entry(timestamp=50))[:-1], (*history_entry(timestamp=50)[:-1], None)],
+    ids=["short", "null"],
+)
+
+
+class TestFailedWrite:
+    """A write that fails leaves no trace: no row, no lock and no stamp."""
+
+    @BAD_ROWS
+    def test_failed_bulk_append_rolls_back(self, tmp_path, bad_row):
+        path = tmp_path / "history.db"
+        with FlowHistoryStore(path) as store:
+            store.append(history_entry(flow_id="old", timestamp=3))
+            # more good rows than one INSERT statement takes
+            good = [history_entry(flow_id="good", timestamp=None)] * 150
+            with pytest.raises(StoreError, match="bulk append failed"):
+                store.append_many([*good, bad_row])
+            assert store.count() == 1
+            assert _write_lock_is_free(path)
+            store.append(history_entry(flow_id="next", timestamp=None))
+            assert [(row[1], row[2]) for row in _rows(path)] == [("old", 3), ("next", 4)]
+
+    def test_failed_append_rolls_back(self, tmp_path):
+        path = tmp_path / "history.db"
+        with FlowHistoryStore(path, max_entries=1) as store:
+            store.append(history_entry(flow_id="old", timestamp=3))
+            store._conn.execute(
+                "CREATE TRIGGER keep BEFORE DELETE ON flow_history "
+                "BEGIN SELECT RAISE(ABORT, 'eviction refused'); END"
+            )
+            store._conn.commit()
+            with pytest.raises(StoreError, match="append failed: eviction refused"):
+                store.append(history_entry(flow_id="kept out", timestamp=None))
+            assert store.count() == 1
+            assert _write_lock_is_free(path)
+            store._conn.execute("DROP TRIGGER keep")
+            store.append(history_entry(flow_id="next", timestamp=None))
+            assert [(row[1], row[2]) for row in _rows(path)] == [("next", 4)]
+
+
+class TestRebuild:
+    """``append_many(rows, replace=True)``, which ``ingest`` runs by default."""
+
+    INDEXES = [
+        ("idx_history_dst", "CREATE INDEX idx_history_dst ON flow_history (dst_ip, timestamp)"),
+        ("idx_history_src", "CREATE INDEX idx_history_src ON flow_history (src_ip, timestamp)"),
+    ]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "history.db"
+        with FlowHistoryStore(path) as store:
+            store.append_many(history_entry(flow_id=f"old{i}", timestamp=i) for i in range(5))
+        return path
+
+    @staticmethod
+    def indexes(conn) -> list[tuple]:
+        return conn.execute(
+            "SELECT name, sql FROM sqlite_master WHERE type = 'index' ORDER BY name"
+        ).fetchall()
+
+    def test_rows_are_replaced_and_ids_count_on(self, path):
+        with FlowHistoryStore(path) as store:
+            assert store.append_many(
+                [history_entry(flow_id="new0", timestamp=None), history_entry(flow_id="new1")],
+                replace=True,
+            ) == 2
+            store.append(history_entry(flow_id="served", timestamp=None))
+        assert [row[:3] for row in _rows(path)] == [
+            (6, "new0", 0), (7, "new1", 0), (8, "served", 1)
+        ]
+
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_both_endpoint_indexes_are_rebuilt_and_searched(self, path, replace):
+        with FlowHistoryStore(path) as store:
+            store.append_many([history_entry(flow_id="new")], replace=replace)
+            assert self.indexes(store._conn) == self.INDEXES
+            arm = ("8.8.8.8", 10, False, 5)
+            plan = " | ".join(
+                row[3]
+                for row in store._conn.execute(
+                    "EXPLAIN QUERY PLAN " + _QUERY_BEFORE, (*arm, *arm, 5)
+                )
+            )
+        assert "USING INDEX idx_history_src" in plan and "USING INDEX idx_history_dst" in plan
+
+    def test_cap_applies_to_the_rebuilt_rows(self, path):
+        with FlowHistoryStore(path, max_entries=2) as store:
+            store.append_many(
+                (history_entry(flow_id=f"new{i}", timestamp=i) for i in range(4)), replace=True
+            )
+        assert [row[1] for row in _rows(path)] == ["new2", "new3"]
+
+    @BAD_ROWS
+    def test_failed_rebuild_leaves_the_previous_store(self, path, bad_row):
+        before = _rows(path)
+        with FlowHistoryStore(path) as store:
+            with pytest.raises(StoreError, match="bulk append failed"):
+                store.append_many([history_entry(flow_id="new"), bad_row], replace=True)
+            assert self.indexes(store._conn) == self.INDEXES
+            assert _rows(path) == before
+            store.append(history_entry(flow_id="served", timestamp=None))
+        assert _rows(path)[-1][:3] == (6, "served", 5)
 
 
 @settings(max_examples=30, deadline=None)

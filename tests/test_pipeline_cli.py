@@ -1,4 +1,5 @@
 import json
+import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict
@@ -296,6 +297,18 @@ class TestIngest:
         run_ingest(config)
         summary = run_ingest(config)
         assert summary.store_entries == 200
+
+    def test_append_keeps_entries_and_a_rebuild_replaces_them(self, tmp_path):
+        config = make_config(tmp_path)
+        run_ingest(config)
+        assert run_ingest(config, rebuild_store=False).store_entries == 400
+        assert run_ingest(config).store_entries == 200
+        conn = sqlite3.connect(config.store)
+        try:
+            ids = [row[0] for row in conn.execute("SELECT id FROM flow_history ORDER BY id")]
+        finally:
+            conn.close()
+        assert ids == list(range(401, 601))  # ids count on past every earlier entry
 
     def test_quarantined_rows_counted(self, tmp_path):
         lines = DATASET.read_text().splitlines()
