@@ -3,8 +3,9 @@
 Standard library only. A :class:`Transport` keeps its idle persistent
 connections per (scheme, host, port). A request takes one, or opens one
 when none is idle, and puts it back once the whole response has been read,
-so a connection serves one thread at a time and a transport holds as many
-as it had requests in flight at once. A request goes out in one
+so a connection carries one request at a time and a transport holds as
+many as it had requests in flight at once, whether one thread waits on
+each or one thread waits on them all. A request goes out in one
 ``sendall``: request line, headers and body together.
 
 The reply reader parses the status line and only the headers the client
@@ -28,6 +29,7 @@ import re
 import socket
 import ssl
 import threading
+import time
 from http.client import (
     BadStatusLine,
     HTTPException,
@@ -69,12 +71,41 @@ class _Connection:
         self.sock.close()
 
 
+class Exchange:
+    """A request that has gone out and whose reply is not read yet.
+
+    Wait for :meth:`fileno` to turn readable, then read the reply with
+    :meth:`Transport.receive`; :meth:`close` gives the request up. ``started``
+    is when the request was made, and ``deadline`` when the wait for its
+    reply has lasted the transport's timeout, both in ``time.monotonic``
+    seconds.
+    """
+
+    __slots__ = ("origin", "method", "message", "conn", "fresh", "started", "deadline")
+
+    def __init__(self, origin: tuple, method: str, message: bytes, conn: _Connection | None):
+        self.origin = origin
+        self.method = method
+        self.message = message
+        self.conn = conn
+        self.started = time.monotonic()
+
+    def fileno(self) -> int:
+        return self.conn.sock.fileno()
+
+    def close(self) -> None:
+        self.conn.close()
+
+
 class Transport:
     """Sends requests over kept-alive connections, one request per connection at a time.
 
-    Errors are those of ``http.client``: ``TimeoutError`` when the socket
-    times out, another ``OSError`` or an ``http.client.HTTPException`` for
-    any other failure. A connection that failed is closed and dropped.
+    :meth:`request` sends a request and reads its reply. A caller that
+    waits on several requests at once calls its halves, :meth:`send` and
+    :meth:`receive`, itself. Errors are those of ``http.client``:
+    ``TimeoutError`` when the socket times out, another ``OSError`` or an
+    ``http.client.HTTPException`` for any other failure. A connection that
+    failed is closed and dropped.
     """
 
     def __init__(self, timeout_s: float):
@@ -89,6 +120,16 @@ class Transport:
 
         Returns the status, the headers read (lower-case names) and the body.
         """
+        exchange = self.send(method, url, headers, body)
+        while True:
+            reply = self.receive(exchange)
+            if reply is not None:
+                return reply
+
+    def send(
+        self, method: str, url: str, headers: Mapping[str, str], body: bytes | None = None
+    ) -> Exchange:
+        """Send one request on an idle connection to its origin, or on a new one."""
         parts = urlsplit(url)
         try:
             origin = (parts.scheme, parts.hostname, parts.port)
@@ -100,28 +141,56 @@ class Transport:
         with self._lock:
             idle = self._idle.get(origin)
             conn = idle.pop() if idle else None
-        while True:
-            fresh = conn is None
-            if fresh:
-                conn = self._connect(*origin)
-            try:
-                conn.sock.sendall(message)
-                status, reply_headers, reply, keep = _read_reply(conn.reader, method)
-                break
-            except _STALE:
-                conn.close()
-                conn = None
-                if fresh:
-                    raise
-            except BaseException:
-                conn.close()
+        exchange = Exchange(origin, method, message, conn)
+        self._send(exchange)
+        return exchange
+
+    def receive(self, exchange: Exchange) -> tuple[int, dict[str, str], bytes] | None:
+        """Read the whole reply to ``exchange``, blocking until it is in.
+
+        Returns what :meth:`request` returns, or ``None`` when the kept-alive
+        connection turned out to be closed by the server before any of the
+        reply came: the request has then gone out again on a new connection,
+        and the next call reads the reply from there.
+        """
+        conn = exchange.conn
+        try:
+            status, reply_headers, reply, keep = _read_reply(conn.reader, exchange.method)
+        except _STALE:
+            conn.close()
+            if exchange.fresh:
                 raise
+            exchange.conn = None
+            self._send(exchange)
+            return None
+        except BaseException:
+            conn.close()
+            raise
         if keep:
             with self._lock:
-                self._idle.setdefault(origin, []).append(conn)
+                self._idle.setdefault(exchange.origin, []).append(conn)
         else:
             conn.close()
         return status, reply_headers, reply
+
+    def _send(self, exchange: Exchange) -> None:
+        """Write the request on its connection; a stale kept-alive one is replaced once."""
+        while True:
+            exchange.fresh = exchange.conn is None
+            if exchange.fresh:
+                exchange.conn = self._connect(*exchange.origin)
+            try:
+                exchange.conn.sock.sendall(exchange.message)
+                exchange.deadline = time.monotonic() + self.timeout_s
+                return
+            except _STALE:
+                exchange.conn.close()
+                exchange.conn = None
+                if exchange.fresh:
+                    raise
+            except BaseException:
+                exchange.conn.close()
+                raise
 
     def _connect(self, scheme: str, host: str, port: int | None) -> _Connection:
         if port is None:
@@ -136,10 +205,15 @@ class Transport:
             raise
         return _Connection(sock)
 
-    def __del__(self) -> None:
-        for idle in self._idle.values():
-            for conn in idle:
+    def close(self) -> None:
+        """Close the idle connections; a later request opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
                 conn.close()
+
+    __del__ = close
 
 
 def _request_bytes(method: str, parts, headers: Mapping[str, str], body: bytes | None) -> bytes:

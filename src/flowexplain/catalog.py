@@ -103,6 +103,8 @@ class FeatureCatalog:
     _plain_names: re.Pattern[str] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: the features' names, in catalog order
+    feature_names: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if not self.version:
@@ -117,6 +119,7 @@ class FeatureCatalog:
             by_name[spec.name] = spec
             by_upper_name.setdefault(spec.name.upper(), spec.name)
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "feature_names", tuple(by_name))
         object.__setattr__(self, "_by_upper_name", by_upper_name)
         plain = [(upper, len(name)) for upper, name in by_upper_name.items() if "_" not in name]
         if plain:
@@ -127,10 +130,6 @@ class FeatureCatalog:
 
     def __contains__(self, name: object) -> bool:
         return name in self._by_name
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.features)
 
     def name_for(self, token: str) -> str | None:
         """The feature name ``token`` spells letter for letter in any case, or None.

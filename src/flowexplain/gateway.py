@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Mapping, Protocol
 
-from ._http import Transport
+from ._http import Exchange, Transport
 from .config import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
 from .prompts import count_tokens
 from .providers import _dig
@@ -109,6 +109,11 @@ class GenerationResult:
 
 
 class Backend(Protocol):
+    """What the gateway calls. A backend that waits on a socket may also
+    offer the ``send``, ``receive`` and ``timed_out`` halves of ``complete``
+    that :class:`HTTPBackend` has, so that one thread can wait on many of
+    its requests at once."""
+
     backend_id: str
     model: str
 
@@ -201,7 +206,13 @@ class HTTPBackendProfile:
 
 
 class HTTPBackend:
-    """Chat-completion HTTP client for remote APIs and local servers."""
+    """Chat-completion HTTP client for remote APIs and local servers.
+
+    :meth:`complete` sends a request and waits for its answer. A caller
+    that waits on several requests at once calls its halves itself:
+    :meth:`send`, then, once the exchange it returns is readable,
+    :meth:`receive`.
+    """
 
     def __init__(self, profile: HTTPBackendProfile):
         self.profile = profile
@@ -210,6 +221,14 @@ class HTTPBackend:
         self._http = Transport(profile.timeout_s)
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
+        exchange = self.send(request)
+        while True:
+            result = self.receive(exchange, request)
+            if result is not None:
+                return result
+
+    def send(self, request: GenerationRequest) -> Exchange:
+        """Send ``request`` to the endpoint without waiting for the answer."""
         profile = self.profile
         headers = {"Content-Type": "application/json"}
         if profile.auth_env:
@@ -225,16 +244,21 @@ class HTTPBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        started = time.monotonic()
-        try:
-            status, reply_headers, reply = self._http.request(
-                "POST", profile.url, headers, json.dumps(payload).encode("utf-8")
-            )
-        except TimeoutError as exc:
-            raise BackendTimeoutError(f"{self.backend_id} timed out") from exc
-        except (OSError, http.client.HTTPException) as exc:
-            raise BackendServerError(f"{self.backend_id} request failed: {exc}") from exc
-        latency_ms = (time.monotonic() - started) * 1000.0
+        return self._transported(
+            self._http.send, "POST", profile.url, headers, json.dumps(payload).encode("utf-8")
+        )
+
+    def receive(self, exchange: Exchange, request: GenerationRequest) -> GenerationResult | None:
+        """Read and check the answer to ``request``, blocking until it is in.
+
+        ``None`` when the request had to go out again on a new connection;
+        the exchange's socket and deadline are then those of the new one.
+        """
+        reply = self._transported(self._http.receive, exchange)
+        if reply is None:
+            return None
+        status, reply_headers, reply = reply
+        latency_ms = (time.monotonic() - exchange.started) * 1000.0
 
         if status in (401, 403):
             raise AuthenticationError(f"{self.backend_id} rejected credentials")
@@ -249,6 +273,7 @@ class HTTPBackend:
             raise MalformedResponseError(
                 f"{self.backend_id} rejected the request: HTTP {status}"
             )
+        profile = self.profile
         try:
             body = json.loads(reply)
             text = _dig(body, profile.text_path)
@@ -274,6 +299,24 @@ class HTTPBackend:
             backend_id=self.backend_id,
             model=self.model,
         )
+
+    def timed_out(self, exchange: Exchange) -> BackendTimeoutError:
+        """Give up ``exchange`` past its deadline; the error to record for it."""
+        exchange.close()
+        return BackendTimeoutError(f"{self.backend_id} timed out")
+
+    def close(self) -> None:
+        """Close the idle kept-alive connections."""
+        self._http.close()
+
+    def _transported(self, half, *args):
+        """``half(*args)`` of a transport exchange, its failures as backend errors."""
+        try:
+            return half(*args)
+        except TimeoutError as exc:
+            raise BackendTimeoutError(f"{self.backend_id} timed out") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendServerError(f"{self.backend_id} request failed: {exc}") from exc
 
 
 def _retry_after_seconds(retry_after: str | None) -> float | None:
@@ -399,28 +442,39 @@ class Gateway:
     def generate(self, request: GenerationRequest) -> GenerationResult:
         """Send one request under the retry policy and account for it.
 
-        Rate limits, timeouts and server errors are retried with backoff up
-        to the attempt cap, then surfaced; authentication and malformed
-        responses fail immediately. A rate limit's ``retry_after`` replaces
-        the policy's delay, capped at the policy's largest delay. A slot is
-        held per attempt, so a request sleeping in backoff leaves it to
-        others.
+        A slot is held per attempt, so a request sleeping in backoff leaves
+        it to others. :meth:`backoff` decides what is retried and how long
+        each retry waits.
         """
-        retry, attempt = self.retry, 0
+        attempt = 0
         while True:
             try:
                 with self._slots:
                     result = self.backend.complete(request)
             except BackendError as exc:
                 attempt += 1
-                if not isinstance(exc, RETRYABLE_ERRORS) or attempt >= retry.attempts:
-                    self.ledger.record_failure()
+                delay = self.backoff(exc, attempt)
+                if delay is None:
                     raise
-                hint = getattr(exc, "retry_after", None)
-                if hint is None:
-                    self._sleep(retry.delays[min(attempt - 1, len(retry.delays) - 1)])
-                else:
-                    self._sleep(min(hint, max(retry.delays)))
+                self._sleep(delay)
             else:
                 self.ledger.record(result)
                 return result
+
+    def backoff(self, exc: BackendError, attempt: int) -> float | None:
+        """Seconds to wait before retrying a request whose ``attempt``-th try raised ``exc``.
+
+        ``None`` when the request has failed for good, which the ledger
+        records. Rate limits, timeouts and server errors are retried up to
+        the attempt cap; authentication and malformed responses are not. A
+        rate limit's ``retry_after`` replaces the policy's delay, capped at
+        the policy's largest delay.
+        """
+        retry = self.retry
+        if not isinstance(exc, RETRYABLE_ERRORS) or attempt >= retry.attempts:
+            self.ledger.record_failure()
+            return None
+        hint = getattr(exc, "retry_after", None)
+        if hint is None:
+            return retry.delays[min(attempt - 1, len(retry.delays) - 1)]
+        return min(hint, max(retry.delays))

@@ -9,14 +9,18 @@ annotations into a results table.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
+import selectors
+import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .catalog import FeatureCatalog
 from .checkers import run_all_checks
@@ -62,6 +66,7 @@ from .flows import (
     type_rows,
 )
 from .gateway import (
+    BackendError,
     Gateway,
     GenerationRequest,
     GenerationResult,
@@ -222,6 +227,9 @@ class Runtime:
 
     def close(self) -> None:
         self.store.close()
+        close_backend = getattr(self.backend, "close", None)
+        if close_backend is not None:
+            close_backend()
 
     def build_prompt(self, record: FlowRecord, mode: str) -> PromptBundle:
         if mode == MODE_BASIC:
@@ -387,10 +395,10 @@ def run_explain(
 ) -> ExplainRunResult:
     """Explain the selected flows and append records to a run log.
 
-    The calling thread prepares each flow's prompt and finishes its record;
-    ``config.workers`` threads only wait on the backend. Outputs preserve
-    the selection order. Per-flow failures are recorded in the log and do
-    not abort the batch.
+    The calling thread prepares each flow's prompt, sends its request and
+    finishes its record (see :func:`_explained`); it starts no thread.
+    Outputs preserve the selection order. Per-flow failures are recorded
+    in the log and do not abort the batch.
     """
     if mode not in MODES:
         raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
@@ -403,64 +411,12 @@ def run_explain(
         log_path = config.output_dir / f"{run_id}.jsonl"
         ledger_path = config.output_dir / f"{run_id}.ledger.json"
 
-        def failure(
-            record: FlowRecord, explanation_id: str, started: str, exc: Exception
-        ) -> dict:
-            return {
-                "explanation_id": explanation_id,
-                "flow_id": record.flow_id,
-                "mode": mode,
-                "model": getattr(runtime.backend, "model", ""),
-                "backend": getattr(runtime.backend, "backend_id", ""),
-                "status": "error",
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "timestamps": {"started": started, "finished": _utc_now()},
-            }
-
-        def finish(flow: dict | tuple) -> dict:
-            """The record of a flow leaving the window; a failed one has it already."""
-            if isinstance(flow, dict):
-                return flow
-            record, explanation_id, started, bundle, call = flow
-            try:
-                return runtime.finish(
-                    record, mode, explanation_id, started, bundle, call.result()
-                )
-            except Exception as exc:  # per-flow failure: recorded, run continues
-                return failure(record, explanation_id, started, exc)
-
-        def answered(flow: dict | tuple) -> bool:
-            return isinstance(flow, dict) or flow[-1].done()
-
-        def in_order(pool: ThreadPoolExecutor) -> Iterable[dict]:
-            # This thread builds every prompt and checks every answer; the
-            # pool's threads only wait on the backend. At most two flows per
-            # worker are in flight or waiting for the writer, so answers
-            # never pile up ahead of it. A flow is finished as soon as it
-            # leads the window and its answer is in, so its timestamps span
-            # its own work, not the preparing of the flows behind it.
-            pending: deque = deque()
-            for record in selected:
-                while pending and (len(pending) == 2 * config.workers or answered(pending[0])):
-                    yield finish(pending.popleft())
-                explanation_id = f"{run_id}:{record.flow_id}"
-                started = _utc_now()
-                try:
-                    bundle, request = runtime.prepare(record, mode, explanation_id)
-                except Exception as exc:  # per-flow failure: recorded, run continues
-                    pending.append(failure(record, explanation_id, started, exc))
-                else:
-                    call = pool.submit(runtime.gateway.generate, request)
-                    pending.append((record, explanation_id, started, bundle, call))
-            while pending:
-                yield finish(pending.popleft())
-
         written = failed = 0
-        # the pool starts threads only when tasks are submitted to it
-        with open(log_path, "w", encoding="utf-8") as log, ThreadPoolExecutor(
-            max_workers=config.workers
-        ) as pool:
-            for outcome in in_order(pool):
+        # closing: an interrupted pass gives up the requests it has out
+        with open(log_path, "w", encoding="utf-8") as log, closing(
+            _explained(runtime, mode, run_id, selected)
+        ) as outcomes:
+            for outcome in outcomes:
                 log.write(json.dumps(outcome, sort_keys=True) + "\n")
                 written += 1
                 failed += outcome["status"] != "ok"
@@ -480,6 +436,159 @@ def run_explain(
         )
     finally:
         runtime.close()
+
+
+class _Flow:
+    """A selected flow on its way from prompt to record."""
+
+    __slots__ = ("record", "explanation_id", "started", "bundle", "request", "attempts", "call",
+                 "answer")
+
+    def __init__(self, record: FlowRecord, explanation_id: str):
+        self.record = record
+        self.explanation_id = explanation_id
+        self.started = _utc_now()
+        self.attempts = 0
+        self.call = None  # what the backend's send returned for the request that is out
+        # once known: the backend's result, the exception that ended the
+        # flow, or the record of a flow that failed before its request
+        self.answer: GenerationResult | Exception | dict | None = None
+
+
+def _explained(
+    runtime: Runtime, mode: str, run_id: str, selected: list[FlowRecord]
+) -> Iterator[dict]:
+    """The records of ``selected``, in selection order, all made on this thread.
+
+    A flow is prepared and its request sent at once while fewer than
+    ``min(workers, max_in_flight)`` requests are out and fewer than two
+    flows per worker wait for the writer. Otherwise the thread waits until
+    a request's socket is readable, then reads that answer; until a
+    request's ``timeout_s`` has passed, which fails that attempt; or until
+    a backoff ends. A flow waiting out a backoff holds no slot and stops no
+    other flow from being sent; the gateway's policy decides the retries
+    and its ledger counts the outcomes. A backend without ``send`` answers
+    each request as it is sent. A flow is finished as soon as it leads the
+    window and its answer is in, so its timestamps span its own work, not
+    the preparing of the flows behind it. Closing the generator gives up
+    the requests that are out.
+    """
+    config, backend, gateway = runtime.config, runtime.backend, runtime.gateway
+    send = getattr(backend, "send", None)
+    slots = min(config.workers, config.max_in_flight)
+    window: deque[_Flow] = deque()
+    backoffs: list[tuple[float, int, _Flow]] = []  # (due, tie-break, flow)
+    tie_break = itertools.count()
+    waiting = selectors.DefaultSelector()
+    out = waiting.get_map()  # the calls that are out, by socket
+    flows = iter(selected)
+
+    def failure(flow: _Flow, exc: Exception) -> dict:
+        return {
+            "explanation_id": flow.explanation_id,
+            "flow_id": flow.record.flow_id,
+            "mode": mode,
+            "model": getattr(backend, "model", ""),
+            "backend": getattr(backend, "backend_id", ""),
+            "status": "error",
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "timestamps": {"started": flow.started, "finished": _utc_now()},
+        }
+
+    def prepare(record: FlowRecord) -> _Flow:
+        flow = _Flow(record, f"{run_id}:{record.flow_id}")
+        try:
+            flow.bundle, flow.request = runtime.prepare(record, mode, flow.explanation_id)
+        except Exception as exc:  # per-flow failure: recorded, run continues
+            flow.answer = failure(flow, exc)
+        else:
+            attempt(flow)
+        return flow
+
+    def attempt(flow: _Flow) -> None:
+        try:
+            if send is None:
+                answered(flow, backend.complete(flow.request))
+            else:
+                flow.call = send(flow.request)
+                waiting.register(flow.call.fileno(), selectors.EVENT_READ, flow)
+        except Exception as exc:
+            failed(flow, exc)
+
+    def receive(flow: _Flow) -> None:
+        try:
+            result = backend.receive(flow.call, flow.request)
+        except Exception as exc:
+            failed(flow, exc)
+        else:
+            if result is None:  # sent again on a new connection
+                waiting.register(flow.call.fileno(), selectors.EVENT_READ, flow)
+            else:
+                answered(flow, result)
+
+    def answered(flow: _Flow, result: GenerationResult) -> None:
+        gateway.ledger.record(result)
+        flow.answer = result
+
+    def failed(flow: _Flow, exc: Exception) -> None:
+        delay = None
+        if isinstance(exc, BackendError):
+            flow.attempts += 1
+            delay = gateway.backoff(exc, flow.attempts)
+        if delay is None:
+            flow.answer = exc
+        else:
+            heapq.heappush(backoffs, (time.monotonic() + delay, next(tie_break), flow))
+
+    def finish(flow: _Flow) -> dict:
+        answer = flow.answer
+        if isinstance(answer, dict):
+            return answer
+        if isinstance(answer, Exception):
+            return failure(flow, answer)
+        try:
+            return runtime.finish(
+                flow.record, mode, flow.explanation_id, flow.started, flow.bundle, answer
+            )
+        except Exception as exc:  # per-flow failure: recorded, run continues
+            return failure(flow, exc)
+
+    def collect(timeout: float) -> None:
+        """Read the answers that are in, waiting up to ``timeout`` seconds for one."""
+        for key, _ in waiting.select(timeout):
+            waiting.unregister(key.fd)
+            receive(key.data)
+        now = time.monotonic()
+        for key in [key for key in out.values() if key.data.call.deadline <= now]:
+            waiting.unregister(key.fd)
+            failed(key.data, backend.timed_out(key.data.call))
+
+    try:
+        while True:
+            while window and window[0].answer is not None:
+                yield finish(window.popleft())
+            free = len(out) < slots
+            if free and backoffs and backoffs[0][0] <= time.monotonic():
+                attempt(heapq.heappop(backoffs)[2])
+            elif free and len(window) < 2 * config.workers and (
+                record := next(flows, None)
+            ) is not None:
+                window.append(prepare(record))
+            elif window:
+                # every flow in the window without an answer is out or backing off
+                deadlines = [key.data.call.deadline for key in out.values()]
+                if free and backoffs:
+                    deadlines.append(backoffs[0][0])
+                collect(max(0.0, min(deadlines) - time.monotonic()))
+                continue
+            else:
+                return
+            if out:  # answers already in are finished before another flow is prepared
+                collect(0.0)
+    finally:
+        for key in out.values():
+            key.data.call.close()
+        waiting.close()
 
 
 def recheck_explanations(entries: list[dict], catalog: FeatureCatalog) -> list[dict]:

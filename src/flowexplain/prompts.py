@@ -9,11 +9,14 @@ or availability markers.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -140,7 +143,7 @@ class PromptBundle:
     mode: str
     flow_id: str
     metadata: dict[str, object]
-    # The pre-rendered augmented prompt that budget fitting trims.
+    # The parts of an augmented prompt, which budget fitting trims.
     _layout: "_Layout | None" = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> dict:
@@ -270,7 +273,7 @@ def _trimmed_history(history: tuple[str, ...], trimmed: int) -> list[str]:
 
 @dataclass(frozen=True)
 class _Layout:
-    """An augmented prompt rendered once, with the fixed order of its trims.
+    """The rendered parts of an augmented prompt, with the fixed order of its trims.
 
     ``plan`` lists every trim budget fitting may apply, least essential
     first: history entries oldest first across both endpoints (ties go to
@@ -306,21 +309,36 @@ class _Layout:
             pieces[2] + "\n".join(ip_lines) + pieces[3],
         )
 
-    def lengths(self, n: int, length: int) -> Iterator[int]:
+    @functools.cached_property
+    def untrimmed_length(self) -> int:
+        """The length of the text with no trims applied, counted without rendering it.
+
+        A section of k lines holds their lengths plus k - 1 newlines; a spec
+        section that comes out empty holds the no-entries line instead.
+        """
+        spec = sum(map(len, map(itemgetter(1), self.spec))) + len(self.spec) - 1
+        ip_lines = -1
+        for lines in itertools.chain.from_iterable(self.endpoints):
+            ip_lines += sum(map(len, lines)) + len(lines)
+        return (len(self.basic.text) + 2 + sum(map(len, self.pieces))
+                + (spec if spec > 0 else len(_NO_SPEC_ENTRIES))
+                + len(self.protocols[0]) + max(ip_lines, 0))
+
+    def lengths(self, n: int) -> Iterator[int]:
         """The text's length after each trim past the first ``n``, in plan order.
 
-        ``length`` is the length with the first ``n`` trims applied. A
-        history trim drops the endpoint's oldest shown line and its newline,
-        and puts the "(k+1 older entries omitted)" line in place of the "k"
-        one; a spec trim drops one line and its newline, except that the last
-        line leaves the no-entries line in its place; the protocol trim swaps
-        the two renderings.
+        Each length is counted from the one before, starting at
+        :attr:`untrimmed_length`. A history trim drops the endpoint's oldest
+        shown line and its newline, and puts the "(k+1 older entries
+        omitted)" line in place of the "k" one; a spec trim drops one line
+        and its newline, except that the last line leaves the no-entries
+        line in its place; the protocol trim swaps the two renderings.
         """
+        length = self.untrimmed_length
         spec_lines = dict(self.spec)
-        spec_left = len(self.spec) - sum(t.startswith(_TRIM_SPEC) for t in self.plan[:n])
-        omitted = [self.history_trims[:n].count(i) for i in range(len(self.endpoints))]
-        for position in range(n, len(self.plan)):
-            trim = self.plan[position]
+        spec_left = len(self.spec)
+        omitted = [0] * len(self.endpoints)
+        for position, trim in enumerate(self.plan):
             if trim == _TRIM_HISTORY:
                 index = self.history_trims[position]
                 k = omitted[index]
@@ -335,7 +353,8 @@ class _Layout:
                 spec_left -= 1
                 line = spec_lines[trim]
                 length += len(_NO_SPEC_ENTRIES) - len(line) if not spec_left else -len(line) - 1
-            yield length
+            if position >= n:
+                yield length
 
     def bundle(self, n: int, token_count: int | None = None) -> PromptBundle:
         segments = self._segments(n)
@@ -358,6 +377,28 @@ class _Layout:
         )
 
 
+class _Unrendered(PromptBundle):
+    """A layout's prompt with no trims applied, rendered when its text or
+    section map is first read: budget fitting reads only its token count."""
+
+    def __init__(self, layout: _Layout):
+        for name, value in (
+            ("token_count", _tokens_for_length(layout.untrimmed_length)),
+            ("mode", MODE_AUGMENTED),
+            ("flow_id", layout.basic.flow_id),
+            ("metadata", {**layout.metadata, "trims": []}),
+            ("_layout", layout),
+        ):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _rendered(self) -> PromptBundle:
+        return self._layout.bundle(0, self.token_count)
+
+    text = property(lambda self: self._rendered.text)
+    sections = property(lambda self: self._rendered.sections)
+
+
 def _is_zero(value) -> bool:
     return isinstance(value, (int, Decimal)) and not isinstance(value, bool) and value == 0
 
@@ -369,7 +410,11 @@ def build_augmented_prompt(
     basic_template: PromptTemplate,
     augmented_template: PromptTemplate,
 ) -> PromptBundle:
-    """Basic prompt plus the three titled knowledge sections, in order."""
+    """Basic prompt plus the three titled knowledge sections, in order.
+
+    The text is rendered when it is first read, so that budget fitting,
+    which needs only its length, renders only the prompt it keeps.
+    """
     if context.flow_id != record.flow_id:
         raise ValueError(
             f"context was built for flow {context.flow_id!r}, not {record.flow_id!r}"
@@ -419,7 +464,7 @@ def build_augmented_prompt(
             "unavailable": [[u.component, u.reason] for u in context.unavailable],
         },
     )
-    return layout.bundle(0)
+    return _Unrendered(layout)
 
 
 def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
@@ -441,7 +486,7 @@ def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
         raise BudgetInfeasibleError(bundle.token_count, budget)
     token_count = bundle.token_count
     trimmed = len(bundle.metadata["trims"])
-    for n, length in enumerate(layout.lengths(trimmed, len(bundle.text)), trimmed + 1):
+    for n, length in enumerate(layout.lengths(trimmed), trimmed + 1):
         token_count = _tokens_for_length(length)
         if token_count <= budget:
             return layout.bundle(n, token_count)

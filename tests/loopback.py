@@ -1,8 +1,12 @@
 """Loopback servers for the HTTP client tests of the backend and providers."""
 
+from __future__ import annotations
+
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, Container, Sequence
 
 
 def refused_port() -> int:
@@ -30,19 +34,32 @@ class SilentServer:
 class KeepAliveServer:
     """HTTP/1.1 server that answers every request with ``body``.
 
-    It counts the connections that were opened and those that have ended.
-    With ``close_after_reply`` it closes each connection after one reply
+    ``body`` is bytes, or a function from the request body to the reply's.
+    It counts the connections that were opened and those that have ended,
+    and keeps the request bodies in order of arrival. With
+    ``close_after_reply`` it closes each connection after one reply
     without a ``Connection: close`` header, as a server does when a
     kept-alive connection has been idle too long. With ``together`` set to
-    n, it holds each reply until n requests are waiting for theirs.
+    n, it holds each reply until n requests are waiting for theirs. Request
+    number i (from 0) waits ``delays[i % len(delays)]`` seconds before its
+    reply, so that answers come back out of order, and a number in
+    ``fail`` is answered with a 503.
     """
 
-    def __init__(self, body: bytes, close_after_reply: bool = False, together: int = 1):
+    def __init__(
+        self,
+        body: bytes | Callable[[bytes], bytes],
+        close_after_reply: bool = False,
+        together: int = 1,
+        delays: Sequence[float] = (),
+        fail: Container[int] = (),
+    ):
         server = self
         self.lock = threading.Lock()
         self.connections = 0
         self.ended = 0
         self.requests = 0
+        self.received: list[bytes] = []
         barrier = threading.Barrier(together)
 
         class Handler(BaseHTTPRequestHandler):
@@ -63,15 +80,23 @@ class KeepAliveServer:
                     server.ended += 1
 
             def _reply(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                request = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 with server.lock:
+                    number = server.requests
                     server.requests += 1
+                    server.received.append(request)
                 barrier.wait(5)
-                self.send_response(200)
+                if delays:
+                    time.sleep(delays[number % len(delays)])
+                if number in fail:
+                    status, reply = 503, b"{}"
+                else:
+                    status, reply = 200, body(request) if callable(body) else body
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Content-Length", str(len(reply)))
                 self.end_headers()
-                self.wfile.write(body)
+                self.wfile.write(reply)
                 self.close_connection = close_after_reply
 
             do_GET = do_POST = _reply

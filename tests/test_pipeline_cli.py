@@ -1,7 +1,7 @@
 import json
+import select
 import sqlite3
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
@@ -14,6 +14,7 @@ from flowexplain.cli import main
 from flowexplain.flows import format_value
 from flowexplain.gateway import (
     AuthenticationError,
+    HTTPBackend,
     HTTPBackendProfile,
     MockBackend,
     PricingTable,
@@ -420,30 +421,34 @@ class TestSampleAndExplain:
 
     def test_flow_is_finished_once_its_answer_is_in(self, tmp_path, records, monkeypatch):
         malicious = [r.flow_id for r in records if r.label == "malicious"][:12]
-        submitted = []
+        calls = []
+        send = HTTPBackend.send
 
-        class Recording(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(super().submit(*args, **kwargs))
-                return submitted[-1]
+        def recorded(self, request):
+            calls.append(send(self, request))
+            return calls[-1]
 
         written = []
         ahead = []
         prepare = Runtime.prepare
 
         def after_previous_answer(self, *args, **kwargs):
-            # each flow is prepared only once the flow before it has its answer
-            if submitted:
-                wait([submitted[-1]])
+            # each flow is prepared only once the flow before it has its answer in
+            if calls:
+                select.select([calls[-1]], [], [], 5)
             ahead.append(len(ahead) - len(written))
             return prepare(self, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(HTTPBackend, "send", recorded)
         monkeypatch.setattr(Runtime, "prepare", after_previous_answer)
-        config = make_config(tmp_path, workers=4)
-        result = run_explain(
-            config, "basic", flow_ids=malicious, run_id="t12", progress=written.append
-        )
+        body = json.dumps({"choices": [{"message": {"content": "text"}}]}).encode("utf-8")
+        with KeepAliveServer(body) as server:
+            config = make_config(
+                tmp_path, workers=4, backend={"kind": "local", "url": server.url("/v1")}
+            )
+            result = run_explain(
+                config, "basic", flow_ids=malicious, run_id="t12", progress=written.append
+            )
         entries = [json.loads(l) for l in result.log_path.read_text().splitlines()]
         assert [e["status"] for e in entries] == ["ok"] * len(malicious)
         # the window may hold 8 flows, but none waits in it once answered
