@@ -39,7 +39,7 @@ from http.client import (
     RemoteDisconnected,
     UnknownProtocol,
 )
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Mapping, NamedTuple
 from urllib.parse import urlsplit
 
 # How a kept-alive socket that the server has since closed fails on the next
@@ -130,18 +130,17 @@ class Transport:
         self, method: str, url: str, headers: Mapping[str, str], body: bytes | None = None
     ) -> Exchange:
         """Send one request on an idle connection to its origin, or on a new one."""
-        parts = urlsplit(url)
-        try:
-            origin = (parts.scheme, parts.hostname, parts.port)
-        except ValueError as exc:  # a port that is not a number in range
-            raise InvalidURL(f"{url!r}: {exc}") from None
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise InvalidURL(f"not an http(s) URL: {url!r}")
-        message = _request_bytes(method, parts, headers, body)
+        return self.send_to(request_target(method, url, headers), body)
+
+    def send_to(
+        self, target: "Target", body: bytes | None = None, headers: Mapping[str, str] = {}
+    ) -> Exchange:
+        """:meth:`send` to a target laid out beforehand; ``headers`` follow its own."""
+        message = target.message(body, headers)
         with self._lock:
-            idle = self._idle.get(origin)
+            idle = self._idle.get(target.origin)
             conn = idle.pop() if idle else None
-        exchange = Exchange(origin, method, message, conn)
+        exchange = Exchange(target.origin, target.method, message, conn)
         self._send(exchange)
         return exchange
 
@@ -216,25 +215,55 @@ class Transport:
     __del__ = close
 
 
-def _request_bytes(method: str, parts, headers: Mapping[str, str], body: bytes | None) -> bytes:
-    """The whole request: the line and headers ``http.client`` would send, then the body."""
-    target = parts.path or "/"
+class Target(NamedTuple):
+    """A method and URL with their fixed headers, checked and laid out once
+    for the requests that share them."""
+
+    origin: tuple  # (scheme, host, port)
+    method: str
+    head: bytes  # the request line and the lines http.client puts first
+    headers: bytes  # the fixed headers' lines, which follow Content-Length
+
+    def message(self, body: bytes | None, headers: Mapping[str, str] = {}) -> bytes:
+        """The whole request: the head ``http.client`` would send, then the body."""
+        length = b""
+        if body is not None or self.method in ("POST", "PUT", "PATCH"):
+            length = b"Content-Length: %d\r\n" % len(body or b"")
+        return b"".join(
+            (self.head, length, self.headers, _header_lines(headers), b"\r\n", body or b"")
+        )
+
+
+def request_target(method: str, url: str, headers: Mapping[str, str]) -> Target:
+    """The :class:`Target` of ``method`` on ``url``; ``InvalidURL`` or
+    ``ValueError`` when the URL or a header cannot be sent."""
+    parts = urlsplit(url)
+    try:
+        origin = (parts.scheme, parts.hostname, parts.port)
+    except ValueError as exc:  # a port that is not a number in range
+        raise InvalidURL(f"{url!r}: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise InvalidURL(f"not an http(s) URL: {url!r}")
+    path = parts.path or "/"
     if parts.query:
-        target += "?" + parts.query
-    if _NOT_IN_TARGET.search(target):
-        raise InvalidURL(f"URL can't contain control characters. {target!r}")
+        path += "?" + parts.query
+    if _NOT_IN_TARGET.search(path):
+        raise InvalidURL(f"URL can't contain control characters. {path!r}")
     host = parts.hostname if ":" not in parts.hostname else f"[{parts.hostname}]"
     default_port = 443 if parts.scheme == "https" else 80
     if parts.port is not None and parts.port != default_port:
         host = f"{host}:{parts.port}"
-    lines = [f"{method} {target} HTTP/1.1", f"Host: {host}", "Accept-Encoding: identity"]
-    if body is not None or method in ("POST", "PUT", "PATCH"):
-        lines.append(f"Content-Length: {len(body or b'')}")
+    head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+    return Target(origin, method, head.encode("latin-1"), _header_lines(headers))
+
+
+def _header_lines(headers: Mapping[str, str]) -> bytes:
+    lines = []
     for name, value in headers.items():
         if _NOT_IN_HEADER.search(name) or _NOT_IN_HEADER.search(value):
             raise ValueError(f"Invalid header {name!r}")
-        lines.append(f"{name}: {value}")
-    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + (body or b"")
+        lines.append(f"{name}: {value}\r\n")
+    return "".join(lines).encode("latin-1")
 
 
 def _read_line(reader: BinaryIO, what: str) -> bytes:

@@ -356,9 +356,9 @@ _NUM = r"\d[\d,]*(?:\.\d+)?"
 # A claim may start only where a run of digits and commas begins: starting
 # at every digit inside the run would make a long run cost quadratic time.
 # The leading lookahead adds no condition, as a claim starts with a digit or
-# a comma; it lets the regex engine skip fast to such positions. The unit is
-# matched in ASCII only: ignoring case, U+017F (long s) would match the "s"
-# of "mins", and milliseconds_to converts no such spelling.
+# a comma. The second unit is matched in ASCII only: ignoring case, U+017F
+# (long s) would match the "s" of "mins", and milliseconds_to converts no
+# such spelling. Claims are found from their first unit (_duration_claims).
 _DURATION_CLAIM = re.compile(
     rf"(?=[\d,])(?<![\d,]),*(?P<ms>{_NUM})\s*(?:ms|msecs?|milliseconds?)\b"
     rf"(?:,?\s+which)?\s+"
@@ -436,40 +436,16 @@ def _flags_error(match: re.Match) -> str | None:
     )
 
 
-def _anchored(pattern: re.Pattern[str], anchor: str, back: int = 0) -> tuple:
-    """``pattern`` as a claim found from each match of ``anchor``: the
-    pattern that finds it in a window, the anchor, and the window's reach.
+def _anchored(pattern: re.Pattern[str], anchor: str, back: int = 0):
+    """A finder of the claims ``pattern.finditer`` would find, looked for
+    only near the matches of ``anchor``.
 
     Every claim holds its anchor, which begins at most ``back`` characters
     past the claim's start (for ``back`` > 0, once the whitespace just
     before the anchor is stepped over: that is where a service name ends,
-    and one is at most ``_LONGEST_SERVICE`` characters long). The window
+    and one is at most ``_LONGEST_SERVICE`` characters long). A window
     pattern tries the ``back`` + 1 starts from where it is matched; group
     ``claim`` is a match of ``pattern``.
-    """
-    window = re.compile(rf"(?s:.){{0,{back}}}?(?P<claim>{pattern.pattern})", pattern.flags)
-    return window, re.compile(anchor, re.IGNORECASE), back
-
-
-#: Claim patterns in scan order: (pattern, anchor, back, finding kind, the
-#: group whose start begins the finding's span, check returning the detail
-#: or None). A claim with no anchor is found by a plain scan. Each port
-#: pattern scans on its own: one text can hold overlapping claims.
-_CLAIMS = (
-    (_DURATION_CLAIM, None, 0, "arithmetic_error", "ms", _duration_error),
-    (*_anchored(_PORT_CLAIMS[0], r"\sport", _LONGEST_SERVICE), "fact_error", "claim",
-     _port_error),
-    (*_anchored(_PORT_CLAIMS[1], r"\(\s*port", _LONGEST_SERVICE), "fact_error", "claim",
-     _port_error),
-    (*_anchored(_PORT_CLAIMS[2], "port"), "fact_error", "claim", _port_error),
-    (*_anchored(_TCP_FLAGS_CLAIM, "tcp"), "fact_error", "claim", _flags_error),
-)
-
-
-def _claim_matches(
-    text: str, pattern: re.Pattern[str], anchor: re.Pattern[str] | None, back: int
-) -> Iterator[re.Match[str]]:
-    """The claims ``pattern.finditer`` would find, looked for only near anchors.
 
     After a claim ending at ``end``, the next one starts at ``end`` or later,
     so its anchor does too. The first anchor from there, stepped back over
@@ -478,21 +454,72 @@ def _claim_matches(
     lies past this one. Each anchor is found once and each window holds at
     most ``back`` + 1 starts, so the time stays linear in the text length.
     """
-    if anchor is None:
-        yield from pattern.finditer(text)
-        return
+    window = re.compile(rf"(?s:.){{0,{back}}}?(?P<claim>{pattern.pattern})", pattern.flags)
+    anchor_pattern = re.compile(anchor, re.IGNORECASE)
+
+    def claims(text: str) -> Iterator[re.Match[str]]:
+        end = after = 0
+        while (hit := anchor_pattern.search(text, after)) is not None:
+            start = hit.start()
+            if back:
+                while start > end and text[start - 1].isspace():
+                    start -= 1
+            match = window.match(text, max(end, start - back))
+            if match is None:
+                after = hit.start() + 1
+            else:
+                yield match
+                end = after = match.end()
+
+    return claims
+
+
+#: the first unit of a duration claim, as _DURATION_CLAIM matches it
+_DURATION_UNIT = re.compile("ms|millisecond", re.IGNORECASE)
+
+
+def _duration_claims(text: str) -> Iterator[re.Match[str]]:
+    """The claims ``_DURATION_CLAIM.finditer`` would find, looked for from
+    their first unit.
+
+    A claim's number runs up to the whitespace before that unit, and holds
+    only digits, commas and at most one point. So from each unit, step back
+    over whitespace and then over digits, commas and points: the claim
+    starts in there, where the stepping stopped or just after a point, and
+    the first such start that matches is the one ``finditer`` finds. Each
+    character is stepped over from one unit only (a unit begins with a
+    letter), and only the last two starts read up to the unit, so the time
+    stays linear in the text length.
+    """
     end = after = 0
-    while (hit := anchor.search(text, after)) is not None:
-        start = hit.start()
-        if back:
-            while start > end and text[start - 1].isspace():
-                start -= 1
-        match = pattern.match(text, max(end, start - back))
-        if match is None:
-            after = hit.start() + 1
-        else:
-            yield match
-            end = after = match.end()
+    while (hit := _DURATION_UNIT.search(text, after)) is not None:
+        after = hit.start() + 1
+        number_end = hit.start()
+        while number_end > end and text[number_end - 1].isspace():
+            number_end -= 1
+        start = number_end
+        while start > end and (text[start - 1] in ",." or text[start - 1].isdecimal()):
+            start -= 1
+        while start < number_end:
+            match = _DURATION_CLAIM.match(text, start)
+            if match is not None:
+                yield match
+                end = after = match.end()
+                break
+            start = text.find(".", start, number_end) + 1 or number_end
+
+
+#: Claim finders in scan order: (finder, finding kind, the group whose start
+#: begins the finding's span, check returning the detail or None). Each port
+#: pattern scans on its own: one text can hold overlapping claims.
+_CLAIMS = (
+    (_duration_claims, "arithmetic_error", "ms", _duration_error),
+    (_anchored(_PORT_CLAIMS[0], r"\sport", _LONGEST_SERVICE), "fact_error", "claim", _port_error),
+    (_anchored(_PORT_CLAIMS[1], r"\(\s*port", _LONGEST_SERVICE), "fact_error", "claim",
+     _port_error),
+    (_anchored(_PORT_CLAIMS[2], "port"), "fact_error", "claim", _port_error),
+    (_anchored(_TCP_FLAGS_CLAIM, "tcp"), "fact_error", "claim", _flags_error),
+)
 
 
 def check_factual_claims(text: str) -> list[CheckFinding]:
@@ -505,8 +532,8 @@ def check_factual_claims(text: str) -> list[CheckFinding]:
     """
     return [
         CheckFinding(kind=kind, detail=detail, span=(match.start(start), match.end()))
-        for pattern, anchor, back, kind, start, check in _CLAIMS
-        for match in _claim_matches(text, pattern, anchor, back)
+        for claims, kind, start, check in _CLAIMS
+        for match in claims(text)
         if (detail := check(match)) is not None
     ]
 

@@ -1,16 +1,17 @@
 """Assembly of per-flow contextual knowledge for prompt augmentation.
 
 For each flagged flow this module gathers protocol names, per-address
-classification, geolocation, threat intelligence and recent connection
-history. Provider failures degrade to explicit unavailability entries; the
-context build itself never fails because of a provider.
+classification, geolocation and threat intelligence, and a handle on the
+recent connection history that reads the store when first asked for.
+Provider failures degrade to explicit unavailability entries; the context
+build itself never fails because of a provider.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .config import DST_IP_FEATURE, L4_FEATURE, L7_FEATURE, SRC_IP_FEATURE
 from .flows import FlowRecord, clip
@@ -61,19 +62,73 @@ class Unavailability:
 
 
 @dataclass(frozen=True)
+class FlowHistories:
+    """The connection history of a flow's endpoint addresses, read from the
+    store when first asked for: one statement reads every address's count
+    of entries, or every address's entries."""
+
+    store: FlowHistoryStore
+    ips: tuple[str, ...]
+    k: int
+    before: int | None
+    include_benign: bool
+
+    @cached_property
+    def entries(self) -> tuple[tuple[FlowHistoryEntry, ...], ...]:
+        """Each address's newest entries, newest first."""
+        read = self.store.query_histories(self.ips, self.k, self.before, self.include_benign)
+        return tuple(map(tuple, read))
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """How many entries each address has in :attr:`entries`; the store
+        counts them unless they are read already."""
+        if "entries" in self.__dict__:
+            return tuple(map(len, self.entries))
+        return self._counted
+
+    @cached_property
+    def _counted(self) -> tuple[int, ...]:
+        return tuple(
+            self.store.count_histories(self.ips, self.k, self.before, self.include_benign)
+        )
+
+
+@dataclass(frozen=True)
 class IpKnowledge:
     """Everything gathered about one endpoint address.
 
     ``unavailable`` maps each component that could not be populated
-    (``geo``, ``cti``, ``history``, in that order) to the reason.
+    (``geo``, ``cti``, ``history``, in that order) to the reason. The
+    connection history is read when it is first asked for (see
+    :class:`FlowHistories`).
     """
 
     ip: str
     classification: str
     geo: GeoInfo | None
     threat: ThreatIntel | None
-    history: tuple[FlowHistoryEntry, ...]
     unavailable: dict[str, str]
+    #: the flow's histories and this endpoint's place in them; ``None``
+    #: without a store
+    histories: tuple[FlowHistories, int] | None = field(default=None, repr=False)
+
+    @property
+    def history(self) -> tuple[FlowHistoryEntry, ...]:
+        """The newest entries touching the address, newest first."""
+        if self.histories is None:
+            return ()
+        histories, index = self.histories
+        return histories.entries[index]
+
+    @property
+    def history_count(self) -> int:
+        """``len(self.history)``, counted by the store unless the entries
+        are read already."""
+        if self.histories is None:
+            return 0
+        histories, index = self.histories
+        return histories.counts[index]
 
 
 @dataclass(frozen=True)
@@ -134,12 +189,18 @@ class ContextBuilder:
             if needed not in record.values:
                 raise KeyError(f"record {record.flow_id} lacks required feature {needed}")
 
+        ips = (str(record.values[SRC_IP_FEATURE]), str(record.values[DST_IP_FEATURE]))
+        histories = None
+        if self.store is not None:
+            histories = FlowHistories(
+                self.store, ips, self.k, record.timestamp, self.include_benign
+            )
         return EnrichmentContext(
             flow_id=record.flow_id,
             l4=map_l4_protocol(int(record.values[L4_FEATURE])),
             l7=map_l7_protocol(record.values[L7_FEATURE]),
-            src=self._gather_side(str(record.values[SRC_IP_FEATURE]), record),
-            dst=self._gather_side(str(record.values[DST_IP_FEATURE]), record),
+            src=self._gather_side(ips[0], None if histories is None else (histories, 0)),
+            dst=self._gather_side(ips[1], None if histories is None else (histories, 1)),
             provider_ids={
                 "geo": None if self.geo_provider is None else self.geo_provider.provider_id,
                 "cti": None if self.cti_provider is None else self.cti_provider.provider_id,
@@ -154,7 +215,9 @@ class ContextBuilder:
             self.cache.put(provider.provider_id, ip, answer)
         return answer
 
-    def _gather_side(self, ip: str, record: FlowRecord) -> IpKnowledge:
+    def _gather_side(
+        self, ip: str, histories: tuple[FlowHistories, int] | None
+    ) -> IpKnowledge:
         classification = classify_ip(ip)
         unavailable: dict[str, str] = {}
 
@@ -181,19 +244,14 @@ class ContextBuilder:
             except ProviderError as exc:
                 unavailable["cti"] = exc.reason
 
-        history: tuple[FlowHistoryEntry, ...] = ()
-        if self.store is None:
+        if histories is None:
             unavailable["history"] = "no store"
-        else:
-            history = tuple(
-                self.store.query_history(ip, self.k, record.timestamp, self.include_benign)
-            )
 
         return IpKnowledge(
             ip=ip,
             classification=classification,
             geo=geo,
             threat=threat,
-            history=history,
             unavailable=unavailable,
+            histories=histories,
         )

@@ -8,6 +8,7 @@ whole pipeline reproducible offline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import json
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Mapping, Protocol
 
-from ._http import Exchange, Transport
+from ._http import Exchange, Target, Transport, request_target
 from .config import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
 from .prompts import count_tokens
 from .providers import _dig
@@ -219,6 +220,16 @@ class HTTPBackend:
         self.backend_id = profile.backend_id
         self.model = profile.model
         self._http = Transport(profile.timeout_s)
+        self._paths = tuple(
+            path.split(".")
+            for path in (profile.text_path, profile.prompt_tokens_path,
+                         profile.completion_tokens_path)
+        )
+
+    @functools.cached_property
+    def _target(self) -> Target:
+        """Where every request goes; a URL that cannot be sent fails each request."""
+        return request_target("POST", self.profile.url, {"Content-Type": "application/json"})
 
     def complete(self, request: GenerationRequest) -> GenerationResult:
         exchange = self.send(request)
@@ -230,7 +241,7 @@ class HTTPBackend:
     def send(self, request: GenerationRequest) -> Exchange:
         """Send ``request`` to the endpoint without waiting for the answer."""
         profile = self.profile
-        headers = {"Content-Type": "application/json"}
+        headers = {}
         if profile.auth_env:
             token = os.environ.get(profile.auth_env)
             if not token:
@@ -245,7 +256,7 @@ class HTTPBackend:
             "max_tokens": request.max_tokens,
         }
         return self._transported(
-            self._http.send, "POST", profile.url, headers, json.dumps(payload).encode("utf-8")
+            lambda: self._http.send_to(self._target, json.dumps(payload).encode("utf-8"), headers)
         )
 
     def receive(self, exchange: Exchange, request: GenerationRequest) -> GenerationResult | None:
@@ -254,7 +265,7 @@ class HTTPBackend:
         ``None`` when the request had to go out again on a new connection;
         the exchange's socket and deadline are then those of the new one.
         """
-        reply = self._transported(self._http.receive, exchange)
+        reply = self._transported(lambda: self._http.receive(exchange))
         if reply is None:
             return None
         status, reply_headers, reply = reply
@@ -273,17 +284,17 @@ class HTTPBackend:
             raise MalformedResponseError(
                 f"{self.backend_id} rejected the request: HTTP {status}"
             )
-        profile = self.profile
+        text_path, prompt_tokens_path, completion_tokens_path = self._paths
         try:
             body = json.loads(reply)
-            text = _dig(body, profile.text_path)
+            text = _dig(body, text_path)
             if not isinstance(text, str):
                 raise TypeError("generated text is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"{self.backend_id} response shape: {exc}") from exc
         try:
-            prompt_tokens = int(_dig(body, profile.prompt_tokens_path))
-            completion_tokens = int(_dig(body, profile.completion_tokens_path))
+            prompt_tokens = int(_dig(body, prompt_tokens_path))
+            completion_tokens = int(_dig(body, completion_tokens_path))
         except (ValueError, KeyError, IndexError, TypeError):
             # endpoints that omit usage fall back to the counting heuristic
             prompt_tokens = count_tokens(request.prompt)
@@ -309,10 +320,10 @@ class HTTPBackend:
         """Close the idle kept-alive connections."""
         self._http.close()
 
-    def _transported(self, half, *args):
-        """``half(*args)`` of a transport exchange, its failures as backend errors."""
+    def _transported(self, half):
+        """``half()`` of a transport exchange, its failures as backend errors."""
         try:
-            return half(*args)
+            return half()
         except TimeoutError as exc:
             raise BackendTimeoutError(f"{self.backend_id} timed out") from exc
         except (OSError, http.client.HTTPException) as exc:

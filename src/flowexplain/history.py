@@ -7,6 +7,7 @@ address" for the prompt augmenter.
 
 from __future__ import annotations
 
+import functools
 import sqlite3
 import threading
 from contextlib import contextmanager, suppress
@@ -98,23 +99,43 @@ _INSERT = f"INSERT INTO flow_history ({_COLUMNS}) VALUES {_VALUES}"
 _ROWS_PER_INSERT = 100
 
 
-def _newest_k(where: str) -> str:
-    """The union of the newest-``k`` arms of both endpoint indexes.
+def _arms(select: str, where: str) -> str:
+    """Both endpoint arms of a history read, joined by ``UNION ALL``.
 
-    Each arm binds the address, the parameters of ``where`` and ``k``; the
-    union binds ``k`` once more.
+    The source arm matches ``src_ip``; the destination arm matches
+    ``dst_ip`` and leaves out the entries the source arm holds
+    (``src_ip == dst_ip``), so no entry comes back twice. Each arm walks its
+    ``(ip, timestamp)`` index backwards, in ``(timestamp, id)`` order as
+    every index ends in the rowid, and stops after ``k`` rows; it binds the
+    address, the parameters of ``where`` and ``k``.
     """
-    newest_k = "ORDER BY timestamp DESC, id DESC LIMIT ?"
-    return " UNION ".join(
-        f"SELECT * FROM (SELECT id, {_COLUMNS} FROM flow_history"
-        f" WHERE {column} = ?{where} {newest_k})"
-        for column in ("src_ip", "dst_ip")
-    ) + f" {newest_k}"
+    return " UNION ALL ".join(
+        f"SELECT * FROM (SELECT {select} FROM flow_history WHERE {match}{where}"
+        " ORDER BY timestamp DESC, id DESC LIMIT ?)"
+        for match in ("src_ip = ?", "dst_ip = ? AND src_ip != dst_ip")
+    )
 
 
-# the bound switch keeps or drops benign entries
-_QUERY = _newest_k(" AND (? OR label != 'benign')")
-_QUERY_BEFORE = _newest_k(" AND timestamp < ? AND (? OR label != 'benign')")
+@functools.lru_cache(maxsize=None)
+def _read_statement(counts: bool, addresses: int, before: bool) -> str:
+    """The statement that reads the history of ``addresses`` addresses at once.
+
+    Its rows are each address's index, then the entry's id and fields; or,
+    with ``counts``, one row of each address's count of entries (the arms
+    stop after ``k`` each, so no count passes ``2k``).
+    """
+    # the bound switch keeps or drops benign entries
+    where = (" AND timestamp < ?" if before else "") + " AND (? OR label != 'benign')"
+    if counts:
+        return "SELECT " + ", ".join(
+            [f"(SELECT count(*) FROM ({_arms('1', where)}))"] * addresses
+        )
+    return " UNION ALL ".join(_arms(f"{i}, id, {_COLUMNS}", where) for i in range(addresses))
+
+
+def _recency(row: tuple) -> tuple:
+    """A read row's place in history order: by timestamp, then by id."""
+    return row[3], row[1]
 
 
 class FlowHistoryStore:
@@ -252,29 +273,53 @@ class FlowHistoryStore:
         Ties on timestamp are broken by reverse insertion order. ``before``
         keeps only entries stamped strictly earlier; ``include_benign=False``
         drops benign entries.
-
-        Each endpoint arm walks its ``(ip, timestamp)`` index backwards, in
-        ``(timestamp, id)`` order as every index ends in the rowid, and stops
-        after ``k`` rows; only the at most ``2k`` rows of the union are
-        sorted. ``id`` is selected so that ``UNION`` merges only an entry
-        found by both arms (``src_ip == dst_ip``), never distinct entries of
-        equal content.
         """
-        if k < 0:  # SQLite reads a negative LIMIT as no limit
-            raise ValueError("k must be non-negative")
-        if before is None:
-            sql, arm = _QUERY, (ip, include_benign, k)
-        else:
-            sql, arm = _QUERY_BEFORE, (ip, before, include_benign, k)
-        with self._lock:
-            try:
-                rows = self._conn.execute(sql, (*arm, *arm, k)).fetchall()
-            except sqlite3.Error as exc:
-                raise StoreError(f"query failed: {exc}") from exc
+        [entries] = self.query_histories((ip,), k, before, include_benign)
+        return entries
+
+    def query_histories(
+        self, ips: Sequence[str], k: int, before: int | None = None, include_benign: bool = True
+    ) -> list[list[FlowHistoryEntry]]:
+        """:meth:`query_history` of each of ``ips``, read in one statement.
+
+        Each address's two arms (see :func:`_arms`) read their newest ``k``
+        rows straight off the endpoint indexes, and nothing is sorted in
+        SQLite; the at most ``2k`` rows of each address are merged here.
+        """
+        histories: list[list] = [[] for _ in ips]
+        for row in self._read(False, ips, k, before, include_benign):
+            histories[row[0]].append(row)
         # the rows were checked when they were written, so the entries are
         # made without FlowHistoryEntry's checks
         new = tuple.__new__
-        return [new(FlowHistoryEntry, row[1:]) for row in rows]
+        for rows in histories:
+            rows.sort(key=_recency, reverse=True)
+            rows[:] = [new(FlowHistoryEntry, row[2:]) for row in rows[:k]]
+        return histories
+
+    def count_histories(
+        self, ips: Sequence[str], k: int, before: int | None = None, include_benign: bool = True
+    ) -> list[int]:
+        """``len(self.query_history(ip, k, before, include_benign))`` of each
+        of ``ips``, counted in one statement that returns no entry."""
+        [counts] = self._read(True, ips, k, before, include_benign)
+        return [min(count, k) for count in counts]
+
+    def _read(
+        self, counts: bool, ips: Sequence[str], k: int, before: int | None,
+        include_benign: bool,
+    ) -> list[tuple]:
+        """The rows of :func:`_read_statement` for ``ips``."""
+        if k < 0:  # SQLite reads a negative LIMIT as no limit
+            raise ValueError("k must be non-negative")
+        arm = (include_benign, k) if before is None else (before, include_benign, k)
+        parameters = [value for ip in ips for value in (ip, *arm, ip, *arm)]
+        sql = _read_statement(counts, len(ips), before is not None)
+        with self._lock:
+            try:
+                return self._conn.execute(sql, parameters).fetchall()
+            except sqlite3.Error as exc:
+                raise StoreError(f"query failed: {exc}") from exc
 
     def count(self) -> int:
         with self._lock:

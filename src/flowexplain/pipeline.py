@@ -232,16 +232,25 @@ class Runtime:
             close_backend()
 
     def build_prompt(self, record: FlowRecord, mode: str) -> PromptBundle:
+        """The flow's prompt, fitted to the token budget.
+
+        An augmented prompt reads the store only as deep as the fitted
+        prompt can show: when the prompt with every history line trimmed
+        overflows the budget, only each endpoint's count of entries is read
+        (see ``build_augmented_prompt``).
+        """
+        budget = self.config.token_budget
         if mode == MODE_BASIC:
             bundle = build_basic_prompt(record, self.catalog, self.basic_template)
         elif mode == MODE_AUGMENTED:
             context = self.context_builder.build(record)
             bundle = build_augmented_prompt(
-                record, context, self.catalog, self.basic_template, self.augmented_template
+                record, context, self.catalog, self.basic_template, self.augmented_template,
+                budget,
             )
         else:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        return enforce_budget(bundle, self.config.token_budget)
+        return enforce_budget(bundle, budget)
 
     def prepare(
         self, record: FlowRecord, mode: str, explanation_id: str

@@ -9,6 +9,7 @@ or availability markers.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -16,9 +17,8 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .catalog import UNIT_LABELS, FeatureCatalog
 from .enrichment import EnrichmentContext, IpKnowledge
@@ -213,8 +213,9 @@ def _render_protocols(context: EnrichmentContext, descriptions: bool) -> str:
     return "\n".join(lines)
 
 
-def _render_ip_side(title: str, side: IpKnowledge) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The endpoint's fixed lines and its history lines, most recent first."""
+def _render_ip_side(title: str, side: IpKnowledge) -> tuple[str, ...]:
+    """The endpoint's lines before its connection history, or with the line
+    that says why it has none."""
     unavailable = side.unavailable
     lines = [f"{title} {side.ip}:"]
     lines.append(f"- classification: {side.classification}")
@@ -247,17 +248,25 @@ def _render_ip_side(title: str, side: IpKnowledge) -> tuple[tuple[str, ...], tup
 
     if "history" in unavailable:
         lines.append(f"- recent connections unavailable: {unavailable['history']}")
-        return tuple(lines), ()
-    if not side.history:
-        lines.append("- recent connections: none on record")
-        return tuple(lines), ()
-    lines.append("- recent connections (most recent first):")
-    history = tuple(
+    return tuple(lines)
+
+
+_NO_HISTORY = ("- recent connections: none on record",)
+_HISTORY_HEADER = ("- recent connections (most recent first):",)
+
+
+def _history_lines(history) -> tuple[str, ...]:
+    """One line per history entry, most recent first.
+
+    A line is never shorter than ``_omitted_line(1)``, 36 characters, as
+    ``  1. ts=0 :: -> :: proto 0 [benign] `` is; so each history trim
+    shortens the prompt.
+    """
+    return tuple(
         f"  {i}. ts={entry.timestamp} {entry.src_ip} -> {entry.dst_ip} "
         f"proto {entry.l4_protocol_id} [{entry.label}] {entry.summary}"
-        for i, entry in enumerate(side.history, start=1)
+        for i, entry in enumerate(history, start=1)
     )
-    return tuple(lines), history
 
 
 def _omitted_line(trimmed: int) -> str:
@@ -271,6 +280,43 @@ def _trimmed_history(history: tuple[str, ...], trimmed: int) -> list[str]:
     return [*history[: len(history) - trimmed], _omitted_line(trimmed)]
 
 
+class _Spec(NamedTuple):
+    """A catalog's specification section, which every augmented prompt holds.
+
+    ``entries`` is a (trim marker, line) pair per feature, ``length`` the
+    section's length untrimmed, and ``line_lengths`` each line's length by
+    its marker.
+    """
+
+    entries: tuple[tuple[str, str], ...]
+    length: int
+    line_lengths: dict[str, int]
+
+    @classmethod
+    def of(cls, entries: tuple[tuple[str, str], ...]) -> "_Spec":
+        line_lengths = {marker: len(line) for marker, line in entries}
+        return cls(entries, sum(line_lengths.values()) + len(entries) - 1, line_lengths)
+
+
+#: the spec section of each catalog in use, by identity (hashing a catalog
+#: compares every feature, and costs about as much as building the section)
+_SPECS: dict[int, tuple[FeatureCatalog, _Spec]] = {}
+
+
+def _spec(catalog: FeatureCatalog) -> _Spec:
+    """The catalog's spec section, built once per catalog."""
+    cached = _SPECS.get(id(catalog))
+    if cached is None or cached[0] is not catalog:
+        if len(_SPECS) >= 8:  # a catalog seldom changes; keep the latest few
+            _SPECS.clear()
+        cached = _SPECS[id(catalog)] = (catalog, _Spec.of(tuple(
+            (_TRIM_SPEC + spec.name,
+             f"- {spec.name}: {spec.definition} [{UNIT_LABELS[spec.unit]}]")
+            for spec in catalog.features
+        )))
+    return cached[1]
+
+
 @dataclass(frozen=True)
 class _Layout:
     """The rendered parts of an augmented prompt, with the fixed order of its trims.
@@ -282,22 +328,25 @@ class _Layout:
     availability markers are not in it. :meth:`bundle` assembles the
     prompt with the first ``n`` trims of the plan applied; :meth:`lengths`
     gives the length of the text each further trim leaves, without
-    rendering it.
+    rendering it. ``applied`` lists the trims the lines already have, which
+    are recorded ahead of the plan's: a layout made from history counts
+    holds each endpoint's omitted-entries line in place of its history.
     """
 
     basic: PromptBundle
     pieces: tuple[str, ...]
-    spec: tuple[tuple[str, str], ...]  # (trim marker, line) per feature
+    spec: _Spec
     protocols: tuple[str, str]  # with and without descriptions
     endpoints: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]  # src, dst
     history_trims: tuple[int, ...]  # endpoint index of each history trim
     plan: tuple[str, ...]
     metadata: dict[str, object]
+    applied: tuple[str, ...] = ()
 
     def _segments(self, n: int) -> tuple[str, str, str]:
         applied = set(self.plan[:n])
         history_trims = self.history_trims[:n]
-        spec = "\n".join([line for marker, line in self.spec if marker not in applied])
+        spec = "\n".join([line for marker, line in self.spec.entries if marker not in applied])
         ip_lines = []
         for index, (fixed, history) in enumerate(self.endpoints):
             ip_lines += fixed
@@ -316,7 +365,7 @@ class _Layout:
         A section of k lines holds their lengths plus k - 1 newlines; a spec
         section that comes out empty holds the no-entries line instead.
         """
-        spec = sum(map(len, map(itemgetter(1), self.spec))) + len(self.spec) - 1
+        spec = self.spec.length
         ip_lines = -1
         for lines in itertools.chain.from_iterable(self.endpoints):
             ip_lines += sum(map(len, lines)) + len(lines)
@@ -335,8 +384,8 @@ class _Layout:
         line in its place; the protocol trim swaps the two renderings.
         """
         length = self.untrimmed_length
-        spec_lines = dict(self.spec)
-        spec_left = len(self.spec)
+        spec_lines = self.spec.line_lengths
+        spec_left = len(self.spec.entries)
         omitted = [0] * len(self.endpoints)
         for position, trim in enumerate(self.plan):
             if trim == _TRIM_HISTORY:
@@ -352,7 +401,7 @@ class _Layout:
             else:
                 spec_left -= 1
                 line = spec_lines[trim]
-                length += len(_NO_SPEC_ENTRIES) - len(line) if not spec_left else -len(line) - 1
+                length += len(_NO_SPEC_ENTRIES) - line if not spec_left else -line - 1
             if position >= n:
                 yield length
 
@@ -372,7 +421,7 @@ class _Layout:
             token_count=token_count,
             mode=MODE_AUGMENTED,
             flow_id=self.basic.flow_id,
-            metadata={**self.metadata, "trims": list(self.plan[:n])},
+            metadata={**self.metadata, "trims": [*self.applied, *self.plan[:n]]},
             _layout=self,
         )
 
@@ -386,7 +435,7 @@ class _Unrendered(PromptBundle):
             ("token_count", _tokens_for_length(layout.untrimmed_length)),
             ("mode", MODE_AUGMENTED),
             ("flow_id", layout.basic.flow_id),
-            ("metadata", {**layout.metadata, "trims": []}),
+            ("metadata", {**layout.metadata, "trims": list(layout.applied)}),
             ("_layout", layout),
         ):
             object.__setattr__(self, name, value)
@@ -409,11 +458,22 @@ def build_augmented_prompt(
     catalog: FeatureCatalog,
     basic_template: PromptTemplate,
     augmented_template: PromptTemplate,
+    budget: int | None = None,
 ) -> PromptBundle:
     """Basic prompt plus the three titled knowledge sections, in order.
 
     The text is rendered when it is first read, so that budget fitting,
     which needs only its length, renders only the prompt it keeps.
+
+    Given the ``budget`` the prompt will be fitted to, the prompt is first
+    measured from each endpoint's count of entries alone, as if every
+    history trim were taken: the header and the omitted-entries line. If
+    that prompt overflows the budget, so does every prompt with fewer
+    history trims, since each one shortens the text; fitting takes them
+    all, the prompt is laid out from the counts with them applied, and no
+    history row is read. Only otherwise are the rows read. The counts are
+    not read when the prompt would fit with every endpoint at the most
+    entries a read returns.
     """
     if context.flow_id != record.flow_id:
         raise ValueError(
@@ -424,14 +484,9 @@ def build_augmented_prompt(
             f"augmented prompt requires a template with slots {AUGMENTED_SLOTS}, "
             f"got {augmented_template.slots}"
         )
-    basic = build_basic_prompt(record, catalog, basic_template)
-
-    endpoints = (context.src, context.dst)
-    oldest_first = [
-        [(entry.timestamp, index) for entry in reversed(endpoint.history)]
-        for index, endpoint in enumerate(endpoints)
-    ]
-    history_trims = tuple(index for _, index in heapq.merge(*oldest_first))
+    sides = (context.src, context.dst)
+    known = (_render_ip_side("Source IP", context.src),
+             _render_ip_side("Destination IP", context.dst))
     spec_trims = tuple(
         _TRIM_SPEC + spec.name
         for spec in catalog.features
@@ -440,22 +495,14 @@ def build_augmented_prompt(
     protocol_trims = (
         (_TRIM_PROTOCOLS,) if context.l4.description or context.l7.description else ()
     )
-
     layout = _Layout(
-        basic=basic,
+        basic=build_basic_prompt(record, catalog, basic_template),
         pieces=augmented_template.pieces,
-        spec=tuple(
-            (_TRIM_SPEC + spec.name,
-             f"- {spec.name}: {spec.definition} [{UNIT_LABELS[spec.unit]}]")
-            for spec in catalog.features
-        ),
+        spec=_spec(catalog),
         protocols=(_render_protocols(context, True), _render_protocols(context, False)),
-        endpoints=(
-            _render_ip_side("Source IP", context.src),
-            _render_ip_side("Destination IP", context.dst),
-        ),
-        history_trims=history_trims,
-        plan=(_TRIM_HISTORY,) * len(history_trims) + spec_trims + protocol_trims,
+        endpoints=tuple((lines, ()) for lines in known),
+        history_trims=(),
+        plan=spec_trims + protocol_trims,
         metadata={
             "catalog_version": catalog.version,
             "template_id": basic_template.template_id,
@@ -464,7 +511,66 @@ def build_augmented_prompt(
             "unavailable": [[u.component, u.reason] for u in context.unavailable],
         },
     )
-    return _Unrendered(layout)
+    if all(side.histories is None for side in sides):
+        return _Unrendered(layout)
+    if budget is not None:
+
+        def trimmed_tokens(counts) -> int:
+            length = layout.untrimmed_length
+            return _tokens_for_length(length + sum(map(_trimmed_history_length, sides, counts)))
+
+        # of the prompts with every history trim taken, the longest has as
+        # many entries per endpoint as a read returns: when it fits, the rows
+        # are read whatever the counts
+        limits = [0 if side.histories is None else side.histories[0].k for side in sides]
+        if trimmed_tokens(limits) > budget:
+            counts = [side.history_count for side in sides]
+            if trimmed_tokens(counts) > budget:
+                return _Unrendered(dataclasses.replace(
+                    layout,
+                    endpoints=tuple(
+                        _history_endpoint(lines, side, (_omitted_line(count),) if count else ())
+                        for lines, side, count in zip(known, sides, counts)
+                    ),
+                    applied=(_TRIM_HISTORY,) * sum(counts),
+                ))
+    histories = [side.history for side in sides]
+    oldest_first = [
+        [(entry.timestamp, index) for entry in reversed(history)]
+        for index, history in enumerate(histories)
+    ]
+    history_trims = tuple(index for _, index in heapq.merge(*oldest_first))
+    return _Unrendered(dataclasses.replace(
+        layout,
+        endpoints=tuple(
+            _history_endpoint(lines, side, _history_lines(history))
+            for lines, side, history in zip(known, sides, histories)
+        ),
+        history_trims=history_trims,
+        plan=(_TRIM_HISTORY,) * len(history_trims) + layout.plan,
+    ))
+
+
+def _trimmed_history_length(side: IpKnowledge, count: int) -> int:
+    """The length an endpoint's history adds to a prompt that has every
+    history trim taken, given its count of entries."""
+    if side.histories is None:
+        return 0
+    if not count:
+        return len(_NO_HISTORY[0]) + 1
+    return len(_HISTORY_HEADER[0]) + len(_omitted_line(count)) + 2
+
+
+def _history_endpoint(
+    lines: tuple[str, ...], side: IpKnowledge, history: tuple[str, ...]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """An endpoint's fixed lines and history lines, from its lines before
+    the history and the lines that stand for its history entries."""
+    if side.histories is None:
+        return lines, ()
+    if not history:
+        return lines + _NO_HISTORY, ()
+    return lines + _HISTORY_HEADER, history
 
 
 def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
@@ -485,7 +591,7 @@ def enforce_budget(bundle: PromptBundle, budget: int) -> PromptBundle:
     if layout is None:
         raise BudgetInfeasibleError(bundle.token_count, budget)
     token_count = bundle.token_count
-    trimmed = len(bundle.metadata["trims"])
+    trimmed = len(bundle.metadata["trims"]) - len(layout.applied)
     for n, length in enumerate(layout.lengths(trimmed), trimmed + 1):
         token_count = _tokens_for_length(length)
         if token_count <= budget:

@@ -100,17 +100,19 @@ def read_jsonl(
     error: type[Exception],
     what: str,
     required: tuple[str, ...] = (),
-) -> list[dict]:
+    parse: Callable[[dict], Any] | None = None,
+) -> list:
     """The JSON objects of a line-delimited file or stream; blank lines are skipped.
 
     A line that is not UTF-8, not a JSON object, or that lacks a string
     value for a key in ``required``, raises ``error("<what> in <file> on
     line N: ...")``; the `` in <file>`` part is left out for a stream
-    without a ``name``.
+    without a ``name``. With ``parse``, each object is replaced by
+    ``parse(object)``, and a ``ValueError`` it raises is reported the same way.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return read_jsonl(fh, error, what, required)
+            return read_jsonl(fh, error, what, required, parse)
     where = f" in {source.name}" if hasattr(source, "name") else ""
     rows = []
     for line_no, line in enumerate(source, start=1):
@@ -125,6 +127,8 @@ def read_jsonl(
             for key in required:
                 if not isinstance(row.get(key), str):
                     raise ValueError(f"no string {key!r}")
+            if parse is not None:
+                row = parse(row)
         except ValueError as exc:
             raise error(f"{what}{where} on line {line_no}: {exc}") from exc
         rows.append(row)
@@ -134,63 +138,155 @@ def read_jsonl(
 _EPOCH = "1970-01-01T00:00:00Z"
 
 
-def _fixture_table(source: str | Path | Mapping[str, dict]) -> dict[str, dict]:
-    """A fixture's rows by address, from a JSONL file or a mapping."""
-    if isinstance(source, (str, Path)):
-        rows = read_jsonl(source, ValueError, "malformed fixture row", ("ip",))
-        return {row["ip"]: row for row in rows}
-    return {ip: dict(row, ip=ip) for ip, row in source.items()}
+# -- answer shapes: every value check of an answer, for fixture rows and HTTP
+# payloads alike. ``get`` reads a field, ``None`` when it is absent; a field
+# of the wrong kind is a ValueError.
 
 
-class FixtureGeoProvider:
+def _malformed(name: str, value: Any) -> ValueError:
+    return ValueError(f"malformed {name} {value!r:.80}")
+
+
+def _text(get: Callable[[str], Any], name: str) -> str | None:
+    """A field that holds a string, or nothing when the answer has none."""
+    value = get(name)
+    if value is not None and not isinstance(value, str):
+        raise _malformed(name, value)
+    return value
+
+
+#: an autonomous system number as providers write it: 15169, "15169" or "AS15169"
+_ASN = re.compile(r"(?:AS)?([0-9]{1,10})", re.IGNORECASE)
+
+
+def _asn(value: Any) -> int | None:
+    if value is None:
+        return None
+    match = _ASN.fullmatch(value) if isinstance(value, str) else None
+    asn = int(match.group(1)) if match else value
+    if type(asn) is not int or not 0 <= asn < 2**32:  # by type: a bool is no number
+        raise _malformed("asn", value)
+    return asn
+
+
+def _geo_answer(ip: str, get: Callable[[str], Any], provenance: Provenance) -> GeoInfo:
+    return GeoInfo(
+        ip=ip,
+        country=_text(get, "country"),
+        city=_text(get, "city"),
+        asn=_asn(get("asn")),
+        as_name=_text(get, "as_name"),
+        provenance=provenance,
+    )
+
+
+def _threat_answer(ip: str, get: Callable[[str], Any], provenance: Provenance) -> ThreatIntel:
+    verdict = get("verdict")
+    if not isinstance(verdict, str) or verdict.lower() not in CTI_VERDICTS:  # null is no verdict
+        raise _malformed("verdict", verdict)
+    categories = get("categories")
+    if categories is None or categories == "":
+        categories = []
+    elif isinstance(categories, str):
+        categories = [categories]
+    # numbered categories (as some feeds give them) are kept as their digits
+    if not isinstance(categories, list) or any(type(c) not in (str, int) for c in categories):
+        raise _malformed("categories", categories)
+    return ThreatIntel(
+        ip=ip,
+        verdict=verdict.lower(),
+        categories=tuple(str(c) for c in categories),
+        last_seen=_text(get, "last_seen"),
+        provenance=provenance,
+    )
+
+
+class _FixtureProvider:
+    """Answers from a static JSONL file keyed by address, or from a mapping.
+
+    Each row is checked as the file loads, with the value rules of the
+    HTTP providers, so a malformed row is a ``ValueError`` naming the file
+    and the line. A mapping's malformed row fails its lookups instead, as
+    ``malformed``. A row with ``"simulate": "timeout"`` or ``"error"``
+    fails its lookups as that. The ``calls`` counter exists so tests can
+    assert how often the provider was consulted.
+    """
+
+    _parse: Callable[[str, Callable[[str], Any], Provenance], Any]
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str):
+        self.provider_id = provider_id
+        self.calls = 0
+        if isinstance(source, (str, Path)):
+            entries = read_jsonl(source, ValueError, "malformed fixture row", ("ip",), self._entry)
+        else:
+            entries = [self._checked(ip, dict(row, ip=ip)) for ip, row in source.items()]
+        #: by address, the answer or the (error class, message) a lookup raises
+        self._answers: dict[str, Any] = dict(entries)
+
+    def _entry(self, row: dict) -> tuple[str, Any]:
+        ip = row["ip"]
+        if row.get("simulate") == "timeout":
+            return ip, (ProviderTimeout, f"{self.provider_id} timed out for {ip}")
+        if row.get("simulate") == "error":
+            return ip, (ProviderError, f"{self.provider_id} failed for {ip}")
+        get = {**self._defaults, **row}.get
+        provenance = Provenance(self.provider_id, _text(get, "retrieved_at") or _EPOCH)
+        return ip, self._parse(ip, get, provenance)
+
+    def _checked(self, ip: str, row: dict) -> tuple[str, Any]:
+        try:
+            return self._entry(row)
+        except ValueError as exc:
+            return ip, (ProviderMalformed, f"{self.provider_id} returned {exc}")
+
+    def _stored(self, ip: str):
+        """The answer stored for ``ip``, ``None`` if there is none."""
+        self.calls += 1
+        answer = self._answers.get(ip)
+        if type(answer) is tuple:
+            error, message = answer
+            raise error(message)
+        return answer
+
+
+class FixtureGeoProvider(_FixtureProvider):
     """Geolocation answers from a static JSONL file keyed by address.
 
     Each line: ``{"ip": ..., "country": ..., "city": ..., "asn": ...,
-    "as_name": ..., "retrieved_at": ...}``. Misses raise not-found. The
-    ``calls`` counter exists so tests can assert how often the provider
-    was consulted.
+    "as_name": ..., "retrieved_at": ...}``. Misses raise not-found.
     """
 
+    _parse = staticmethod(_geo_answer)
+
     def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str = "fixture-geo"):
-        self.provider_id = provider_id
-        self.calls = 0
-        self._table = _fixture_table(source)
+        super().__init__(source, provider_id)
 
     def lookup(self, ip: str) -> GeoInfo:
-        self.calls += 1
-        row = self._table.get(ip)
-        if row is None:
+        answer = self._stored(ip)
+        if answer is None:
             raise ProviderNotFound(f"{self.provider_id} has no record for {ip}")
-        if row.get("simulate") == "timeout":
-            raise ProviderTimeout(f"{self.provider_id} timed out for {ip}")
-        if row.get("simulate") == "error":
-            raise ProviderError(f"{self.provider_id} failed for {ip}")
-        return GeoInfo(
-            ip=ip,
-            country=row.get("country"),
-            city=row.get("city"),
-            asn=row.get("asn"),
-            as_name=row.get("as_name"),
-            provenance=Provenance(self.provider_id, row.get("retrieved_at", _EPOCH)),
-        )
+        return answer
 
 
-class FixtureThreatProvider:
+class FixtureThreatProvider(_FixtureProvider):
     """Threat-intelligence answers from a static JSONL feed.
 
     Addresses absent from the feed get an ``unknown`` verdict (a valid
-    answer, not a failure), mirroring how reputation feeds behave.
+    answer, not a failure), mirroring how reputation feeds behave; so does
+    a row without a verdict.
     """
 
+    _parse = staticmethod(_threat_answer)
+    _defaults = {"verdict": "unknown"}
+
     def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str = "fixture-cti"):
-        self.provider_id = provider_id
-        self.calls = 0
-        self._table = _fixture_table(source)
+        super().__init__(source, provider_id)
 
     def lookup(self, ip: str) -> ThreatIntel:
-        self.calls += 1
-        row = self._table.get(ip)
-        if row is None:
+        answer = self._stored(ip)
+        if answer is None:
             return ThreatIntel(
                 ip=ip,
                 verdict="unknown",
@@ -198,36 +294,24 @@ class FixtureThreatProvider:
                 last_seen=None,
                 provenance=Provenance(self.provider_id, _EPOCH),
             )
-        if row.get("simulate") == "timeout":
-            raise ProviderTimeout(f"{self.provider_id} timed out for {ip}")
-        if row.get("simulate") == "error":
-            raise ProviderError(f"{self.provider_id} failed for {ip}")
-        verdict = row.get("verdict", "unknown")
-        if verdict not in CTI_VERDICTS:
-            raise ProviderError(f"{self.provider_id} returned malformed verdict {verdict!r}")
-        return ThreatIntel(
-            ip=ip,
-            verdict=verdict,
-            categories=tuple(row.get("categories", ())),
-            last_seen=row.get("last_seen"),
-            provenance=Provenance(self.provider_id, row.get("retrieved_at", _EPOCH)),
-        )
+        return answer
 
 
-def _dig(payload: Any, dotted_path: str) -> Any:
-    """Walk a dotted path ("a.b.0.c") through nested dicts and lists.
+def _dig(payload: Any, path: list[str]) -> Any:
+    """Walk a dotted path, split at its dots (``"a.b.0.c".split(".")``),
+    through nested dicts and lists.
 
     Raises ``KeyError``, ``IndexError`` or ``ValueError`` when the path
     does not exist, including when it runs into a scalar.
     """
     node = payload
-    for part in dotted_path.split("."):
+    for part in path:
         if isinstance(node, list):
             node = node[int(part)]
         elif isinstance(node, dict):
             node = node[part]
         else:
-            raise KeyError(dotted_path)
+            raise KeyError(".".join(path))
     return node
 
 
@@ -290,7 +374,7 @@ class _HTTPProviderBase:
                 raise ProviderError(f"{self.provider_id} profile lacks a path for {field!r}")
             return None
         try:
-            return _dig(payload, path)
+            return _dig(payload, path.split("."))
         except (KeyError, IndexError, ValueError, TypeError):
             if required:
                 raise ProviderError(
@@ -298,23 +382,16 @@ class _HTTPProviderBase:
                 ) from None
             return None
 
-    def _text(self, payload: Any, field: str, required: bool = False) -> str | None:
-        """A field that holds a string, or nothing when the payload has none."""
-        value = self._extract(payload, field, required)
-        if value is not None and not isinstance(value, str):
-            raise self._malformed(field, value)
-        return value
-
-    def _malformed(self, field: str, value: Any) -> ProviderMalformed:
-        return ProviderMalformed(f"{self.provider_id} returned malformed {field} {value!r:.80}")
+    def _answer(self, parse, ip: str, get: Callable[[str], Any]):
+        """``parse`` of the payload that ``get`` reads; a wrong kind is ``malformed``."""
+        try:
+            return parse(ip, get, Provenance(self.provider_id, self._now()))
+        except ValueError as exc:
+            raise ProviderMalformed(f"{self.provider_id} returned {exc}") from None
 
     @staticmethod
     def _now() -> str:
         return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-#: an autonomous system number as providers write it: 15169, "15169" or "AS15169"
-_ASN = re.compile(r"(?:AS)?([0-9]{1,10})", re.IGNORECASE)
 
 
 class HTTPGeoProvider(_HTTPProviderBase):
@@ -322,24 +399,7 @@ class HTTPGeoProvider(_HTTPProviderBase):
 
     def lookup(self, ip: str) -> GeoInfo:
         payload = self._fetch(ip)
-        return GeoInfo(
-            ip=ip,
-            country=self._text(payload, "country"),
-            city=self._text(payload, "city"),
-            asn=self._asn(payload),
-            as_name=self._text(payload, "as_name"),
-            provenance=Provenance(self.provider_id, self._now()),
-        )
-
-    def _asn(self, payload: Any) -> int | None:
-        value = self._extract(payload, "asn")
-        if value is None:
-            return None
-        match = _ASN.fullmatch(value) if isinstance(value, str) else None
-        asn = int(match.group(1)) if match else value
-        if type(asn) is not int or not 0 <= asn < 2**32:  # by type: a bool is no number
-            raise self._malformed("asn", value)
-        return asn
+        return self._answer(_geo_answer, ip, lambda name: self._extract(payload, name))
 
 
 class HTTPThreatProvider(_HTTPProviderBase):
@@ -347,23 +407,8 @@ class HTTPThreatProvider(_HTTPProviderBase):
 
     def lookup(self, ip: str) -> ThreatIntel:
         payload = self._fetch(ip)
-        verdict = self._text(payload, "verdict", required=True)
-        if verdict is None or verdict.lower() not in CTI_VERDICTS:  # JSON null is no verdict
-            raise self._malformed("verdict", verdict)
-        categories = self._extract(payload, "categories")
-        if categories is None or categories == "":
-            categories = []
-        elif isinstance(categories, str):
-            categories = [categories]
-        # numbered categories (as some feeds give them) are kept as their digits
-        if not isinstance(categories, list) or any(type(c) not in (str, int) for c in categories):
-            raise self._malformed("categories", categories)
-        return ThreatIntel(
-            ip=ip,
-            verdict=verdict.lower(),
-            categories=tuple(str(c) for c in categories),
-            last_seen=self._text(payload, "last_seen"),
-            provenance=Provenance(self.provider_id, self._now()),
+        return self._answer(
+            _threat_answer, ip, lambda name: self._extract(payload, name, name == "verdict")
         )
 
 

@@ -22,6 +22,7 @@ from flowexplain.prompts import (
     BudgetInfeasibleError,
     PromptBundle,
     _Layout,
+    _Spec,
     count_tokens,
     enforce_budget,
 )
@@ -61,7 +62,7 @@ def make_layout(
     return _Layout(
         basic=basic,
         pieces=pieces,
-        spec=spec,
+        spec=_Spec.of(spec),
         protocols=protocols,
         endpoints=endpoints,
         history_trims=history_trims,

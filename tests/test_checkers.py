@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from flowexplain.catalog import default_catalog
 from flowexplain.checkers import (
+    _DURATION_CLAIM,
+    _duration_claims,
     check_factual_claims,
     check_feature_consistency,
     decode_tcp_flags,
@@ -391,6 +393,24 @@ class TestRunAllChecks:
         assert kinds == ["value_mismatch", "arithmetic_error", "fact_error"]
         spans = [f.span for f in findings]
         assert spans == sorted(spans)
+
+
+# pieces of duration claims and of near misses: number runs with commas and
+# points, both units in several spellings, and the words between them
+DURATION_PIECES = [
+    "1", "0", "٣", ",", ".", " ", "\n", "ms", "MS", "m\u017f", "msec", "milliseconds", " is ",
+    ", which", " equals ", "about ", "0.5", "1,000", " seconds", " min", " hours", "x",
+    "is equivalent to ",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(DURATION_PIECES), max_size=14).map("".join))
+def test_duration_claims_found_from_units_are_those_a_scan_finds(text):
+    def found(matches):
+        return [(match.span(), match.groupdict()) for match in matches]
+
+    assert found(_duration_claims(text)) == found(_DURATION_CLAIM.finditer(text))
 
 
 class TestUntrustedText:

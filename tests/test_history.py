@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from flowexplain.history import (
     _INSERT,
-    _QUERY_BEFORE,
     _SCHEMA,
+    _read_statement,
     HISTORY_LABELS,
     FlowHistoryEntry,
     FlowHistoryStore,
@@ -317,7 +317,7 @@ class TestRebuild:
             plan = " | ".join(
                 row[3]
                 for row in store._conn.execute(
-                    "EXPLAIN QUERY PLAN " + _QUERY_BEFORE, (*arm, *arm, 5)
+                    "EXPLAIN QUERY PLAN " + _read_statement(False, 1, True), (*arm, *arm)
                 )
             )
         assert "USING INDEX idx_history_src" in plan and "USING INDEX idx_history_dst" in plan
@@ -412,6 +412,38 @@ def test_query_matches_brute_force_reference(case):
         assert store.query_history(*query) == reference_query(entries, *query)
     finally:
         store.close()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=history_cases(), other=st.sampled_from(ADDRESSES))
+def test_two_addresses_are_read_and_counted_as_each_alone(case, other):
+    entries, (ip, k, before, include_benign) = case
+    store = seeded_store(entries)
+    try:
+        ips = (ip, other)
+        expected = [reference_query(entries, address, k, before, include_benign) for address in ips]
+        assert store.query_histories(ips, k, before, include_benign) == expected
+        assert store.count_histories(ips, k, before, include_benign) == [*map(len, expected)]
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("counts", [False, True], ids=["rows", "counts"])
+@pytest.mark.parametrize("addresses", [1, 2])
+@pytest.mark.parametrize("before", [False, True], ids=["all", "before"])
+def test_reads_walk_the_endpoint_indexes_and_sort_nothing(counts, addresses, before):
+    sql = _read_statement(counts, addresses, before)
+    with seeded_store([history_entry()]) as store:
+        plan = [row[3] for row in store._conn.execute(
+            "EXPLAIN QUERY PLAN " + sql, [None] * sql.count("?")
+        )]
+    searches = [step for step in plan if step.startswith("SEARCH")]
+    assert searches == [
+        f"SEARCH flow_history USING INDEX idx_history_{column} ({column}_ip=?"
+        + (" AND timestamp<?)" if before else ")")
+        for _ in range(addresses) for column in ("src", "dst")
+    ]
+    assert not any("TEMP B-TREE" in step for step in plan), plan
 
 
 class TestQueryCost:

@@ -546,6 +546,53 @@ class TestSampleAndExplain:
             assert "country=US, asn=AS15169" in text
             assert "- threat intelligence unavailable: malformed" in text
 
+    @pytest.mark.parametrize("section,row,message", [
+        ("cti_provider", {"verdict": "malicious", "categories": 5}, "malformed categories 5"),
+        ("cti_provider", {"verdict": "evil"}, "malformed verdict 'evil'"),
+        ("geo_provider", {"country": 5}, "malformed country 5"),
+        ("geo_provider", {"asn": "ASX"}, "malformed asn 'ASX'"),
+    ])
+    def test_malformed_fixture_row_is_a_config_error(self, tmp_path, section, row, message):
+        fixture = tmp_path / "feed.jsonl"
+        fixture.write_text(json.dumps({"ip": "1.1.1.1"}) + "\n"
+                           + json.dumps({"ip": "8.8.8.8", **row}) + "\n")
+        config = make_config(tmp_path, **{section: {"kind": "fixture", "fixture": str(fixture)}})
+        pattern = rf"{section}: malformed fixture row in \S*feed\.jsonl on line 2: {message}"
+        with pytest.raises(ConfigError, match=pattern):
+            run_explain(config, "augmented", flow_ids=["row-000001"], run_id="t12")
+
+    def test_fixture_answers_follow_the_http_value_rules(self, tmp_path, records):
+        from flowexplain.enrichment import classify_ip
+
+        chosen = [
+            r for r in records
+            if r.label == "malicious" and "public" in (
+                classify_ip(r.values["IPV4_SRC_ADDR"]), classify_ip(r.values["IPV4_DST_ADDR"])
+            )
+        ][:3]
+        public = {r.values[name] for r in chosen for name in ("IPV4_SRC_ADDR", "IPV4_DST_ADDR")
+                  if classify_ip(r.values[name]) == "public"}
+        geo, cti = tmp_path / "geo.jsonl", tmp_path / "cti.jsonl"
+        geo.write_text("".join(json.dumps({"ip": ip, "asn": "AS15169"}) + "\n" for ip in public))
+        cti.write_text("".join(
+            json.dumps({"ip": ip, "verdict": "Malicious", "categories": None}) + "\n"
+            for ip in public
+        ))
+        config = make_config(
+            tmp_path, token_budget=100_000,
+            geo_provider={"kind": "fixture", "fixture": str(geo)},
+            cti_provider={"kind": "fixture", "fixture": str(cti)},
+        )
+        run_ingest(config)
+        result = run_explain(config, "augmented", flow_ids=[r.flow_id for r in chosen],
+                             run_id="t13")
+        entries, _ = self._outcomes(result)
+        assert [e["status"] for e in entries] == ["ok"] * len(chosen)
+        for entry in entries:
+            text = entry["prompt"]["text"]
+            assert "- geolocation: asn=AS15169 (source: fixture-geo@1970-01-01T00:00:00Z)" in text
+            assert "- threat intelligence: verdict=malicious, categories=none" in text
+
     def test_configured_sample_is_explained_without_ids_or_file(self, tmp_path, records):
         config = make_config(tmp_path)
         result = run_explain(config, "augmented", run_id="t7")

@@ -16,7 +16,13 @@ from flowexplain import service as service_module
 from flowexplain.flows import LABEL_MALICIOUS, FlowRecord, parse_label, parse_value
 from flowexplain.gateway import AuthenticationError
 from flowexplain.history import StoreError
-from flowexplain.pipeline import FieldValidationError, PipelineConfig, Runtime, run_ingest
+from flowexplain.pipeline import (
+    ConfigError,
+    FieldValidationError,
+    PipelineConfig,
+    Runtime,
+    run_ingest,
+)
 from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
 from .conftest import DATASET
@@ -125,6 +131,27 @@ class TestService:
         text = body["prompt"]["text"]
         assert "- geolocation: country=US, asn=AS15169" in text
         assert "- threat intelligence unavailable: malformed" in text
+
+    def test_malformed_fixture_row_fails_start_up(self, tmp_path):
+        feed = tmp_path / "cti.jsonl"
+        feed.write_text(json.dumps({"ip": "8.8.8.8", "verdict": "malicious", "categories": 5}))
+        config = make_config(tmp_path, cti_provider={"kind": "fixture", "fixture": str(feed)})
+        with pytest.raises(ConfigError, match=r"cti_provider: malformed fixture row in "
+                                              r"\S*cti\.jsonl on line 1: malformed categories 5"):
+            with _serving(config):
+                pass
+
+    def test_fixture_row_without_categories_is_served(self, tmp_path):
+        feed = tmp_path / "cti.jsonl"
+        feed.write_text(json.dumps({"ip": "8.8.8.8", "verdict": "malicious", "categories": None}))
+        config = make_config(tmp_path, token_budget=100_000,
+                             cti_provider={"kind": "fixture", "fixture": str(feed)})
+        row = _dataset_row()
+        row["IPV4_SRC_ADDR"] = "8.8.8.8"
+        with _serving(config) as service:
+            status, body = _request(service, "/explain", {"flow": row, "mode": "augmented"})
+        assert (status, body["status"]) == (200, "ok")
+        assert "- threat intelligence: verdict=malicious, categories=none" in body["prompt"]["text"]
 
     def test_benign_flow_rejected(self, service):
         status, body = _request(
