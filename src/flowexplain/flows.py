@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import ipaddress
+import json
 import random
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar
@@ -59,6 +60,12 @@ class FlowRecord:
             raise RecordValidationError(
                 f"label must be '{LABEL_BENIGN}' or '{LABEL_MALICIOUS}', got {self.label!r}"
             )
+
+    @cached_property
+    def texts(self) -> dict[str, str]:
+        """Each value's :func:`format_value` text by feature name, made once:
+        the prompt and the record of an explained flow both show them."""
+        return {name: format_value(value) for name, value in self.values.items()}
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,49 @@ class ScannedRow(NamedTuple):
 
 #: what a row builder makes of each row that parses
 Built = TypeVar("Built")
+
+#: names the JSON form of :func:`encode_fates` and what a scan decides;
+#: a change to either must change it, so that no fates kept before are read
+FATES_FORMAT = "malicious-fates/1"
+
+
+def fates_key(path: str | Path, catalog: FeatureCatalog) -> str:
+    """The SHA-256 of the export's bytes and of all else a scan of it reads:
+    the catalog's columns, kinds and units, the csv field limit, the integer
+    digit limit, the Python version and FATES_FORMAT."""
+    import hashlib  # here: ingest and sample load this module but hash nothing
+
+    digest = hashlib.sha256(json.dumps([
+        FATES_FORMAT, sys.version, csv.field_size_limit(), sys.get_int_max_str_digits(),
+        catalog.label_column, catalog.attack_column,
+        [(spec.name, spec.value_kind, spec.unit) for spec in catalog.features],
+    ]).encode())
+    with open(path, "rb") as stream:  # in chunks: an export is not held in memory whole
+        while chunk := stream.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def encode_fates(rows: Iterable[ScannedRow]) -> str:
+    """The fates of the malicious ``rows`` as JSON text: a list of each
+    field's column, row numbers first."""
+    fates = [(row.row, row.attack_class, row.timestamp, *row.lines)
+             for row in rows if row.label == LABEL_MALICIOUS]
+    return json.dumps([list(column) for column in zip(*fates)], separators=(",", ":"))
+
+
+def decode_fates(text: str) -> list[ScannedRow] | None:
+    """The rows whose fates :func:`encode_fates` wrote as ``text``, or None
+    for a text it cannot have written."""
+    new = tuple.__new__
+    try:
+        columns = json.loads(text)
+        return [
+            new(ScannedRow, (row, f"row-{row:06d}", LABEL_MALICIOUS, attack, stamp, (first, end)))
+            for row, attack, stamp, first, end in zip(*columns, strict=True)
+        ] if isinstance(columns, list) else None
+    except (ValueError, TypeError):  # not JSON, or not five columns of one length and kind
+        return None
 
 
 def _record(row, flow_id, label, attack_class, timestamp, lines, values) -> FlowRecord:
@@ -583,8 +633,8 @@ def render_flow_text(record: FlowRecord, catalog: FeatureCatalog) -> str:
     label and attack columns.
     """
     validate_record(record, catalog)
-    lines = [f"{spec.name}: {format_value(record.values[spec.name])}" for spec in catalog.features]
-    return "\n".join(lines)
+    texts = record.texts
+    return "\n".join([f"{name}: {texts[name]}" for name in catalog.feature_names])
 
 
 #: a FlowRecord or a ScannedRow: what sampling reads is its label and attack class

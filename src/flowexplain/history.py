@@ -2,7 +2,8 @@
 
 An embedded, append-only SQLite log with per-IP indexes. Entries are never
 updated or deduplicated; queries answer "last K connections involving this
-address" for the prompt augmenter.
+address" for the prompt augmenter. Beside the log, the store keeps the
+fates of one export's malicious rows for the explain passes over it.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ CREATE TABLE IF NOT EXISTS flow_history (
     l4_protocol_id INTEGER NOT NULL,
     label TEXT NOT NULL,
     summary TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS export_fates (
+    slot INTEGER PRIMARY KEY CHECK (slot = 0),
+    key TEXT NOT NULL,
+    fates TEXT NOT NULL
 );
 """ + "".join(f"{index};\n" for index in _INDEXES.values())
 
@@ -320,6 +326,25 @@ class FlowHistoryStore:
                 return self._conn.execute(sql, parameters).fetchall()
             except sqlite3.Error as exc:
                 raise StoreError(f"query failed: {exc}") from exc
+
+    def kept_fates(self, key: str) -> str | None:
+        """The fates kept under ``key`` by :meth:`keep_fates`, if any."""
+        with self._lock:
+            try:
+                row = self._conn.execute(
+                    "SELECT fates FROM export_fates WHERE key = ?", (key,)
+                ).fetchone()
+            except sqlite3.Error as exc:
+                raise StoreError(f"query failed: {exc}") from exc
+        return None if row is None else row[0]
+
+    def keep_fates(self, key: str, fates: str) -> None:
+        """Keep the text ``fates`` of an export's rows under its ``key``, in
+        place of any fates kept before: the store keeps one export's."""
+        with self._lock, self._writing("keeping fates"):
+            self._conn.execute(
+                "INSERT OR REPLACE INTO export_fates VALUES (0, ?, ?)", (key, fates)
+            )
 
     def count(self) -> int:
         with self._lock:

@@ -15,7 +15,7 @@ import json
 import selectors
 import time
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -54,9 +54,10 @@ from .evaluation import (
 from .flows import (
     FlowRecord,
     LABEL_MALICIOUS,
-    ScannedRow,
     clip,
-    format_value,
+    decode_fates,
+    encode_fates,
+    fates_key,
     parse_dataset,
     parse_label,
     parse_value,
@@ -77,7 +78,7 @@ from .gateway import (
     UsageLedger,
     estimate_cost,
 )
-from .history import FlowHistoryStore
+from .history import FlowHistoryStore, StoreError
 from .prompts import (
     AUGMENTED_SLOTS,
     BASIC_SLOTS,
@@ -290,7 +291,7 @@ class Runtime:
             "model": result.model,
             "backend": result.backend_id,
             "attack_class": record.attack_class,
-            "flow": {name: format_value(value) for name, value in record.values.items()},
+            "flow": dict(record.texts),
             "prompt": bundle.to_record(),
             "explanation": result.text,
             "usage": result.usage.to_dict(),
@@ -367,31 +368,48 @@ class ExplainRunResult:
 def _select_records(
     config: PipelineConfig,
     catalog: FeatureCatalog,
+    store: FlowHistoryStore,
     flow_ids: Iterable[str] | None,
     sample_file: Path | None,
 ) -> list[FlowRecord]:
-    """The flows to explain: scan the dataset, pick rows, and type only those."""
-    rows, _ = scan_dataset(config.dataset, catalog)
+    """The flows to explain: pick rows of the dataset, and type only those.
+
+    The rows are picked from the fates of the dataset's malicious rows that
+    the store keeps under its key (see ``flows.fates_key``). Without them,
+    or for an id not among them, the dataset is scanned; the fates of a
+    scan are kept if the key did not change while it ran.
+    """
+    try:
+        key = fates_key(config.dataset, catalog)
+        kept = store.kept_fates(key)
+    except (OSError, StoreError):  # the scan says what is wrong with the dataset
+        key = kept = None
+    rows = None if kept is None else decode_fates(kept)
+    hit = rows is not None
+    if not hit:
+        rows, _ = scan_dataset(config.dataset, catalog)
+        with suppress(OSError, StoreError):  # a store that cannot keep them changes nothing
+            if key is not None and fates_key(config.dataset, catalog) == key:
+                store.keep_fates(key, encode_fates(rows))
     if flow_ids:
-        picked = _rows_by_id(rows, list(flow_ids), "unknown flow ids")
+        wanted, problem = list(flow_ids), "unknown flow ids"
     elif sample_file is not None:
         wanted = _read_json_object(sample_file, "sample file", PipelineError).get("flow_ids")
         if not isinstance(wanted, list) or not all(isinstance(fid, str) for fid in wanted):
             raise PipelineError(f"sample file {sample_file} needs a 'flow_ids' list of strings")
-        picked = _rows_by_id(rows, wanted, "sample file references unknown flow ids")
+        problem = "sample file references unknown flow ids"
     else:
         picked = sample_malicious(
             rows, config.sample_size, config.seed, stratified=config.stratified_sampling
         )
-    return type_rows(config.dataset, catalog, picked)
-
-
-def _rows_by_id(rows: list[ScannedRow], wanted: list[str], problem: str) -> list[ScannedRow]:
+        return type_rows(config.dataset, catalog, picked)
     by_id = {row.flow_id: row for row in rows}
+    if hit and not by_id.keys() >= set(wanted):  # a benign or unknown id: only a scan knows it
+        by_id = {row.flow_id: row for row in scan_dataset(config.dataset, catalog)[0]}
     missing = [fid for fid in wanted if fid not in by_id]
     if missing:
         raise PipelineError(f"{problem}: {missing}")
-    return [by_id[fid] for fid in wanted]
+    return type_rows(config.dataset, catalog, [by_id[fid] for fid in wanted])
 
 
 def run_explain(
@@ -413,7 +431,9 @@ def run_explain(
         raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
     runtime = Runtime(config)
     try:
-        selected = _select_records(config, runtime.catalog, flow_ids, sample_file)
+        selected = _select_records(
+            config, runtime.catalog, runtime.store, flow_ids, sample_file
+        )
 
         run_id = run_id or datetime.now(timezone.utc).strftime("run-%Y%m%dT%H%M%SZ")
         config.output_dir.mkdir(parents=True, exist_ok=True)

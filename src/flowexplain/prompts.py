@@ -291,11 +291,12 @@ class _Spec(NamedTuple):
     entries: tuple[tuple[str, str], ...]
     length: int
     line_lengths: dict[str, int]
+    numeric: tuple[str, ...] = ()  # the integer and decimal features, which may be zero
 
     @classmethod
-    def of(cls, entries: tuple[tuple[str, str], ...]) -> "_Spec":
+    def of(cls, entries: tuple[tuple[str, str], ...], numeric: tuple[str, ...] = ()) -> "_Spec":
         line_lengths = {marker: len(line) for marker, line in entries}
-        return cls(entries, sum(line_lengths.values()) + len(entries) - 1, line_lengths)
+        return cls(entries, sum(line_lengths.values()) + len(entries) - 1, line_lengths, numeric)
 
 
 #: the spec section of each catalog in use, by identity (hashing a catalog
@@ -313,7 +314,8 @@ def _spec(catalog: FeatureCatalog) -> _Spec:
             (_TRIM_SPEC + spec.name,
              f"- {spec.name}: {spec.definition} [{UNIT_LABELS[spec.unit]}]")
             for spec in catalog.features
-        )))
+        ), tuple(spec.name for spec in catalog.features
+                 if spec.value_kind in ("integer", "decimal"))))
     return cached[1]
 
 
@@ -487,18 +489,18 @@ def build_augmented_prompt(
     sides = (context.src, context.dst)
     known = (_render_ip_side("Source IP", context.src),
              _render_ip_side("Destination IP", context.dst))
-    spec_trims = tuple(
-        _TRIM_SPEC + spec.name
-        for spec in catalog.features
-        if _is_zero(record.values[spec.name])
-    )
+    spec = _spec(catalog)
+    values = record.values
+    # a comparison first: most values are not zero, and they skip the call
+    spec_trims = tuple([_TRIM_SPEC + name for name in spec.numeric
+                        if values[name] == 0 and _is_zero(values[name])])
     protocol_trims = (
         (_TRIM_PROTOCOLS,) if context.l4.description or context.l7.description else ()
     )
     layout = _Layout(
         basic=build_basic_prompt(record, catalog, basic_template),
         pieces=augmented_template.pieces,
-        spec=_spec(catalog),
+        spec=spec,
         protocols=(_render_protocols(context, True), _render_protocols(context, False)),
         endpoints=tuple((lines, ()) for lines in known),
         history_trims=(),

@@ -15,6 +15,7 @@ import os
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -412,14 +413,22 @@ class HTTPThreatProvider(_HTTPProviderBase):
         )
 
 
+#: the most entries a TTLCache holds; a put past it drops the least recently used
+CACHE_ENTRIES = 8192
+
+
 class TTLCache:
-    """Thread-safe TTL cache keyed by (provider id, ip); last writer wins."""
+    """Thread-safe TTL cache keyed by (provider id, ip); last writer wins.
+
+    It holds at most ``CACHE_ENTRIES`` entries, so a service asked about
+    ever new addresses does not grow without bound.
+    """
 
     def __init__(self, ttl_seconds: float = 86400.0, clock: Callable[[], float] = time.monotonic):
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str], tuple[float, Any]] = {}
+        self._entries: OrderedDict[tuple[str, str], tuple[float, Any]] = OrderedDict()
 
     def get(self, provider_id: str, ip: str) -> Any | None:
         key = (provider_id, ip)
@@ -431,11 +440,16 @@ class TTLCache:
             if self._clock() >= expires_at:
                 del self._entries[key]
                 return None
+            self._entries.move_to_end(key)
             return value
 
     def put(self, provider_id: str, ip: str, value: Any) -> None:
+        key = (provider_id, ip)
         with self._lock:
-            self._entries[(provider_id, ip)] = (self._clock() + self.ttl_seconds, value)
+            self._entries[key] = (self._clock() + self.ttl_seconds, value)
+            self._entries.move_to_end(key)
+            if len(self._entries) > CACHE_ENTRIES:
+                self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:

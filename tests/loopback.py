@@ -40,7 +40,8 @@ class KeepAliveServer:
     ``close_after_reply`` it closes each connection after one reply
     without a ``Connection: close`` header, as a server does when a
     kept-alive connection has been idle too long. With ``together`` set to
-    n, it holds each reply until n requests are waiting for theirs. Request
+    n, it holds each reply until n requests are waiting for theirs; with
+    ``opened`` set to n, until n connections have been opened. Request
     number i (from 0) waits ``delays[i % len(delays)]`` seconds before its
     reply, so that answers come back out of order, and a number in
     ``fail`` is answered with a 503.
@@ -51,11 +52,12 @@ class KeepAliveServer:
         body: bytes | Callable[[bytes], bytes],
         close_after_reply: bool = False,
         together: int = 1,
+        opened: int = 0,
         delays: Sequence[float] = (),
         fail: Container[int] = (),
     ):
         server = self
-        self.lock = threading.Lock()
+        self.lock = threading.Condition()
         self.connections = 0
         self.ended = 0
         self.requests = 0
@@ -73,6 +75,7 @@ class KeepAliveServer:
                 super().setup()
                 with server.lock:
                     server.connections += 1
+                    server.lock.notify_all()
 
             def finish(self):
                 super().finish()
@@ -86,6 +89,8 @@ class KeepAliveServer:
                     server.requests += 1
                     server.received.append(request)
                 barrier.wait(5)
+                with server.lock:
+                    server.lock.wait_for(lambda: server.connections >= opened, 5)
                 if delays:
                     time.sleep(delays[number % len(delays)])
                 if number in fail:

@@ -14,6 +14,7 @@ from flowexplain.prompts import (
     default_basic_template,
 )
 from flowexplain.providers import (
+    CACHE_ENTRIES,
     FixtureGeoProvider,
     FixtureThreatProvider,
     ProviderError,
@@ -122,6 +123,20 @@ class TestGeolocate:
         clock["now"] = 11.0
         builder.build(_context_record(catalog))
         assert provider.calls == 2
+
+    def test_cache_holds_at_most_its_bound_dropping_the_least_recently_used(self):
+        cache = TTLCache()
+        for i in range(CACHE_ENTRIES):
+            cache.put("geo", f"ip-{i}", i)
+        assert cache.get("geo", "ip-0") == 0  # read, so now the most recently used
+        cache.put("geo", "ip-new", -1)
+        assert len(cache) == CACHE_ENTRIES
+        assert cache.get("geo", "ip-1") is None
+        assert (cache.get("geo", "ip-0"), cache.get("geo", "ip-new")) == (0, -1)
+        for i in range(2 * CACHE_ENTRIES):
+            cache.put("cti", f"ip-{i}", i)
+        assert len(cache) == CACHE_ENTRIES
+        assert cache.get("cti", f"ip-{2 * CACHE_ENTRIES - 1}") == 2 * CACHE_ENTRIES - 1
 
 
 class TestThreatLookup:

@@ -146,7 +146,9 @@ def test_interrupted_pass_closes_every_connection(ingested, malicious):
     def interrupt(flow_id):
         raise Interrupted(flow_id)
 
-    with KeepAliveServer(chat_answer, delays=(0.0, 0.05, 0.05, 0.05)) as server, \
+    # no answer comes back before a second connection is open, so the pass
+    # cannot be interrupted while it has only one
+    with KeepAliveServer(chat_answer, opened=2, delays=(0.0, 0.05, 0.05, 0.05)) as server, \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with pytest.raises(Interrupted):
