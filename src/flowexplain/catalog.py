@@ -54,6 +54,21 @@ DEFAULT_CATALOG_RESOURCE = "nfv2_catalog.json"
 #: Feature names are single identifiers, which is what lets the checkers
 #: find them in prose as whole word runs.
 _FEATURE_NAME = re.compile(r"\w+")
+_WORD_START = re.compile(r"(?<!\w)\w+")
+
+
+def fold(text: str) -> str:
+    """``text`` in lower case, with ``İ``, ``ı`` and ``ſ`` folded to ``i``,
+    ``i`` and ``s``: one character for each of ``text``'s, at its offset.
+
+    A character folds to an ASCII letter exactly when ``re.IGNORECASE``
+    matches it to that letter: the only other characters it matches to one
+    are those three and the Kelvin sign, which ``str.lower`` maps to ``k``.
+    ``"İ".lower()`` is two characters long, hence the first replacement.
+    So a case-insensitive literal of ASCII letters matches where its lower
+    case occurs in the folded text.
+    """
+    return text.replace("İ", "i").lower().replace("ı", "i").replace("ſ", "s")
 
 
 class CatalogError(InputError, ValueError):
@@ -103,6 +118,7 @@ class FeatureCatalog:
     _plain_names: re.Pattern[str] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    _plain_literals: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
     #: the features' names, in catalog order
     feature_names: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
 
@@ -122,8 +138,10 @@ class FeatureCatalog:
         object.__setattr__(self, "feature_names", tuple(by_name))
         object.__setattr__(self, "_by_upper_name", by_upper_name)
         plain = [(upper, len(name)) for upper, name in by_upper_name.items() if "_" not in name]
-        if plain:
+        if not all(upper.isascii() and len(upper) == length for upper, length in plain):
             object.__setattr__(self, "_plain_names", _words_matching(plain))
+        else:
+            object.__setattr__(self, "_plain_literals", tuple(upper.lower() for upper, _ in plain))
 
     def __len__(self) -> int:
         return len(self.features)
@@ -141,14 +159,30 @@ class FeatureCatalog:
         name = self._by_upper_name.get(token.upper())
         return name if name is not None and len(name) == len(token) else None
 
-    def plain_name_words(self, text: str) -> Iterator[re.Match[str]]:
-        """The words of ``text`` that match a name without ``_``, ignoring case.
+    def plain_name_words(self, text: str, folded: str | None = None) -> Iterator[re.Match[str]]:
+        """The words of ``text`` that match a name without ``_``, ignoring
+        case, in no set order; ``folded`` is ``fold(text)``, if at hand.
 
         A word is a whole ``\\w`` run. Every word that :meth:`name_for` maps
         to such a name is among them, and only a word with ``_`` can spell
-        any other name.
+        any other name. When each such name upper-cases to as many ASCII
+        characters, each is found in ``folded`` with ``str.find``: a word
+        that upper-cases to it letter for letter folds to its lower case.
+        Otherwise one pattern built from the names is searched.
         """
-        return self._plain_names.finditer(text) if self._plain_names else iter(())
+        if self._plain_names is not None:
+            yield from self._plain_names.finditer(text)
+            return
+        if folded is None and self._plain_literals:
+            folded = fold(text)
+        for name in self._plain_literals:
+            end = len(name)
+            at = folded.find(name)
+            while at >= 0:
+                word = _WORD_START.match(text, at, at + end + 1)
+                if word is not None and word.end() == at + end:
+                    yield word
+                at = folded.find(name, at + 1)
 
     def get(self, name: str) -> FeatureSpec:
         try:

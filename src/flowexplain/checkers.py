@@ -10,12 +10,12 @@ Findings are advisory and never substitute for a human verdict.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Overflow, localcontext
 from functools import lru_cache
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
-from .catalog import FeatureCatalog
+from .catalog import FeatureCatalog, fold
 from .flows import FlowRecord, clip
 from .protocols import registry_rows
 
@@ -82,8 +82,7 @@ def milliseconds_to(value_ms: int | float | Decimal, unit: str) -> Decimal:
     return Decimal(str(value_ms)) / per
 
 
-@dataclass(frozen=True)
-class FeatureMention:
+class FeatureMention(NamedTuple):
     """One reference to a (catalog or unknown) feature in explanation text."""
 
     feature: str
@@ -94,20 +93,17 @@ class FeatureMention:
     unit: str | None = None
 
 
-@dataclass(frozen=True)
-class CheckFinding:
-    """A single pre-flagged problem, anchored to a span of the text."""
+class CheckFinding(NamedTuple):
+    """A single pre-flagged problem, anchored to a span of the text.
+
+    ``kind`` is one of :data:`FINDING_KINDS`; ``severity`` is ``error`` or
+    ``warning``.
+    """
 
     kind: str
     detail: str
     span: tuple[int, int]
     severity: str = "error"
-
-    def __post_init__(self) -> None:
-        if self.kind not in FINDING_KINDS:
-            raise ValueError(f"unknown finding kind {self.kind!r}")
-        if self.severity not in ("error", "warning"):
-            raise ValueError(f"severity must be error or warning, got {self.severity!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -116,6 +112,12 @@ class CheckFinding:
             "span": list(self.span),
             "severity": self.severity,
         }
+
+
+#: builds a record from a tuple of its fields, without the keyword handling
+#: of its constructor
+_new = tuple.__new__
+_SPAN = itemgetter(2)
 
 
 # Written-unit grammar. Whole words (durations, packets, bytes, bits) match
@@ -144,6 +146,11 @@ def parse_written_unit(token: str) -> tuple[str, Decimal] | None:
     """
     if not token or not _UNIT_TOKEN.match(token):
         return None
+    return _ascii_unit(token)
+
+
+def _ascii_unit(token: str) -> tuple[str, Decimal] | None:
+    """:func:`parse_written_unit` of a token that passed its ASCII gate."""
     word = _WORD_UNITS.get(token.lower())
     if word is not None:
         return word
@@ -174,24 +181,70 @@ _QUANTITY = {
 _WORD_CHARS = re.compile(r"\w*")
 _UNKNOWN_FEATURE = re.compile(r"[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+")
 
+# the unit group is what _UNIT_TOKEN lets through
 _NUMBER_VALUE = re.compile(
     r"\s*[:=(]\s*(?P<value>-?\d[\d,]*(?:\.\d+)?)(?:\s*(?P<unit>[A-Za-z]+(?:/s)?))?"
 )
 _ADDRESS_VALUE = re.compile(r"\s*[:=(]\s*(?P<value>\d{1,3}(?:\.\d{1,3}){3})")
 
 
-def _underscored_words(text: str) -> Iterator[tuple[int, int]]:
-    """Spans of the identifiers (``\\w`` runs) of ``text`` that hold a ``_``.
+def _identifiers(text: str, folded: str, catalog: FeatureCatalog) -> list[tuple[int, int]]:
+    """Spans, in text order, of the identifiers (``\\w`` runs) of ``text``
+    that can be mentions: those that hold a ``_`` and those the catalog
+    finds for its names without one.
 
-    Each ``_`` found is widened to its run: back to the end of the run
-    before (read in a reversed copy of the gap, so no character is read
-    twice), and forward with one match.
+    Each ``_`` found is widened to its identifier: back to the end of the
+    one before (read in a reversed copy of the text, so no character is
+    read twice), and forward with one match.
     """
+    spans = []
     end = 0
-    while (found := text.find("_", end)) >= 0:
-        start = found - _WORD_CHARS.match(text[end:found][::-1]).end()
-        end = _WORD_CHARS.match(text, found).end()
-        yield start, end
+    found = text.find("_")
+    if found >= 0:
+        size, backwards, word = len(text), text[::-1], _WORD_CHARS.match
+        while found >= 0:
+            start = size - word(backwards, size - found, size - end).end()
+            end = word(text, found).end()
+            spans.append((start, end))
+            found = text.find("_", end)
+    plain = [word.span() for word in catalog.plain_name_words(text, folded)]
+    return sorted(spans + plain) if plain else spans
+
+
+def _mentions(text: str, folded: str, catalog: FeatureCatalog) -> list[tuple]:
+    """The mentions of :func:`extract_feature_mentions`, each as its
+    fields, then its feature's spec (None for an unknown feature) and its
+    written unit, parsed once (None without one)."""
+    mentions = []
+    name_for, spec_of = catalog.name_for, catalog.get
+    for start, end in _identifiers(text, folded, catalog):
+        token = text[start:end]
+        feature = name_for(token)
+        if feature is not None:
+            spec = spec_of(feature)
+        elif _UNKNOWN_FEATURE.fullmatch(token):
+            feature, spec = token, None
+        else:
+            continue
+        known = spec is not None
+        if known and spec.value_kind == "address":
+            value = _ADDRESS_VALUE.match(text, end)
+            if value is not None:
+                raw = value["value"]
+                mentions.append((feature, True, (start, value.end()), raw, raw, None, spec, None))
+                continue
+        elif (value := _NUMBER_VALUE.match(text, end)) is not None:
+            raw, unit = value.group("value", "unit")
+            written = None if unit is None else _ascii_unit(unit)
+            if written is None:
+                unit, end = None, value.end("value")
+            else:
+                end = value.end()
+            number = Decimal(raw.replace(",", ""))
+            mentions.append((feature, known, (start, end), raw, number, unit, spec, written))
+            continue
+        mentions.append((feature, known, (start, end), None, None, None, spec, None))
+    return mentions
 
 
 def extract_feature_mentions(text: str, catalog: FeatureCatalog) -> list[FeatureMention]:
@@ -205,49 +258,7 @@ def extract_feature_mentions(text: str, catalog: FeatureCatalog) -> list[Feature
     ``name: value``, ``name = value`` and ``name (value)`` forms capture
     the quoted value and, when present, the unit as written.
     """
-    spans = list(_underscored_words(text))
-    plain = [word.span() for word in catalog.plain_name_words(text)]
-    if plain:
-        spans = sorted(spans + plain)
-    mentions: list[FeatureMention] = []
-    for start, end in spans:
-        token = text[start:end]
-        name = catalog.name_for(token)
-        if name is not None:
-            mentions.append(_mention_with_value(text, start, end, name, True, catalog))
-        elif _UNKNOWN_FEATURE.fullmatch(token):
-            mentions.append(_mention_with_value(text, start, end, token, False, catalog))
-    return mentions
-
-
-def _mention_with_value(
-    text: str,
-    start: int,
-    end: int,
-    feature: str,
-    known: bool,
-    catalog: FeatureCatalog,
-) -> FeatureMention:
-    is_address = known and catalog.get(feature).value_kind == "address"
-    value_re = _ADDRESS_VALUE if is_address else _NUMBER_VALUE
-    value_match = value_re.match(text, end)
-    if value_match is None:
-        return FeatureMention(feature=feature, known=known, span=(start, end))
-    raw = value_match.group("value")
-    unit = None
-    if not is_address:
-        unit_token = value_match.group("unit")
-        if unit_token and parse_written_unit(unit_token) is not None:
-            unit = unit_token
-    span_end = value_match.end("unit") if unit else value_match.end("value")
-    return FeatureMention(
-        feature=feature,
-        known=known,
-        span=(start, span_end),
-        raw_value=raw,
-        value=raw if is_address else Decimal(raw.replace(",", "")),
-        unit=unit,
-    )
+    return [_new(FeatureMention, mention[:6]) for mention in _mentions(text, fold(text), catalog)]
 
 
 def check_feature_consistency(
@@ -262,38 +273,37 @@ def check_feature_consistency(
     against the catalog unit, and ``unknown_feature`` for catalog-shaped
     names that are not in the catalog.
     """
-    findings: list[CheckFinding] = []
-    for mention in mentions:
-        if not mention.known:
-            findings.append(
-                CheckFinding(
-                    kind="unknown_feature",
-                    detail=f"{mention.feature} is not a feature of this flow schema",
-                    span=mention.span,
-                    severity="warning",
-                )
-            )
-            continue
-        spec = catalog.get(mention.feature)
-        recorded = record.values.get(mention.feature)
-        value, multiplier = mention.value, Decimal(1)
+    checked = [
+        (
+            *mention,
+            catalog.get(mention.feature) if mention.known else None,
+            None if mention.unit is None else parse_written_unit(mention.unit),
+        )
+        for mention in mentions
+    ]
+    return _mention_findings(checked, record.values)
 
-        written = parse_written_unit(mention.unit) if mention.unit is not None else None
-        quantity = _QUANTITY.get(spec.unit)
-        if written is not None and quantity is not None:
+
+def _mention_findings(mentions: list[tuple], values: dict) -> list[CheckFinding]:
+    """The findings of :func:`check_feature_consistency` for ``mentions``
+    as :func:`_mentions` gives them."""
+    findings: list[CheckFinding] = []
+    for feature, _, span, raw, value, unit, spec, written in mentions:
+        if spec is None:
+            detail = f"{feature} is not a feature of this flow schema"
+            findings.append(_new(CheckFinding, ("unknown_feature", detail, span, "warning")))
+            continue
+        recorded = values.get(feature)
+        multiplier = 1
+        if written is not None and (quantity := _QUANTITY.get(spec.unit)) is not None:
             dimension, multiplier = written
             if _QUANTITY[dimension] != quantity:
                 if {_QUANTITY[dimension], quantity} == {"bits", "bytes"}:
-                    findings.append(
-                        CheckFinding(
-                            kind="unit_mismatch",
-                            detail=(
-                                f"{mention.feature} is measured in {spec.unit}, "
-                                f"but the explanation writes it as {mention.unit!r}"
-                            ),
-                            span=mention.span,
-                        )
+                    detail = (
+                        f"{feature} is measured in {spec.unit}, "
+                        f"but the explanation writes it as {unit!r}"
                     )
+                    findings.append(_new(CheckFinding, ("unit_mismatch", detail, span, "error")))
                 continue  # any other unrelated unit is too ambiguous to judge
             if value is None or not isinstance(recorded, (int, Decimal)):
                 continue
@@ -303,52 +313,23 @@ def check_feature_consistency(
             if multiplier != 1:
                 with localcontext() as ctx:
                     ctx.traps[Overflow] = False
-                    value = Decimal(value) * multiplier
-
-        if value is None or recorded is None:
+                    value = value * multiplier
+        # an equal value is within any tolerance
+        if value is None or recorded is None or value == recorded:
             continue
-        if isinstance(recorded, (int, Decimal)) and isinstance(value, Decimal):
-            finding = _compare_values(mention, value, recorded, multiplier)
-            if finding:
-                findings.append(finding)
-        elif isinstance(recorded, str) and isinstance(value, str) and value != recorded:
-            findings.append(
-                CheckFinding(
-                    kind="value_mismatch",
-                    detail=(
-                        f"explanation quotes {mention.feature} as {value}, "
-                        f"but the record has {recorded}"
-                    ),
-                    span=mention.span,
-                )
-            )
+        if isinstance(value, Decimal) and isinstance(recorded, (int, Decimal)):
+            if multiplier != 1 and abs(value - recorded) <= abs(recorded) * SCALED_VALUE_TOLERANCE:
+                continue
+            quoted = clip(raw or str(value))
+            if unit:
+                quoted += f" {unit}"
+        elif isinstance(value, str) and isinstance(recorded, str):
+            quoted = value
+        else:
+            continue
+        detail = f"explanation quotes {feature} as {quoted}, but the record has {recorded}"
+        findings.append(_new(CheckFinding, ("value_mismatch", detail, span, "error")))
     return findings
-
-
-def _compare_values(
-    mention: FeatureMention,
-    normalized: Decimal,
-    recorded: int | Decimal,
-    multiplier: Decimal,
-) -> CheckFinding | None:
-    recorded_dec = Decimal(recorded)
-    if multiplier == 1:
-        equal = normalized == recorded_dec
-    else:
-        equal = abs(normalized - recorded_dec) <= abs(recorded_dec) * SCALED_VALUE_TOLERANCE
-    if equal:
-        return None
-    quoted = clip(mention.raw_value or str(mention.value))
-    if mention.unit:
-        quoted += f" {mention.unit}"
-    return CheckFinding(
-        kind="value_mismatch",
-        detail=(
-            f"explanation quotes {mention.feature} as {quoted}, "
-            f"but the record has {recorded}"
-        ),
-        span=mention.span,
-    )
 
 
 _NUM = r"\d[\d,]*(?:\.\d+)?"
@@ -397,18 +378,26 @@ _TCP_FLAGS_CLAIM = re.compile(
 
 # No flag name contains "and", so it splits "SYNandACK" as well as "SYN and ACK".
 _FLAG_SPLIT = re.compile(r"[,+|/&]|and")
+_FLAG_SETS = [decode_tcp_flags(value) for value in range(256)]
+
+
+#: the decimal context of duration arithmetic: a quoted number's exponent is
+#: at most its length, far inside this range, so the arithmetic cannot
+#: overflow however long the number is
+_DURATION_CONTEXT = Context(Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _duration_error(match: re.Match) -> str | None:
-    claimed = Decimal(match["qty"].replace(",", ""))
-    # a quoted number's exponent is at most its length, far inside this range,
-    # so the arithmetic cannot overflow however long the number is
-    with localcontext(Context(Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        actual = milliseconds_to(Decimal(match["ms"].replace(",", "")), match["unit"])
-        if abs(claimed - actual) <= actual * CONVERSION_TOLERANCE:
-            return None
-    ms, converted, qty = clip(match["ms"]), clip(f"{actual:.2f}"), clip(match["qty"])
-    return f"{ms} ms is {converted} {match['unit']}, not {qty}"
+    """:func:`milliseconds_to`, checked against the claimed quantity; each
+    step is an operation of ``_DURATION_CONTEXT``."""
+    ms, qty, unit = match.group("ms", "qty", "unit")
+    context = _DURATION_CONTEXT
+    claimed = Decimal(qty.replace(",", ""))
+    actual = context.divide(Decimal(ms.replace(",", "")), _MS_PER[unit.lower()])
+    error = context.abs(context.subtract(claimed, actual))
+    if error <= context.multiply(actual, CONVERSION_TOLERANCE):
+        return None
+    return f"{clip(ms)} ms is {clip(f'{actual:.2f}')} {unit}, not {clip(qty)}"
 
 
 def _port_error(match: re.Match) -> str | None:
@@ -425,9 +414,9 @@ def _flags_error(match: re.Match) -> str | None:
     if value > 255:
         return None
     claimed = frozenset(
-        token.strip().upper() for token in _FLAG_SPLIT.split(match["flags"]) if token.strip()
+        map(str.upper, filter(None, map(str.strip, _FLAG_SPLIT.split(match["flags"]))))
     )
-    actual = decode_tcp_flags(value)
+    actual = _FLAG_SETS[value]
     if claimed == actual:
         return None
     return (
@@ -436,14 +425,29 @@ def _flags_error(match: re.Match) -> str | None:
     )
 
 
-def _anchored(pattern: re.Pattern[str], anchor: str, back: int = 0):
+def _hits(folded: str, literal: str) -> list[int]:
+    """Every offset at which ``literal`` occurs in ``folded``, in order.
+
+    Each search starts one past the last hit, so no character is searched
+    twice for one literal.
+    """
+    hits = []
+    at = folded.find(literal)
+    while at >= 0:
+        hits.append(at)
+        at = folded.find(literal, at + 1)
+    return hits
+
+
+def _anchored(pattern: re.Pattern[str], back: int = 0):
     """A finder of the claims ``pattern.finditer`` would find, looked for
-    only near the matches of ``anchor``.
+    only near the anchors it is given.
 
     Every claim holds its anchor, which begins at most ``back`` characters
     past the claim's start (for ``back`` > 0, once the whitespace just
     before the anchor is stepped over: that is where a service name ends,
-    and one is at most ``_LONGEST_SERVICE`` characters long). A window
+    and one is at most ``_LONGEST_SERVICE`` characters long). The finder
+    takes the text and the offsets of every anchor in it, in order. A window
     pattern tries the ``back`` + 1 starts from where it is matched; group
     ``claim`` is a match of ``pattern``.
 
@@ -451,36 +455,31 @@ def _anchored(pattern: re.Pattern[str], anchor: str, back: int = 0):
     so its anchor does too. The first anchor from there, stepped back over
     whitespace and by ``back``, bounds where that claim can start: no claim
     starts in between. Either it starts in the window there, or its anchor
-    lies past this one. Each anchor is found once and each window holds at
+    lies past this one. Each anchor is taken once and each window holds at
     most ``back`` + 1 starts, so the time stays linear in the text length.
     """
     window = re.compile(rf"(?s:.){{0,{back}}}?(?P<claim>{pattern.pattern})", pattern.flags)
-    anchor_pattern = re.compile(anchor, re.IGNORECASE)
 
-    def claims(text: str) -> Iterator[re.Match[str]]:
-        end = after = 0
-        while (hit := anchor_pattern.search(text, after)) is not None:
-            start = hit.start()
+    def claims(text: str, anchors: list[int]) -> Iterator[re.Match[str]]:
+        end = 0
+        for start in anchors:
+            if start < end:
+                continue
             if back:
                 while start > end and text[start - 1].isspace():
                     start -= 1
             match = window.match(text, max(end, start - back))
-            if match is None:
-                after = hit.start() + 1
-            else:
+            if match is not None:
                 yield match
-                end = after = match.end()
+                end = match.end()
 
     return claims
 
 
-#: the first unit of a duration claim, as _DURATION_CLAIM matches it
-_DURATION_UNIT = re.compile("ms|millisecond", re.IGNORECASE)
-
-
-def _duration_claims(text: str) -> Iterator[re.Match[str]]:
+def _duration_claims(text: str, folded: str) -> Iterator[re.Match[str]]:
     """The claims ``_DURATION_CLAIM.finditer`` would find, looked for from
-    their first unit.
+    their first unit: each ``ms`` and ``millisecond`` of ``folded``, which
+    is ``fold(text)``.
 
     A claim's number runs up to the whitespace before that unit, and holds
     only digits, commas and at most one point. So from each unit, step back
@@ -491,10 +490,10 @@ def _duration_claims(text: str) -> Iterator[re.Match[str]]:
     letter), and only the last two starts read up to the unit, so the time
     stays linear in the text length.
     """
-    end = after = 0
-    while (hit := _DURATION_UNIT.search(text, after)) is not None:
-        after = hit.start() + 1
-        number_end = hit.start()
+    end = 0
+    for number_end in sorted(_hits(folded, "ms") + _hits(folded, "millisecond")):
+        if number_end < end:
+            continue
         while number_end > end and text[number_end - 1].isspace():
             number_end -= 1
         start = number_end
@@ -504,22 +503,28 @@ def _duration_claims(text: str) -> Iterator[re.Match[str]]:
             match = _DURATION_CLAIM.match(text, start)
             if match is not None:
                 yield match
-                end = after = match.end()
+                end = match.end()
                 break
             start = text.find(".", start, number_end) + 1 or number_end
 
 
-#: Claim finders in scan order: (finder, finding kind, the group whose start
-#: begins the finding's span, check returning the detail or None). Each port
-#: pattern scans on its own: one text can hold overlapping claims.
-_CLAIMS = (
-    (_duration_claims, "arithmetic_error", "ms", _duration_error),
-    (_anchored(_PORT_CLAIMS[0], r"\sport", _LONGEST_SERVICE), "fact_error", "claim", _port_error),
-    (_anchored(_PORT_CLAIMS[1], r"\(\s*port", _LONGEST_SERVICE), "fact_error", "claim",
-     _port_error),
-    (_anchored(_PORT_CLAIMS[2], "port"), "fact_error", "claim", _port_error),
-    (_anchored(_TCP_FLAGS_CLAIM, "tcp"), "fact_error", "claim", _flags_error),
-)
+_SERVICE_PORT = _anchored(_PORT_CLAIMS[0], _LONGEST_SERVICE)
+_SERVICE_PAREN_PORT = _anchored(_PORT_CLAIMS[1], _LONGEST_SERVICE)
+_PORT_PAREN_SERVICE = _anchored(_PORT_CLAIMS[2])
+_TCP_FLAGS = _anchored(_TCP_FLAGS_CLAIM)
+
+
+def _parenthesised(text: str, ports: list[int]) -> list[int]:
+    """The offset of the ``(`` before each of ``ports`` that has only
+    whitespace between them. A whitespace run lies before one port only,
+    so each character is stepped over once."""
+    found = []
+    for at in ports:
+        while at and text[at - 1].isspace():
+            at -= 1
+        if at and text[at - 1] == "(":
+            found.append(at - 1)
+    return found
 
 
 def check_factual_claims(text: str) -> list[CheckFinding]:
@@ -530,18 +535,46 @@ def check_factual_claims(text: str) -> list[CheckFinding]:
     decodings. Prose that matches none of the claim patterns produces no
     finding.
     """
+    return _claim_findings(text, fold(text))
+
+
+def _claim_findings(text: str, folded: str) -> list[CheckFinding]:
+    """:func:`check_factual_claims`, with ``folded`` = ``fold(text)``.
+
+    The anchors are found in ``folded`` with ``str.find``: ``ms`` and
+    ``millisecond`` for durations; ``port`` after whitespace, ``(`` then
+    ``port``, and ``port`` for the three port forms; ``tcp`` for flags.
+    Each port form scans on its own: one text can hold overlapping claims.
+    """
+    ports = _hits(folded, "port")
+    spaced = [at - 1 for at in ports if at and text[at - 1].isspace()]
+    parenthesised = _parenthesised(text, ports)
+    # (finding kind, the group whose start begins the finding's span, check
+    # returning the detail or None, claims), one claim family after another
+    claims = (
+        ("arithmetic_error", "ms", _duration_error, _duration_claims(text, folded)),
+        ("fact_error", "claim", _port_error, _SERVICE_PORT(text, spaced)),
+        ("fact_error", "claim", _port_error, _SERVICE_PAREN_PORT(text, parenthesised)),
+        ("fact_error", "claim", _port_error, _PORT_PAREN_SERVICE(text, ports)),
+        ("fact_error", "claim", _flags_error, _TCP_FLAGS(text, _hits(folded, "tcp"))),
+    )
     return [
-        CheckFinding(kind=kind, detail=detail, span=(match.start(start), match.end()))
-        for claims, kind, start, check in _CLAIMS
-        for match in claims(text)
+        _new(CheckFinding, (kind, detail, (match.start(start), match.end()), "error"))
+        for kind, start, check, matches in claims
+        for match in matches
         if (detail := check(match)) is not None
     ]
 
 
 def run_all_checks(text: str, record: FlowRecord, catalog: FeatureCatalog) -> list[CheckFinding]:
-    """Feature consistency plus factual claims, ordered by span."""
-    mentions = extract_feature_mentions(text, catalog)
-    findings = check_feature_consistency(mentions, record, catalog)
-    findings.extend(check_factual_claims(text))
-    findings.sort(key=lambda f: f.span)
+    """Feature consistency plus factual claims, ordered by span.
+
+    The text is folded once (:func:`flowexplain.catalog.fold`), and every
+    literal anchor, of a claim or of a feature name without ``_``, is found
+    in the folded copy.
+    """
+    folded = fold(text)
+    findings = _mention_findings(_mentions(text, folded, catalog), record.values)
+    findings.extend(_claim_findings(text, folded))
+    findings.sort(key=_SPAN)
     return findings

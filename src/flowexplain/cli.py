@@ -100,7 +100,7 @@ def explain(config_path: str, mode: str, flow_ids: tuple[str, ...], sample_file:
 @click.option("--annotations", required=True, type=click.Path(exists=True))
 def evaluate(config_path: str, explanations: str, annotations: str) -> None:
     """Aggregate human annotations over a run log into a results table."""
-    from .pipeline import run_evaluate
+    from .evaluation import run_evaluate
 
     config = PipelineConfig.from_file(config_path)
     reports, table, report_path = run_evaluate(config, Path(explanations), Path(annotations))

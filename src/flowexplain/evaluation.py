@@ -4,18 +4,25 @@ Explanations are judged on three independent criteria: correctness of the
 argumentation, consistency with the flow's feature values, and absence of
 fabricated facts. Verdicts come from human annotators; the harness
 resolves multi-annotator agreement, excludes disagreements (reporting how
-many), and aggregates percentages with standard errors.
+many), and aggregates percentages with standard errors. :func:`run_evaluate`
+(``flowexplain evaluate``) also re-runs the consistency checkers over a run
+log.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from .catalog import FeatureCatalog
+from .checkers import run_all_checks
+from .config import PipelineConfig, PipelineError, _catalog_for
 from .errors import InputError
+from .flows import LABEL_MALICIOUS, FlowRecord, parse_value
 from .providers import read_jsonl
 
 METRICS = ("correctness", "feature_consistency", "factual_consistency")
@@ -278,3 +285,103 @@ def render_metrics_table(reports: list[MetricsReport]) -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def recheck_explanations(entries: list[dict], catalog: FeatureCatalog) -> list[dict]:
+    """Re-run the consistency checkers over logged explanations.
+
+    The flow values stored in the log are re-typed through the catalog so
+    the findings are computed against the same record the prompt used.
+    """
+    findings_records = []
+    for entry in entries:
+        try:
+            values = {
+                name: parse_value(text, catalog.get(name))
+                for name, text in entry.get("flow", {}).items()
+                if name in catalog
+            }
+        except ValueError as exc:
+            raise PipelineError(
+                f"explanation {entry['explanation_id']!r} logs a malformed flow: {exc}"
+            ) from exc
+        record = FlowRecord(
+            flow_id=entry["flow_id"],
+            values=values,
+            label=LABEL_MALICIOUS,
+            attack_class=entry.get("attack_class"),
+        )
+        findings = run_all_checks(entry["explanation"], record, catalog)
+        findings_records.append(
+            {
+                "explanation_id": entry["explanation_id"],
+                "model": entry["model"],
+                "mode": entry["mode"],
+                "findings": [finding.to_dict() for finding in findings],
+            }
+        )
+    return findings_records
+
+
+#: keys every successful run log entry carries
+_LOGGED_KEYS = ("explanation_id", "flow_id", "mode", "model", "explanation")
+
+
+def run_evaluate(
+    config: PipelineConfig,
+    explanations_path: Path,
+    annotations_path: Path,
+) -> tuple[list[MetricsReport], str, Path]:
+    """Re-check explanations, resolve annotations and emit the results table."""
+    entries = [
+        entry
+        for entry in read_jsonl(explanations_path, PipelineError, "malformed run log entry")
+        if entry.get("status") == "ok"
+    ]
+    if not entries:
+        raise PipelineError(f"no successful explanations in {explanations_path}")
+    for entry in entries:
+        missing = [key for key in _LOGGED_KEYS if key not in entry]
+        if missing or not isinstance(entry["explanation"], str) or not entry["explanation"]:
+            problem = f"has no {missing[0]!r}" if missing else "has no text"
+            raise PipelineError(
+                f"explanation {entry.get('explanation_id')!r} in {explanations_path} {problem}"
+            )
+    known_ids = {entry["explanation_id"] for entry in entries}
+
+    catalog = _catalog_for(config)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    findings_records = recheck_explanations(entries, catalog)
+    findings_path = config.output_dir / "findings.jsonl"
+    with open(findings_path, "w", encoding="utf-8") as fh:
+        for row in findings_records:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    resolved = ingest_annotations(annotations_path, known_ids=known_ids).resolved
+    if not resolved:
+        raise PipelineError("no resolved annotations: the annotations file is empty")
+
+    cells: dict[tuple[str, str], set[str]] = {}
+    for entry in entries:
+        cells.setdefault((entry["model"], entry["mode"]), set()).add(entry["explanation_id"])
+
+    reports: list[MetricsReport] = []
+    for (model, mode), cell_ids in sorted(cells.items()):
+        subset = AnnotationSet({eid: v for eid, v in resolved.items() if eid in cell_ids})
+        if not subset.resolved:
+            continue
+        try:
+            reports.append(
+                aggregate_metrics(subset, n=len(cell_ids), model=model, mode=mode)
+            )
+        except AggregationError as exc:
+            raise PipelineError(f"cannot aggregate cell ({model}, {mode}): {exc}") from exc
+    if not reports:
+        raise PipelineError("no resolved annotations matched the explanation log")
+
+    table = render_metrics_table(reports)
+    report_path = config.output_dir / "metrics_report.json"
+    report_path.write_text(
+        json.dumps([report.to_dict() for report in reports], indent=2), encoding="utf-8"
+    )
+    (config.output_dir / "metrics_table.txt").write_text(table + "\n", encoding="utf-8")
+    return reports, table, report_path

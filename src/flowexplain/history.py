@@ -127,14 +127,16 @@ def _read_statement(counts: bool, addresses: int, before: bool) -> str:
     """The statement that reads the history of ``addresses`` addresses at once.
 
     Its rows are each address's index, then the entry's id and fields; or,
-    with ``counts``, one row of each address's count of entries (the arms
-    stop after ``k`` each, so no count passes ``2k``).
+    with ``counts``, one row of each address's count of entries. A count
+    reads its two arms through a ``LIMIT k`` of its own, so it stops once
+    ``k`` entries are read and never passes ``k``: SQLite skips the
+    destination arm when the source arm alone fills it.
     """
     # the bound switch keeps or drops benign entries
     where = (" AND timestamp < ?" if before else "") + " AND (? OR label != 'benign')"
     if counts:
         return "SELECT " + ", ".join(
-            [f"(SELECT count(*) FROM ({_arms('1', where)}))"] * addresses
+            [f"(SELECT count(*) FROM (SELECT * FROM ({_arms('1', where)}) LIMIT ?))"] * addresses
         )
     return " UNION ALL ".join(_arms(f"{i}, id, {_COLUMNS}", where) for i in range(addresses))
 
@@ -309,7 +311,7 @@ class FlowHistoryStore:
         """``len(self.query_history(ip, k, before, include_benign))`` of each
         of ``ips``, counted in one statement that returns no entry."""
         [counts] = self._read(True, ips, k, before, include_benign)
-        return [min(count, k) for count in counts]
+        return list(counts)
 
     def _read(
         self, counts: bool, ips: Sequence[str], k: int, before: int | None,
@@ -319,7 +321,8 @@ class FlowHistoryStore:
         if k < 0:  # SQLite reads a negative LIMIT as no limit
             raise ValueError("k must be non-negative")
         arm = (include_benign, k) if before is None else (before, include_benign, k)
-        parameters = [value for ip in ips for value in (ip, *arm, ip, *arm)]
+        limit = (k,) if counts else ()  # a count's own k, after its two arms
+        parameters = [value for ip in ips for value in (ip, *arm, ip, *arm, *limit)]
         sql = _read_statement(counts, len(ips), before is not None)
         with self._lock:
             try:

@@ -3,8 +3,9 @@
 The pipeline is: ingest a labelled NetFlow export and bootstrap the
 connection-history store, sample malicious flows, build (optionally
 augmented) prompts, generate explanations through the configured backend,
-pre-flag the output with the consistency checkers, and aggregate human
-annotations into a results table.
+and pre-flag the output with the consistency checkers. Aggregating human
+annotations into a results table (``evaluate``) is in
+:mod:`flowexplain.evaluation`, which ``explain`` and ``serve`` never load.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ from .config import (
     run_sample,
 )
 from .enrichment import ContextBuilder
-from .evaluation import (
-    AggregationError,
-    AnnotationSet,
-    MetricsReport,
-    aggregate_metrics,
-    ingest_annotations,
-    render_metrics_table,
-)
 from .flows import (
     FlowRecord,
     LABEL_MALICIOUS,
@@ -60,7 +53,6 @@ from .flows import (
     fates_key,
     parse_dataset,
     parse_label,
-    parse_value,
     row_parser,
     sample_malicious,
     scan_dataset,
@@ -618,106 +610,6 @@ def _explained(
         for key in out.values():
             key.data.call.close()
         waiting.close()
-
-
-def recheck_explanations(entries: list[dict], catalog: FeatureCatalog) -> list[dict]:
-    """Re-run the consistency checkers over logged explanations.
-
-    The flow values stored in the log are re-typed through the catalog so
-    the findings are computed against the same record the prompt used.
-    """
-    findings_records = []
-    for entry in entries:
-        try:
-            values = {
-                name: parse_value(text, catalog.get(name))
-                for name, text in entry.get("flow", {}).items()
-                if name in catalog
-            }
-        except ValueError as exc:
-            raise PipelineError(
-                f"explanation {entry['explanation_id']!r} logs a malformed flow: {exc}"
-            ) from exc
-        record = FlowRecord(
-            flow_id=entry["flow_id"],
-            values=values,
-            label=LABEL_MALICIOUS,
-            attack_class=entry.get("attack_class"),
-        )
-        findings = run_all_checks(entry["explanation"], record, catalog)
-        findings_records.append(
-            {
-                "explanation_id": entry["explanation_id"],
-                "model": entry["model"],
-                "mode": entry["mode"],
-                "findings": [finding.to_dict() for finding in findings],
-            }
-        )
-    return findings_records
-
-
-#: keys every successful run log entry carries
-_LOGGED_KEYS = ("explanation_id", "flow_id", "mode", "model", "explanation")
-
-
-def run_evaluate(
-    config: PipelineConfig,
-    explanations_path: Path,
-    annotations_path: Path,
-) -> tuple[list[MetricsReport], str, Path]:
-    """Re-check explanations, resolve annotations and emit the results table."""
-    entries = [
-        entry
-        for entry in read_jsonl(explanations_path, PipelineError, "malformed run log entry")
-        if entry.get("status") == "ok"
-    ]
-    if not entries:
-        raise PipelineError(f"no successful explanations in {explanations_path}")
-    for entry in entries:
-        missing = [key for key in _LOGGED_KEYS if key not in entry]
-        if missing or not isinstance(entry["explanation"], str) or not entry["explanation"]:
-            problem = f"has no {missing[0]!r}" if missing else "has no text"
-            raise PipelineError(
-                f"explanation {entry.get('explanation_id')!r} in {explanations_path} {problem}"
-            )
-    known_ids = {entry["explanation_id"] for entry in entries}
-
-    catalog = _catalog_for(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    findings_records = recheck_explanations(entries, catalog)
-    findings_path = config.output_dir / "findings.jsonl"
-    with open(findings_path, "w", encoding="utf-8") as fh:
-        for row in findings_records:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    resolved = ingest_annotations(annotations_path, known_ids=known_ids).resolved
-    if not resolved:
-        raise PipelineError("no resolved annotations: the annotations file is empty")
-
-    cells: dict[tuple[str, str], set[str]] = {}
-    for entry in entries:
-        cells.setdefault((entry["model"], entry["mode"]), set()).add(entry["explanation_id"])
-
-    reports: list[MetricsReport] = []
-    for (model, mode), cell_ids in sorted(cells.items()):
-        subset = AnnotationSet({eid: v for eid, v in resolved.items() if eid in cell_ids})
-        if not subset.resolved:
-            continue
-        try:
-            reports.append(
-                aggregate_metrics(subset, n=len(cell_ids), model=model, mode=mode)
-            )
-        except AggregationError as exc:
-            raise PipelineError(f"cannot aggregate cell ({model}, {mode}): {exc}") from exc
-    if not reports:
-        raise PipelineError("no resolved annotations matched the explanation log")
-
-    table = render_metrics_table(reports)
-    report_path = config.output_dir / "metrics_report.json"
-    report_path.write_text(
-        json.dumps([report.to_dict() for report in reports], indent=2), encoding="utf-8"
-    )
-    (config.output_dir / "metrics_table.txt").write_text(table + "\n", encoding="utf-8")
-    return reports, table, report_path
 
 
 def run_cost(

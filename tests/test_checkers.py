@@ -1,5 +1,8 @@
 import itertools
 import json
+import re
+import string
+import sys
 import time
 from decimal import Decimal
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowexplain.catalog import default_catalog
+from flowexplain.catalog import default_catalog, fold
 from flowexplain.checkers import (
     _DURATION_CLAIM,
     _duration_claims,
@@ -410,7 +413,7 @@ def test_duration_claims_found_from_units_are_those_a_scan_finds(text):
     def found(matches):
         return [(match.span(), match.groupdict()) for match in matches]
 
-    assert found(_duration_claims(text)) == found(_DURATION_CLAIM.finditer(text))
+    assert found(_duration_claims(text, fold(text))) == found(_DURATION_CLAIM.finditer(text))
 
 
 class TestUntrustedText:
@@ -524,6 +527,22 @@ def _joined(*parts: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
     return st.tuples(*parts).map("".join)
 
 
+#: the non-ASCII letters that match an ASCII letter when case is ignored
+_LOOKALIKE_OF = {"i": ("\u0131", "\u0130"), "s": ("\u017f",), "k": ("\u212a",)}
+
+
+def _anchor_words(*words: str) -> st.SearchStrategy[str]:
+    """One of ``words``, each letter in either case; in half the draws, a
+    letter may also be a non-ASCII letter that matches it ignoring case."""
+    lookalikes = st.sampled_from(words).flatmap(
+        lambda word: st.tuples(*(
+            st.sampled_from((c.lower(), c.upper(), *_LOOKALIKE_OF.get(c.lower(), ())))
+            for c in word
+        )).map("".join)
+    )
+    return st.one_of(_words(*words), lookalikes)
+
+
 # Service names up to and past the 16 characters a claim's name can have;
 # the hyphenated ones end in a listed service, which a claim found from too
 # short a window would start at.
@@ -537,17 +556,19 @@ _NUMBER = _joined(
     st.sampled_from(["", ",000", ",5"]), st.sampled_from(["", ".5", ".25"]),
 )
 _FLAGS = st.lists(_words("SYN", "ACK", "FIN", "RST", "PSH", "URG"), min_size=1, max_size=3)
+_PORT = _anchor_words("port")
 _CLAIM = st.one_of(
-    _joined(_SERVICE, _SPACE, _words("port"), _words("", " number", " is", ":"), _SPACE, _NUMBER),
-    _joined(_SERVICE, _SPACE, st.just("("), _SPACE, _words("port"), _SPACE, _NUMBER, _SPACE,
+    _joined(_SERVICE, _SPACE, _PORT, _words("", " number", " is", ":"), _SPACE, _NUMBER),
+    _joined(_SERVICE, _SPACE, st.just("("), _SPACE, _PORT, _SPACE, _NUMBER, _SPACE,
             st.just(")")),
-    _joined(_words("port"), _SPACE, _NUMBER, _SPACE, st.just("("), _SPACE, _SERVICE, _SPACE,
+    _joined(_PORT, _SPACE, _NUMBER, _SPACE, st.just("("), _SPACE, _SERVICE, _SPACE,
             st.just(")")),
-    _joined(_words("tcp"), st.sampled_from(["", " ", "_"]), _words("flags", "flag"), _SPACE,
-            _NUMBER, _SPACE, _words("means", "(", ":"), _SPACE, _FLAGS.map(", ".join)),
-    _joined(_NUMBER, _SPACE, _words("ms", "msec", "milliseconds"), _words(" is", " which is",
-            " equals", "", ","), _SPACE, _words("", "about "), _NUMBER, _SPACE,
-            _words("sec", "seconds", "min", "minutes", "hours")),
+    _joined(_anchor_words("tcp"), st.sampled_from(["", " ", "_"]),
+            _anchor_words("flags", "flag"), _SPACE, _NUMBER, _SPACE, _words("means", "(", ":"),
+            _SPACE, _FLAGS.map(", ".join)),
+    _joined(_NUMBER, _SPACE, _anchor_words("ms", "msec", "millisecond", "milliseconds"),
+            _words(" is", " which is", " equals", "", ","), _SPACE, _words("", "about "),
+            _NUMBER, _SPACE, _anchor_words("sec", "seconds", "min", "minutes", "hours")),
 )
 _NAMES = default_catalog().feature_names
 _LOOKALIKES = (("I", "ı"), ("I", "İ"), ("S", "ſ"), ("K", "\u212a"), ("FL", "ﬂ"))
@@ -561,7 +582,10 @@ _NAME = st.one_of(
 )
 _MENTION = _joined(_NAME, _SPACE, st.sampled_from([":", "=", "(", ""]), _SPACE, _NUMBER, _SPACE,
                    _words("", "ms", "sec", "min", "bytes", "bps", "Bps", "KB"))
-_WORD = _words("port", "tcp", "flags", "(", ")", ":", "=", ",", ".", "ms", "sec", "min")
+_WORD = st.one_of(
+    _words("(", ")", ":", "=", ",", "."),
+    _anchor_words("port", "tcp", "flags", "ms", "msec", "millisecond", "sec", "min"),
+)
 _PIECE = st.one_of(_CLAIM, _MENTION, _NAME, _WORD, _NUMBER)
 _TEXT = st.lists(st.tuples(_PIECE, _SPACE), max_size=16).map(
     lambda pieces: "".join(piece + space for piece, space in pieces)
@@ -582,3 +606,20 @@ def test_checks_match_the_reference_checkers(catalog, text):
     assert repr(run_all_checks(text, record, catalog)) == repr(
         checkers_reference.run_all_checks(text, record, catalog)
     )
+
+
+def test_folding_matches_ignoring_case_at_every_code_point():
+    """``fold`` keeps every offset and maps a character to an ASCII letter
+    exactly when ``re.IGNORECASE`` matches it to that letter, and ``\\s``
+    is ``str.isspace``: the claim anchors are found by ``str.find`` in the
+    folded text on that ground. Unicode tables differ between Python
+    versions, so every supported version runs this."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    folded = fold(everything)
+    assert len(folded) == len(everything)
+    assert [c for c in everything if len(fold(c)) != 1] == []
+    for letter in string.ascii_lowercase:
+        matching = [m.start() for m in re.finditer(letter, everything, re.IGNORECASE)]
+        assert [m.start() for m in re.finditer(letter, folded)] == matching, letter
+    spaces = [m.start() for m in re.finditer(r"\s", everything)]
+    assert spaces == [i for i, c in enumerate(everything) if c.isspace()]

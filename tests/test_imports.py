@@ -55,3 +55,12 @@ print(json.dumps(sorted(name for name in {EXPLAIN_STACK!r} if name in sys.module
     *echoed, loaded = result.stdout.splitlines()
     assert '"store_entries": 200' in "".join(echoed) and '"sample_file"' in "".join(echoed)
     assert json.loads(loaded) == []
+
+
+def test_the_service_loads_no_evaluation_code():
+    # serve imports the service, and with it the pipeline that explain runs
+    result = run_fresh(
+        "import sys, flowexplain.service; print('flowexplain.evaluation' in sys.modules)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]

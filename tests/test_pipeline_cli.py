@@ -696,7 +696,7 @@ class TestEvaluateFlow:
         return config, result.log_path, annotations
 
     def test_reference_row_reproduced(self, tmp_path):
-        from flowexplain.pipeline import run_evaluate
+        from flowexplain.evaluation import run_evaluate
 
         config, log_path, annotations = self._run_and_annotate(tmp_path, (13, 42, 21))
         reports, table, report_path = run_evaluate(config, log_path, annotations)
@@ -715,7 +715,8 @@ class TestEvaluateFlow:
         assert all("findings" in row for row in rows)
 
     def test_empty_annotations_is_error(self, tmp_path):
-        from flowexplain.pipeline import PipelineError, run_evaluate
+        from flowexplain.evaluation import run_evaluate
+        from flowexplain.pipeline import PipelineError
 
         config, log_path, _ = self._run_and_annotate(tmp_path, (5, 5, 5))
         empty = tmp_path / "empty.jsonl"
@@ -755,7 +756,7 @@ def _write_jsonl(path: Path, rows) -> Path:
 
 class TestEvaluateCells:
     def test_cells_count_their_own_exclusions_and_unannotated_cells_are_skipped(self, tmp_path):
-        from flowexplain.pipeline import run_evaluate
+        from flowexplain.evaluation import run_evaluate
 
         log = _write_jsonl(tmp_path / "log.jsonl", [
             _logged("e1", "m1", "basic"),
@@ -803,7 +804,8 @@ class TestEvaluateCells:
         ids=["without-model", "empty-text", "not-json", "malformed-flow-value"],
     )
     def test_bad_log_entry_is_pipeline_error_naming_the_file(self, tmp_path, line, message):
-        from flowexplain.pipeline import PipelineError, run_evaluate
+        from flowexplain.evaluation import run_evaluate
+        from flowexplain.pipeline import PipelineError
 
         log = _write_jsonl(tmp_path / "log.jsonl", [_logged("e1", "m1", "basic"), line])
         annotations = _write_jsonl(tmp_path / "annotations.jsonl", [_verdicts("e1", "a1")])
