@@ -8,11 +8,12 @@ from pathlib import Path
 
 import click
 
-from .config import PipelineConfig, run_ingest, run_sample
+from .config import PipelineConfig, run_cost, run_ingest, run_sample
 from .errors import InputError
 
-# The explain stack (prompts, providers, gateway, checkers, evaluation) is
-# imported inside the commands that use it, so ingest and sample load none of it.
+# The explain stack (prompts, providers, gateway, checkers) and evaluation are
+# imported inside the commands that use them, so ingest, sample and cost load
+# none of them, and evaluate loads no provider, gateway or HTTP code.
 
 
 class _Commands(click.Group):
@@ -117,8 +118,6 @@ def evaluate(config_path: str, explanations: str, annotations: str) -> None:
 def cost(config_path: str, ledger_path: str | None, queries: int, avg_input: float | None,
          avg_output: float | None) -> None:
     """Project backend cost per N queries from a ledger or token averages."""
-    from .pipeline import run_cost
-
     config = PipelineConfig.from_file(config_path)
     report = run_cost(
         config,

@@ -1,21 +1,26 @@
-"""Run configuration, and the commands that need only the catalog, the flow
-parser and the history store: ingest and sample.
+"""Run configuration, the input readers, prices and the usage ledger, and the
+commands that need only the catalog, the flow parser and the history store:
+ingest, sample and cost.
 
 This module imports nothing of the explain stack (prompts, providers,
-gateway, checkers, evaluation), so ``flowexplain ingest`` and ``sample``
-load none of it. :mod:`flowexplain.pipeline` re-exports every name here.
+gateway, checkers, evaluation), so ``flowexplain ingest``, ``sample`` and
+``cost`` load none of it; the other modules import each name from here.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass, field, fields
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
+from typing import Any, BinaryIO, Callable, TextIO
 
 from . import flows
 from .catalog import CatalogError, FeatureCatalog, default_catalog, load_catalog
 from .errors import InputError
-from .flows import LABEL_MALICIOUS, FlowRecord, sample_malicious, scan_dataset
+from .flows import LABEL_MALICIOUS, FlowRecord, clip, sample_malicious, scan_dataset
 from .history import FlowHistoryEntry, FlowHistoryStore
 
 #: columns every record carries; the history entry of a flow reads them too
@@ -166,11 +171,53 @@ def _read_json_object(path: Path, what: str, error: type[Exception]) -> dict:
     """The JSON object in the file at ``path``; any other content raises ``error``."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or UTF-8
+    # ValueError: malformed JSON or UTF-8; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise error(f"{what} must be a JSON object, not {type(payload).__name__}")
     return payload
+
+
+def read_jsonl(
+    source: str | Path | TextIO | BinaryIO,
+    error: type[Exception],
+    what: str,
+    required: tuple[str, ...] = (),
+    parse: Callable[[dict], Any] | None = None,
+) -> list:
+    """The JSON objects of a line-delimited file or stream; blank lines are skipped.
+
+    A line that is not UTF-8, not a JSON object (or nested too deep to
+    read), or that lacks a string value for a key in ``required``, raises
+    ``error("<what> in <file> on line N: ...")``; the `` in <file>`` part
+    is left out for a stream without a ``name``. With ``parse``, each
+    object is replaced by ``parse(object)``, and a ``ValueError`` it raises
+    is reported the same way.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            return read_jsonl(fh, error, what, required, parse)
+    where = f" in {source.name}" if hasattr(source, "name") else ""
+    rows = []
+    for line_no, line in enumerate(source, start=1):
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            for key in required:
+                if not isinstance(row.get(key), str):
+                    raise ValueError(f"no string {key!r}")
+            if parse is not None:
+                row = parse(row)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{what}{where} on line {line_no}: {exc}") from exc
+        rows.append(row)
+    return rows
 
 
 #: what a catalog must hold for history entries and enrichment: each column,
@@ -319,3 +366,156 @@ def run_sample(config: PipelineConfig, out_path: Path | None = None) -> dict:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return payload
+
+
+@dataclass(frozen=True)
+class PricingTable:
+    """Prices in currency units per million input/output tokens."""
+
+    input_price: Decimal
+    output_price: Decimal
+
+    def __post_init__(self) -> None:
+        if self.input_price < 0 or self.output_price < 0:
+            raise ValueError("prices must be non-negative")
+
+    @classmethod
+    def per_million(cls, input_price: float | str, output_price: float | str) -> "PricingTable":
+        return cls(Decimal(str(input_price)), Decimal(str(output_price)))
+
+
+def pricing_from_config(config: dict) -> PricingTable:
+    unknown = config.keys() - _DEFAULT_PRICING.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys in pricing: {sorted(unknown)}")
+    prices = {**_DEFAULT_PRICING, **config}
+    try:
+        return PricingTable.per_million(prices["input_per_million"], prices["output_per_million"])
+    except (InvalidOperation, ValueError) as exc:  # not a number, or negative
+        quoted = ", ".join(f"{key}={clip(str(prices[key]))}" for key in _DEFAULT_PRICING)
+        raise ConfigError(f"pricing must be non-negative numbers, got {quoted}") from exc
+
+
+def estimate_cost(
+    queries: int | float,
+    avg_input_tokens: int | float,
+    avg_output_tokens: int | float,
+    pricing: PricingTable,
+) -> Decimal:
+    """Cost of ``queries`` requests at the given average token counts.
+
+    ``queries * (avg_input * input_price + avg_output * output_price) / 1e6``,
+    rounded half-up to cents.
+    """
+    # NaN fails every comparison, so it fails this one too
+    if not all(0 <= value < math.inf for value in (queries, avg_input_tokens, avg_output_tokens)):
+        raise ValueError("cost inputs must be non-negative and finite")
+    amount = (
+        Decimal(str(queries))
+        * (
+            Decimal(str(avg_input_tokens)) * pricing.input_price
+            + Decimal(str(avg_output_tokens)) * pricing.output_price
+        )
+        / Decimal(10) ** 6
+    )
+    return amount.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+
+
+LATENCY_BUCKETS_MS = (10, 100, 500, 1000, 2000, 5000, 10000)
+
+
+@dataclass
+class UsageLedger:
+    """Accumulated token, latency and request totals for one run; a run
+    writes it beside its log, and ``cost`` reads it back."""
+
+    results: int = 0
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    total_tokens: int = 0
+    failures: int = 0
+    latency_histogram_ms: dict[str, int] = field(default_factory=dict)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def record(self, result) -> None:
+        """Add one ``gateway.GenerationResult``'s usage to the totals."""
+        bucket = _latency_bucket(result.latency_ms)
+        with self._lock:
+            self.results += 1
+            self.prompt_tokens += result.usage.prompt_tokens
+            self.completion_tokens += result.usage.completion_tokens
+            self.total_tokens += result.usage.total_tokens
+            self.latency_histogram_ms[bucket] = self.latency_histogram_ms.get(bucket, 0) + 1
+
+    def record_failure(self) -> None:
+        with self._lock:
+            self.failures += 1
+
+    def to_dict(self) -> dict:
+        return {
+            "results": self.results,
+            "prompt_tokens": self.prompt_tokens,
+            "completion_tokens": self.completion_tokens,
+            "total_tokens": self.total_tokens,
+            "failures": self.failures,
+            "latency_histogram_ms": dict(sorted(self.latency_histogram_ms.items())),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "UsageLedger":
+        ledger = cls()
+        ledger.results = int(data.get("results", 0))
+        ledger.prompt_tokens = int(data.get("prompt_tokens", 0))
+        ledger.completion_tokens = int(data.get("completion_tokens", 0))
+        ledger.total_tokens = int(data.get("total_tokens", 0))
+        ledger.failures = int(data.get("failures", 0))
+        ledger.latency_histogram_ms = dict(data.get("latency_histogram_ms", {}))
+        return ledger
+
+
+def _latency_bucket(latency_ms: float) -> str:
+    for upper in LATENCY_BUCKETS_MS:
+        if latency_ms <= upper:
+            return f"<={upper}"
+    return f">{LATENCY_BUCKETS_MS[-1]}"
+
+
+def run_cost(
+    config: PipelineConfig,
+    ledger_path: Path | None = None,
+    queries: int = 1000,
+    avg_input: float | None = None,
+    avg_output: float | None = None,
+) -> dict:
+    """Project cost per ``queries`` requests from a ledger or given averages."""
+    pricing = pricing_from_config(config.pricing)
+    if ledger_path is not None:
+        data = _read_json_object(ledger_path, "ledger", PipelineError)
+        try:
+            ledger = UsageLedger.from_dict(data)
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an infinite count
+            raise PipelineError(f"malformed ledger {ledger_path}: {exc}") from exc
+        if ledger.results == 0:
+            avg_in: Decimal | float = 0
+            avg_out: Decimal | float = 0
+        else:
+            avg_in = Decimal(ledger.prompt_tokens) / ledger.results
+            avg_out = Decimal(ledger.completion_tokens) / ledger.results
+    elif avg_input is not None and avg_output is not None:
+        avg_in, avg_out = avg_input, avg_output
+    else:
+        raise PipelineError("cost needs a ledger file or explicit token averages")
+    try:
+        amount = estimate_cost(queries, avg_in, avg_out, pricing)
+    except ValueError as exc:  # negative, or not finite
+        raise PipelineError(f"cannot project cost: {exc}") from exc
+    except InvalidOperation as exc:  # more digits than a sum in cents can hold
+        raise PipelineError("cannot project cost: the amount is too large") from exc
+    return {
+        "queries": queries,
+        "avg_input_tokens": float(avg_in),
+        "avg_output_tokens": float(avg_out),
+        "input_per_million": str(pricing.input_price),
+        "output_per_million": str(pricing.output_price),
+        "cost": str(amount),
+    }

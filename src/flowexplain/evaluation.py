@@ -20,10 +20,9 @@ from typing import Iterable, TextIO
 
 from .catalog import FeatureCatalog
 from .checkers import run_all_checks
-from .config import PipelineConfig, PipelineError, _catalog_for
+from .config import PipelineConfig, PipelineError, _catalog_for, read_jsonl
 from .errors import InputError
 from .flows import LABEL_MALICIOUS, FlowRecord, parse_value
-from .providers import read_jsonl
 
 METRICS = ("correctness", "feature_consistency", "factual_consistency")
 

@@ -16,16 +16,13 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
 from ._http import Exchange, Target, Transport, request_target
-from .config import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE
+from .config import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, UsageLedger
 from .prompts import count_tokens
 from .providers import _dig
-
-LATENCY_BUCKETS_MS = (10, 100, 500, 1000, 2000, 5000, 10000)
 
 
 class BackendError(RuntimeError):
@@ -337,101 +334,6 @@ def _retry_after_seconds(retry_after: str | None) -> float | None:
     except (TypeError, ValueError):
         return None
     return seconds if 0 <= seconds < math.inf else None
-
-
-@dataclass(frozen=True)
-class PricingTable:
-    """Prices in currency units per million input/output tokens."""
-
-    input_price: Decimal
-    output_price: Decimal
-
-    def __post_init__(self) -> None:
-        if self.input_price < 0 or self.output_price < 0:
-            raise ValueError("prices must be non-negative")
-
-    @classmethod
-    def per_million(cls, input_price: float | str, output_price: float | str) -> "PricingTable":
-        return cls(Decimal(str(input_price)), Decimal(str(output_price)))
-
-
-def estimate_cost(
-    queries: int | float,
-    avg_input_tokens: int | float,
-    avg_output_tokens: int | float,
-    pricing: PricingTable,
-) -> Decimal:
-    """Cost of ``queries`` requests at the given average token counts.
-
-    ``queries * (avg_input * input_price + avg_output * output_price) / 1e6``,
-    rounded half-up to cents.
-    """
-    if queries < 0 or avg_input_tokens < 0 or avg_output_tokens < 0:
-        raise ValueError("cost inputs must be non-negative")
-    amount = (
-        Decimal(str(queries))
-        * (
-            Decimal(str(avg_input_tokens)) * pricing.input_price
-            + Decimal(str(avg_output_tokens)) * pricing.output_price
-        )
-        / Decimal(10) ** 6
-    )
-    return amount.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
-
-
-@dataclass
-class UsageLedger:
-    """Accumulated token, latency and request totals for one run."""
-
-    results: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    total_tokens: int = 0
-    failures: int = 0
-    latency_histogram_ms: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def record(self, result: GenerationResult) -> None:
-        """Add one result's usage to the totals."""
-        bucket = _latency_bucket(result.latency_ms)
-        with self._lock:
-            self.results += 1
-            self.prompt_tokens += result.usage.prompt_tokens
-            self.completion_tokens += result.usage.completion_tokens
-            self.total_tokens += result.usage.total_tokens
-            self.latency_histogram_ms[bucket] = self.latency_histogram_ms.get(bucket, 0) + 1
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self.failures += 1
-
-    def to_dict(self) -> dict:
-        return {
-            "results": self.results,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "total_tokens": self.total_tokens,
-            "failures": self.failures,
-            "latency_histogram_ms": dict(sorted(self.latency_histogram_ms.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UsageLedger":
-        ledger = cls()
-        ledger.results = int(data.get("results", 0))
-        ledger.prompt_tokens = int(data.get("prompt_tokens", 0))
-        ledger.completion_tokens = int(data.get("completion_tokens", 0))
-        ledger.total_tokens = int(data.get("total_tokens", 0))
-        ledger.failures = int(data.get("failures", 0))
-        ledger.latency_histogram_ms = dict(data.get("latency_histogram_ms", {}))
-        return ledger
-
-
-def _latency_bucket(latency_ms: float) -> str:
-    for upper in LATENCY_BUCKETS_MS:
-        if latency_ms <= upper:
-            return f"<={upper}"
-    return f">{LATENCY_BUCKETS_MS[-1]}"
 
 
 class Gateway:

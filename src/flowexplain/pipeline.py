@@ -19,29 +19,22 @@ from collections import deque
 from contextlib import closing, suppress
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .catalog import FeatureCatalog
 from .checkers import run_all_checks
-# the configuration, ingest and sample are defined in .config, which loads
-# none of the explain stack; this module re-exports them. parse_dataset stays
-# bound here too: the benchmark's tracer wraps it in both modules.
+# run_ingest and parse_dataset stay bound, unused, for the benchmark's worker, server and tracer
 from .config import (
-    _DEFAULT_PRICING,
-    _HISTORY_FEATURES,
-    _REQUIRED_COLUMNS,
     ConfigError,
-    IngestSummary,
     PipelineConfig,
     PipelineError,
+    UsageLedger,
     _catalog_for,
     _read_json_object,
     history_entry_for,
-    history_row,
+    read_jsonl,
     run_ingest,
-    run_sample,
 )
 from .enrichment import ContextBuilder
 from .flows import (
@@ -66,9 +59,6 @@ from .gateway import (
     HTTPBackend,
     HTTPBackendProfile,
     MockBackend,
-    PricingTable,
-    UsageLedger,
-    estimate_cost,
 )
 from .history import FlowHistoryStore, StoreError
 from .prompts import (
@@ -91,7 +81,6 @@ from .providers import (
     HTTPGeoProvider,
     HTTPProviderProfile,
     HTTPThreatProvider,
-    read_jsonl,
 )
 
 MODES = (MODE_BASIC, MODE_AUGMENTED)
@@ -173,18 +162,6 @@ def _read_canned(path: str) -> dict[str, str]:
     """The mock's canned table: one ``{"key": ..., "text": ...}`` object per line."""
     rows = read_jsonl(path, ConfigError, "malformed canned response", ("key", "text"))
     return {row["key"]: row["text"] for row in rows}
-
-
-def pricing_from_config(config: dict) -> PricingTable:
-    unknown = config.keys() - _DEFAULT_PRICING.keys()
-    if unknown:
-        raise ConfigError(f"unknown keys in pricing: {sorted(unknown)}")
-    prices = {**_DEFAULT_PRICING, **config}
-    try:
-        return PricingTable.per_million(prices["input_per_million"], prices["output_per_million"])
-    except (InvalidOperation, ValueError) as exc:  # not a number, or negative
-        quoted = ", ".join(f"{key}={clip(str(prices[key]))}" for key in _DEFAULT_PRICING)
-        raise ConfigError(f"pricing must be non-negative numbers, got {quoted}") from exc
 
 
 class Runtime:
@@ -611,41 +588,3 @@ def _explained(
             key.data.call.close()
         waiting.close()
 
-
-def run_cost(
-    config: PipelineConfig,
-    ledger_path: Path | None = None,
-    queries: int = 1000,
-    avg_input: float | None = None,
-    avg_output: float | None = None,
-) -> dict:
-    """Project cost per ``queries`` requests from a ledger or given averages."""
-    pricing = pricing_from_config(config.pricing)
-    if ledger_path is not None:
-        data = _read_json_object(ledger_path, "ledger", PipelineError)
-        try:
-            ledger = UsageLedger.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            raise PipelineError(f"malformed ledger {ledger_path}: {exc}") from exc
-        if ledger.results == 0:
-            avg_in: Decimal | float = 0
-            avg_out: Decimal | float = 0
-        else:
-            avg_in = Decimal(ledger.prompt_tokens) / ledger.results
-            avg_out = Decimal(ledger.completion_tokens) / ledger.results
-    elif avg_input is not None and avg_output is not None:
-        avg_in, avg_out = avg_input, avg_output
-    else:
-        raise PipelineError("cost needs a ledger file or explicit token averages")
-    try:
-        amount = estimate_cost(queries, avg_in, avg_out, pricing)
-    except (InvalidOperation, ValueError) as exc:  # negative, or an infinite average
-        raise PipelineError(f"cannot project cost: {exc}") from exc
-    return {
-        "queries": queries,
-        "avg_input_tokens": float(avg_in),
-        "avg_output_tokens": float(avg_out),
-        "input_per_million": str(pricing.input_price),
-        "output_per_million": str(pricing.output_price),
-        "cost": str(amount),
-    }

@@ -19,9 +19,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Mapping, Protocol, TextIO
+from typing import Any, Callable, Mapping, Protocol
 
 from ._http import Transport
+from .config import read_jsonl
 
 CTI_VERDICTS = ("malicious", "suspicious", "unknown", "benign")
 
@@ -94,46 +95,6 @@ class ThreatIntelProvider(Protocol):
     provider_id: str
 
     def lookup(self, ip: str) -> ThreatIntel: ...
-
-
-def read_jsonl(
-    source: str | Path | TextIO | BinaryIO,
-    error: type[Exception],
-    what: str,
-    required: tuple[str, ...] = (),
-    parse: Callable[[dict], Any] | None = None,
-) -> list:
-    """The JSON objects of a line-delimited file or stream; blank lines are skipped.
-
-    A line that is not UTF-8, not a JSON object, or that lacks a string
-    value for a key in ``required``, raises ``error("<what> in <file> on
-    line N: ...")``; the `` in <file>`` part is left out for a stream
-    without a ``name``. With ``parse``, each object is replaced by
-    ``parse(object)``, and a ``ValueError`` it raises is reported the same way.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return read_jsonl(fh, error, what, required, parse)
-    where = f" in {source.name}" if hasattr(source, "name") else ""
-    rows = []
-    for line_no, line in enumerate(source, start=1):
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise ValueError("not a JSON object")
-            for key in required:
-                if not isinstance(row.get(key), str):
-                    raise ValueError(f"no string {key!r}")
-            if parse is not None:
-                row = parse(row)
-        except ValueError as exc:
-            raise error(f"{what}{where} on line {line_no}: {exc}") from exc
-        rows.append(row)
-    return rows
 
 
 _EPOCH = "1970-01-01T00:00:00Z"

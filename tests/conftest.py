@@ -19,6 +19,8 @@ DATA_DIR = Path(__file__).parent / "data"
 DATASET = DATA_DIR / "flows_small.csv"
 GEO_FIXTURE = DATA_DIR / "geo_fixture.jsonl"
 CTI_FIXTURE = DATA_DIR / "cti_fixture.jsonl"
+#: a JSON document nested past any recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:

@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Iterator
 
 from flowexplain.catalog import default_catalog
+from flowexplain.config import history_entry_for
 from flowexplain.enrichment import ContextBuilder
 from flowexplain.flows import LABEL_MALICIOUS, parse_dataset
 from flowexplain.history import FlowHistoryStore
-from flowexplain.pipeline import history_entry_for
 from flowexplain.prompts import (
     BudgetInfeasibleError,
     PromptBundle,

@@ -16,9 +16,10 @@ import traceback
 from http.server import BaseHTTPRequestHandler
 from typing import Mapping
 
+from flowexplain.config import PipelineError
 from flowexplain.flows import clip
 from flowexplain.gateway import BackendError
-from flowexplain.pipeline import FieldValidationError, PipelineError, Runtime
+from flowexplain.pipeline import FieldValidationError, Runtime
 from flowexplain.prompts import BudgetInfeasibleError
 
 #: Largest ``POST`` body the service reads; a longer one gets 413.

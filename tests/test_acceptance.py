@@ -20,11 +20,11 @@ from flowexplain.checkers import (
     well_known_ports,
 )
 from flowexplain.enrichment import ContextBuilder
+from flowexplain.config import PricingTable, estimate_cost, run_ingest, run_sample
 from flowexplain.evaluation import METRICS, aggregate_metrics
 from flowexplain.flows import parse_dataset
-from flowexplain.gateway import PricingTable, estimate_cost
 from flowexplain.history import FlowHistoryEntry, FlowHistoryStore
-from flowexplain.pipeline import run_explain, run_ingest, run_sample
+from flowexplain.pipeline import run_explain
 from flowexplain.protocols import map_l4_protocol
 
 from .conftest import DATASET, annotation_set_with

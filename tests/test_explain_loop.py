@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from flowexplain import pipeline
 from flowexplain.gateway import Gateway, RetryPolicy
-from flowexplain.pipeline import PipelineConfig, Runtime, run_explain, run_ingest
+from flowexplain.config import PipelineConfig, run_ingest
+from flowexplain.pipeline import Runtime, run_explain
 
 from .conftest import CTI_FIXTURE, DATASET, GEO_FIXTURE
 from .loopback import KeepAliveServer, SilentServer

@@ -21,8 +21,7 @@ from flowexplain.flows import (
     scan_dataset,
     type_rows,
 )
-from flowexplain.config import _HISTORY_FEATURES, _store_row, history_row
-from flowexplain.pipeline import history_entry_for
+from flowexplain.config import _HISTORY_FEATURES, _store_row, history_entry_for, history_row
 
 from .conftest import DATA_DIR, DATASET, make_record, synth_values
 from .data.record_parse_golden import FUZZ_CASES, FUZZ_SEED, MAX_ROWS, digests, fuzz_documents

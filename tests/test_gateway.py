@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowexplain.config import PricingTable, UsageLedger, estimate_cost
 from flowexplain.gateway import (
     AuthenticationError,
     BackendServerError,
@@ -20,12 +21,9 @@ from flowexplain.gateway import (
     HTTPBackendProfile,
     MalformedResponseError,
     MockBackend,
-    PricingTable,
     RateLimitError,
     RetryPolicy,
     TokenUsage,
-    UsageLedger,
-    estimate_cost,
 )
 from flowexplain.prompts import count_tokens
 

@@ -2,7 +2,8 @@
 
 The package root imports none of its modules, so an import cycle between
 two of them would show only to a caller that imports one of them first.
-``ingest`` and ``sample`` load only the catalog, the parser and the store.
+``ingest``, ``sample`` and ``cost`` load only the catalog, the parser and the
+store, and ``evaluate`` loads none of the HTTP code.
 """
 
 import json
@@ -64,3 +65,36 @@ def test_the_service_loads_no_evaluation_code():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"]
+
+
+#: what the HTTP backend and knowledge providers load, which evaluate never runs
+HTTP_STACK = ("flowexplain.providers", "flowexplain.gateway", "flowexplain._http", "http.client",
+              "ssl")
+
+
+def test_cost_loads_none_of_the_explain_stack(tmp_path):
+    config = str(write_config_file(tmp_path))
+    ledger = tmp_path / "run.ledger.json"
+    ledger.write_text(json.dumps({"results": 4, "prompt_tokens": 1844, "completion_tokens": 1840}))
+    stack = EXPLAIN_STACK + ("flowexplain.pipeline",)
+    result = run_fresh(f"""
+import json, sys
+from flowexplain.cli import main
+main(["cost", "-c", {config!r}, "--ledger", {str(ledger)!r}], standalone_mode=False)
+main(["cost", "-c", {config!r}, "--avg-input", "461", "--avg-output", "460"],
+     standalone_mode=False)
+print(json.dumps(sorted(name for name in {stack!r} if name in sys.modules)))
+""")
+    assert result.returncode == 0, result.stderr
+    *echoed, loaded = result.stdout.splitlines()
+    assert "".join(echoed).count('"cost": "5.75"') == 2
+    assert json.loads(loaded) == []
+
+
+def test_evaluation_loads_no_http_code():
+    result = run_fresh(f"""
+import json, sys, flowexplain.evaluation
+print(json.dumps(sorted(name for name in {HTTP_STACK!r} if name in sys.modules)))
+""")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []

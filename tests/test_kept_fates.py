@@ -25,7 +25,8 @@ from flowexplain import pipeline
 from flowexplain.catalog import FeatureCatalog, default_catalog
 from flowexplain.flows import decode_fates, encode_fates, fates_key, scan_dataset
 from flowexplain.history import FlowHistoryStore, StoreError
-from flowexplain.pipeline import PipelineConfig, _select_records, run_explain
+from flowexplain.config import PipelineConfig
+from flowexplain.pipeline import _select_records, run_explain
 
 from .conftest import DATASET
 from .test_line_scan import FIELD_LIMIT, documents, field_limit

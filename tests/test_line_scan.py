@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from flowexplain.catalog import default_catalog
 from flowexplain.flows import parse_dataset, scan_dataset, type_rows
-from flowexplain.pipeline import (
+from flowexplain.config import (
     _HISTORY_FEATURES,
     PipelineConfig,
     history_entry_for,

@@ -11,27 +11,21 @@ from click.testing import CliRunner
 
 from flowexplain import pipeline
 from flowexplain.cli import main
-from flowexplain.flows import format_value
-from flowexplain.gateway import (
-    AuthenticationError,
-    HTTPBackend,
-    HTTPBackendProfile,
-    MockBackend,
-    PricingTable,
-)
-from flowexplain.pipeline import (
+from flowexplain.config import (
     ConfigError,
     PipelineConfig,
-    Runtime,
+    PricingTable,
     pricing_from_config,
     run_cost,
-    run_explain,
     run_ingest,
     run_sample,
 )
+from flowexplain.flows import format_value
+from flowexplain.gateway import AuthenticationError, HTTPBackend, HTTPBackendProfile, MockBackend
+from flowexplain.pipeline import Runtime, run_explain
 from flowexplain.providers import HTTPProviderProfile
 
-from .conftest import CTI_FIXTURE, DATASET, GEO_FIXTURE
+from .conftest import CTI_FIXTURE, DATASET, DEEP_JSON, GEO_FIXTURE
 from .loopback import KeepAliveServer
 
 
@@ -227,11 +221,14 @@ class TestConfig:
              r"unknown keys in geo_provider: \['fixture'\]"),
             ("backend", {"kind": "http", "url": "http://127.0.0.1:9/", "timeout_s": "soon"}, None,
              r"backend timeout_s must be a number"),
+            ("cti_provider", {"kind": "fixture"}, DEEP_JSON,
+             r"cti_provider: malformed fixture row in \S*feed\.jsonl on line 3: maximum recursion"),
         ],
         ids=["fixture-not-json", "fixture-row-without-ip", "fixture-unset",
              "fixture-file-missing", "http-without-url", "local-without-url",
              "http-provider-without-template", "backend-unknown-key", "mock-unknown-key",
-             "provider-unknown-key", "disabled-with-a-key", "timeout-not-a-number"],
+             "provider-unknown-key", "disabled-with-a-key", "timeout-not-a-number",
+             "fixture-nested-too-deep"],
     )
     def test_bad_backend_or_provider_section_is_config_error(
         self, tmp_path, section, value, feed_line, message
@@ -716,7 +713,7 @@ class TestEvaluateFlow:
 
     def test_empty_annotations_is_error(self, tmp_path):
         from flowexplain.evaluation import run_evaluate
-        from flowexplain.pipeline import PipelineError
+        from flowexplain.config import PipelineError
 
         config, log_path, _ = self._run_and_annotate(tmp_path, (5, 5, 5))
         empty = tmp_path / "empty.jsonl"
@@ -800,12 +797,13 @@ class TestEvaluateCells:
             ("{not json", r"malformed run log entry in \S*log\.jsonl on line 2"),
             (_logged("bad", "m1", "basic", flow={"PROTOCOL": "tcp"}),
              r"explanation 'bad' logs a malformed flow: not an integer"),
+            (DEEP_JSON, r"malformed run log entry in \S*log\.jsonl on line 2: maximum recursion"),
         ],
-        ids=["without-model", "empty-text", "not-json", "malformed-flow-value"],
+        ids=["without-model", "empty-text", "not-json", "malformed-flow-value", "nested-too-deep"],
     )
     def test_bad_log_entry_is_pipeline_error_naming_the_file(self, tmp_path, line, message):
         from flowexplain.evaluation import run_evaluate
-        from flowexplain.pipeline import PipelineError
+        from flowexplain.config import PipelineError
 
         log = _write_jsonl(tmp_path / "log.jsonl", [_logged("e1", "m1", "basic"), line])
         annotations = _write_jsonl(tmp_path / "annotations.jsonl", [_verdicts("e1", "a1")])
@@ -928,11 +926,23 @@ class TestCommandLine:
              "config key 'temperature' must be a number, not str"),
             (["cost", "--avg-input", "1", "--avg-output", "1"], {},
              {"pricing": {"input_price": "9"}}, "unknown keys in pricing: ['input_price']"),
+            (["explain", "--sample-file", "in.json"], {"in.json": DEEP_JSON}, {},
+             "cannot read sample file"),
+            (["cost", "--ledger", "in.json"], {"in.json": DEEP_JSON}, {}, "cannot read ledger"),
+            (["cost", "--ledger", "in.json"], {"in.json": '{"results": 1e400}'}, {},
+             "malformed ledger"),
+            (["cost", "--avg-input", "nan", "--avg-output", "3"], {}, {},
+             "cost inputs must be non-negative and finite"),
+            (["cost", "--avg-input", "inf", "--avg-output", "3"], {}, {},
+             "cost inputs must be non-negative and finite"),
+            (["cost", "--avg-input", "1e30", "--avg-output", "3"], {}, {},
+             "cannot project cost: the amount is too large"),
         ],
         ids=["sample-not-json", "sample-without-flow-ids", "pricing-not-a-number",
              "pricing-negative", "negative-average", "ledger-not-json", "ledger-not-object",
              "ledger-count-not-integer", "workers-str", "temperature-str",
-             "pricing-unknown-key"],
+             "pricing-unknown-key", "sample-nested-too-deep", "ledger-nested-too-deep",
+             "ledger-count-infinite", "nan-average", "infinite-average", "cost-too-large"],
     )
     def test_bad_cost_or_sample_input_ends_with_one_error_line(
         self, tmp_path, command, files, config, message

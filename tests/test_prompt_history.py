@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from flowexplain.enrichment import ContextBuilder
 from flowexplain.history import HISTORY_LABELS
-from flowexplain.pipeline import PipelineConfig, Runtime
+from flowexplain.config import PipelineConfig
+from flowexplain.pipeline import Runtime
 from flowexplain.prompts import MODE_AUGMENTED, BudgetInfeasibleError, count_tokens
 
 from . import budget_reference, prompt_reference

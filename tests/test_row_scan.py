@@ -22,7 +22,7 @@ from flowexplain.flows import (
     scan_dataset,
     type_rows,
 )
-from flowexplain.pipeline import _HISTORY_FEATURES, history_entry_for, run_ingest
+from flowexplain.config import _HISTORY_FEATURES, history_entry_for, run_ingest
 
 from . import parse_reference
 from .conftest import DATASET, synth_values

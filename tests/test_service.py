@@ -16,13 +16,8 @@ from flowexplain import service as service_module
 from flowexplain.flows import LABEL_MALICIOUS, FlowRecord, parse_label, parse_value
 from flowexplain.gateway import AuthenticationError
 from flowexplain.history import StoreError
-from flowexplain.pipeline import (
-    ConfigError,
-    FieldValidationError,
-    PipelineConfig,
-    Runtime,
-    run_ingest,
-)
+from flowexplain.config import ConfigError, PipelineConfig, run_ingest
+from flowexplain.pipeline import FieldValidationError, Runtime
 from flowexplain.service import MAX_BODY_BYTES, ExplainService
 
 from .conftest import DATASET
