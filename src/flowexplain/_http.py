@@ -19,12 +19,14 @@ with neither a length nor chunked encoding runs to the end of the
 connection. Proxy variables, ``.netrc`` and redirects are not handled; a
 3xx reply reaches the caller like any other status. HTTPS verifies the
 server with the system's default TLS context. The same line and head
-readers parse the request heads of ``flowexplain.service``.
+readers parse the request heads of ``flowexplain.service``. :func:`json_body`
+and :func:`dig` read the JSON answers of the backend and the providers.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import re
 import socket
 import ssl
@@ -39,7 +41,7 @@ from http.client import (
     RemoteDisconnected,
     UnknownProtocol,
 )
-from typing import BinaryIO, Mapping, NamedTuple
+from typing import Any, BinaryIO, Mapping, NamedTuple
 from urllib.parse import urlsplit
 
 # How a kept-alive socket that the server has since closed fails on the next
@@ -362,3 +364,30 @@ def _read_chunked(reader: BinaryIO) -> bytes:
     while _read_line(reader, "trailer line") not in _END_OF_HEAD:
         pass
     return b"".join(chunks)
+
+
+def json_body(body: bytes) -> Any:
+    """The JSON value of a reply body; ``ValueError`` when it is not JSON,
+    not UTF-8, or nested too deep to read."""
+    try:
+        return json.loads(body)
+    except RecursionError:
+        raise ValueError("JSON nested too deep to read") from None
+
+
+def dig(payload: Any, path: list[str]) -> Any:
+    """Walk a dotted path, split at its dots (``"a.b.0.c".split(".")``),
+    through nested dicts and lists.
+
+    Raises ``KeyError``, ``IndexError`` or ``ValueError`` when the path
+    does not exist, including when it runs into a scalar.
+    """
+    node = payload
+    for part in path:
+        if isinstance(node, list):
+            node = node[int(part)]
+        elif isinstance(node, dict):
+            node = node[part]
+        else:
+            raise KeyError(".".join(path))
+    return node

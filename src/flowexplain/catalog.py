@@ -218,7 +218,8 @@ def load_catalog(source: str | Path | dict) -> FeatureCatalog:
     if isinstance(source, (str, Path)):
         try:
             document = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: malformed JSON or UTF-8; RecursionError: JSON nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise CatalogError(f"malformed catalog document {source}: {exc}") from exc
     else:
         document = source

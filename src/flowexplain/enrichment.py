@@ -63,12 +63,12 @@ class Unavailability:
 
 @dataclass(frozen=True)
 class FlowHistories:
-    """The connection history of a flow's endpoint addresses, read from the
-    store when first asked for: one statement reads every address's count
-    of entries, or every address's entries."""
+    """The connection history of a flow's source and destination addresses,
+    read from the store when first asked for: one statement counts each
+    address's entries, another reads them."""
 
     store: FlowHistoryStore
-    ips: tuple[str, ...]
+    ips: tuple[str, str]
     k: int
     before: int | None
     include_benign: bool
@@ -79,16 +79,9 @@ class FlowHistories:
         read = self.store.query_histories(self.ips, self.k, self.before, self.include_benign)
         return tuple(map(tuple, read))
 
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """How many entries each address has in :attr:`entries`; the store
-        counts them unless they are read already."""
-        if "entries" in self.__dict__:
-            return tuple(map(len, self.entries))
-        return self._counted
-
     @cached_property
-    def _counted(self) -> tuple[int, ...]:
+    def counts(self) -> tuple[int, ...]:
+        """How many entries each address has in :attr:`entries`."""
         return tuple(
             self.store.count_histories(self.ips, self.k, self.before, self.include_benign)
         )
@@ -96,12 +89,11 @@ class FlowHistories:
 
 @dataclass(frozen=True)
 class IpKnowledge:
-    """Everything gathered about one endpoint address.
+    """Everything gathered about one endpoint address but its connection
+    history, which the flow's :class:`FlowHistories` holds.
 
     ``unavailable`` maps each component that could not be populated
-    (``geo``, ``cti``, ``history``, in that order) to the reason. The
-    connection history is read when it is first asked for (see
-    :class:`FlowHistories`).
+    (``geo``, ``cti``, ``history``, in that order) to the reason.
     """
 
     ip: str
@@ -109,26 +101,6 @@ class IpKnowledge:
     geo: GeoInfo | None
     threat: ThreatIntel | None
     unavailable: dict[str, str]
-    #: the flow's histories and this endpoint's place in them; ``None``
-    #: without a store
-    histories: tuple[FlowHistories, int] | None = field(default=None, repr=False)
-
-    @property
-    def history(self) -> tuple[FlowHistoryEntry, ...]:
-        """The newest entries touching the address, newest first."""
-        if self.histories is None:
-            return ()
-        histories, index = self.histories
-        return histories.entries[index]
-
-    @property
-    def history_count(self) -> int:
-        """``len(self.history)``, counted by the store unless the entries
-        are read already."""
-        if self.histories is None:
-            return 0
-        histories, index = self.histories
-        return histories.counts[index]
 
 
 @dataclass(frozen=True)
@@ -145,6 +117,8 @@ class EnrichmentContext:
     src: IpKnowledge
     dst: IpKnowledge
     provider_ids: dict[str, str | None]
+    #: the history of both endpoints; ``None`` without a store
+    histories: FlowHistories | None = field(default=None, repr=False)
 
     @property
     def unavailable(self) -> tuple[Unavailability, ...]:
@@ -190,21 +164,19 @@ class ContextBuilder:
                 raise KeyError(f"record {record.flow_id} lacks required feature {needed}")
 
         ips = (str(record.values[SRC_IP_FEATURE]), str(record.values[DST_IP_FEATURE]))
-        histories = None
-        if self.store is not None:
-            histories = FlowHistories(
-                self.store, ips, self.k, record.timestamp, self.include_benign
-            )
         return EnrichmentContext(
             flow_id=record.flow_id,
             l4=map_l4_protocol(int(record.values[L4_FEATURE])),
             l7=map_l7_protocol(record.values[L7_FEATURE]),
-            src=self._gather_side(ips[0], None if histories is None else (histories, 0)),
-            dst=self._gather_side(ips[1], None if histories is None else (histories, 1)),
+            src=self._gather_side(ips[0]),
+            dst=self._gather_side(ips[1]),
             provider_ids={
                 "geo": None if self.geo_provider is None else self.geo_provider.provider_id,
                 "cti": None if self.cti_provider is None else self.cti_provider.provider_id,
             },
+            histories=None if self.store is None else FlowHistories(
+                self.store, ips, self.k, record.timestamp, self.include_benign
+            ),
         )
 
     def _lookup(self, provider: GeolocationProvider | ThreatIntelProvider, ip: str):
@@ -215,9 +187,7 @@ class ContextBuilder:
             self.cache.put(provider.provider_id, ip, answer)
         return answer
 
-    def _gather_side(
-        self, ip: str, histories: tuple[FlowHistories, int] | None
-    ) -> IpKnowledge:
+    def _gather_side(self, ip: str) -> IpKnowledge:
         classification = classify_ip(ip)
         unavailable: dict[str, str] = {}
 
@@ -244,7 +214,7 @@ class ContextBuilder:
             except ProviderError as exc:
                 unavailable["cti"] = exc.reason
 
-        if histories is None:
+        if self.store is None:
             unavailable["history"] = "no store"
 
         return IpKnowledge(
@@ -253,5 +223,4 @@ class ContextBuilder:
             geo=geo,
             threat=threat,
             unavailable=unavailable,
-            histories=histories,
         )

@@ -19,10 +19,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol
 
-from ._http import Exchange, Target, Transport, request_target
+from ._http import Exchange, Target, Transport, dig, json_body, request_target
 from .config import DEFAULT_MAX_TOKENS, DEFAULT_TEMPERATURE, UsageLedger
 from .prompts import count_tokens
-from .providers import _dig
 
 
 class BackendError(RuntimeError):
@@ -283,15 +282,15 @@ class HTTPBackend:
             )
         text_path, prompt_tokens_path, completion_tokens_path = self._paths
         try:
-            body = json.loads(reply)
-            text = _dig(body, text_path)
+            body = json_body(reply)
+            text = dig(body, text_path)
             if not isinstance(text, str):
                 raise TypeError("generated text is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"{self.backend_id} response shape: {exc}") from exc
         try:
-            prompt_tokens = int(_dig(body, prompt_tokens_path))
-            completion_tokens = int(_dig(body, completion_tokens_path))
+            prompt_tokens = int(dig(body, prompt_tokens_path))
+            completion_tokens = int(dig(body, completion_tokens_path))
         except (ValueError, KeyError, IndexError, TypeError):
             # endpoints that omit usage fall back to the counting heuristic
             prompt_tokens = count_tokens(request.prompt)

@@ -18,12 +18,14 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .catalog import UNIT_LABELS, FeatureCatalog
-from .enrichment import EnrichmentContext, IpKnowledge
 from .errors import InputError
 from .flows import FlowRecord, render_flow_text
+
+if TYPE_CHECKING:  # annotations alone: importing count_tokens loads no provider code
+    from .enrichment import EnrichmentContext, IpKnowledge
 
 MODE_BASIC = "basic"
 MODE_AUGMENTED = "augmented"
@@ -486,7 +488,6 @@ def build_augmented_prompt(
             f"augmented prompt requires a template with slots {AUGMENTED_SLOTS}, "
             f"got {augmented_template.slots}"
         )
-    sides = (context.src, context.dst)
     known = (_render_ip_side("Source IP", context.src),
              _render_ip_side("Destination IP", context.dst))
     spec = _spec(catalog)
@@ -513,63 +514,56 @@ def build_augmented_prompt(
             "unavailable": [[u.component, u.reason] for u in context.unavailable],
         },
     )
-    if all(side.histories is None for side in sides):
+    histories = context.histories
+    if histories is None:
         return _Unrendered(layout)
     if budget is not None:
 
         def trimmed_tokens(counts) -> int:
             length = layout.untrimmed_length
-            return _tokens_for_length(length + sum(map(_trimmed_history_length, sides, counts)))
+            return _tokens_for_length(length + sum(map(_trimmed_history_length, counts)))
 
         # of the prompts with every history trim taken, the longest has as
         # many entries per endpoint as a read returns: when it fits, the rows
         # are read whatever the counts
-        limits = [0 if side.histories is None else side.histories[0].k for side in sides]
-        if trimmed_tokens(limits) > budget:
-            counts = [side.history_count for side in sides]
+        if trimmed_tokens((histories.k, histories.k)) > budget:
+            counts = histories.counts
             if trimmed_tokens(counts) > budget:
                 return _Unrendered(dataclasses.replace(
                     layout,
                     endpoints=tuple(
-                        _history_endpoint(lines, side, (_omitted_line(count),) if count else ())
-                        for lines, side, count in zip(known, sides, counts)
+                        _history_endpoint(lines, (_omitted_line(count),) if count else ())
+                        for lines, count in zip(known, counts)
                     ),
                     applied=(_TRIM_HISTORY,) * sum(counts),
                 ))
-    histories = [side.history for side in sides]
+    entries = histories.entries
     oldest_first = [
         [(entry.timestamp, index) for entry in reversed(history)]
-        for index, history in enumerate(histories)
+        for index, history in enumerate(entries)
     ]
     history_trims = tuple(index for _, index in heapq.merge(*oldest_first))
     return _Unrendered(dataclasses.replace(
         layout,
-        endpoints=tuple(
-            _history_endpoint(lines, side, _history_lines(history))
-            for lines, side, history in zip(known, sides, histories)
-        ),
+        endpoints=tuple(map(_history_endpoint, known, map(_history_lines, entries))),
         history_trims=history_trims,
         plan=(_TRIM_HISTORY,) * len(history_trims) + layout.plan,
     ))
 
 
-def _trimmed_history_length(side: IpKnowledge, count: int) -> int:
+def _trimmed_history_length(count: int) -> int:
     """The length an endpoint's history adds to a prompt that has every
     history trim taken, given its count of entries."""
-    if side.histories is None:
-        return 0
     if not count:
         return len(_NO_HISTORY[0]) + 1
     return len(_HISTORY_HEADER[0]) + len(_omitted_line(count)) + 2
 
 
 def _history_endpoint(
-    lines: tuple[str, ...], side: IpKnowledge, history: tuple[str, ...]
+    lines: tuple[str, ...], history: tuple[str, ...]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """An endpoint's fixed lines and history lines, from its lines before
     the history and the lines that stand for its history entries."""
-    if side.histories is None:
-        return lines, ()
     if not history:
         return lines + _NO_HISTORY, ()
     return lines + _HISTORY_HEADER, history

@@ -10,7 +10,6 @@ request. A disabled provider is ``None``.
 from __future__ import annotations
 
 import http.client
-import json
 import os
 import re
 import threading
@@ -21,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
-from ._http import Transport
+from ._http import Transport, dig, json_body
 from .config import read_jsonl
 
 CTI_VERDICTS = ("malicious", "suspicious", "unknown", "benign")
@@ -164,12 +163,11 @@ def _threat_answer(ip: str, get: Callable[[str], Any], provenance: Provenance) -
 
 
 class _FixtureProvider:
-    """Answers from a static JSONL file keyed by address, or from a mapping.
+    """Answers from a static JSONL file keyed by address.
 
     Each row is checked as the file loads, with the value rules of the
     HTTP providers, so a malformed row is a ``ValueError`` naming the file
-    and the line. A mapping's malformed row fails its lookups instead, as
-    ``malformed``. A row with ``"simulate": "timeout"`` or ``"error"``
+    and the line. A row with ``"simulate": "timeout"`` or ``"error"``
     fails its lookups as that. The ``calls`` counter exists so tests can
     assert how often the provider was consulted.
     """
@@ -177,15 +175,13 @@ class _FixtureProvider:
     _parse: Callable[[str, Callable[[str], Any], Provenance], Any]
     _defaults: dict[str, Any] = {}
 
-    def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str):
+    def __init__(self, source: str | Path, provider_id: str):
         self.provider_id = provider_id
         self.calls = 0
-        if isinstance(source, (str, Path)):
-            entries = read_jsonl(source, ValueError, "malformed fixture row", ("ip",), self._entry)
-        else:
-            entries = [self._checked(ip, dict(row, ip=ip)) for ip, row in source.items()]
         #: by address, the answer or the (error class, message) a lookup raises
-        self._answers: dict[str, Any] = dict(entries)
+        self._answers: dict[str, Any] = dict(
+            read_jsonl(source, ValueError, "malformed fixture row", ("ip",), self._entry)
+        )
 
     def _entry(self, row: dict) -> tuple[str, Any]:
         ip = row["ip"]
@@ -196,12 +192,6 @@ class _FixtureProvider:
         get = {**self._defaults, **row}.get
         provenance = Provenance(self.provider_id, _text(get, "retrieved_at") or _EPOCH)
         return ip, self._parse(ip, get, provenance)
-
-    def _checked(self, ip: str, row: dict) -> tuple[str, Any]:
-        try:
-            return self._entry(row)
-        except ValueError as exc:
-            return ip, (ProviderMalformed, f"{self.provider_id} returned {exc}")
 
     def _stored(self, ip: str):
         """The answer stored for ``ip``, ``None`` if there is none."""
@@ -222,7 +212,7 @@ class FixtureGeoProvider(_FixtureProvider):
 
     _parse = staticmethod(_geo_answer)
 
-    def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str = "fixture-geo"):
+    def __init__(self, source: str | Path, provider_id: str = "fixture-geo"):
         super().__init__(source, provider_id)
 
     def lookup(self, ip: str) -> GeoInfo:
@@ -243,7 +233,7 @@ class FixtureThreatProvider(_FixtureProvider):
     _parse = staticmethod(_threat_answer)
     _defaults = {"verdict": "unknown"}
 
-    def __init__(self, source: str | Path | Mapping[str, dict], provider_id: str = "fixture-cti"):
+    def __init__(self, source: str | Path, provider_id: str = "fixture-cti"):
         super().__init__(source, provider_id)
 
     def lookup(self, ip: str) -> ThreatIntel:
@@ -257,24 +247,6 @@ class FixtureThreatProvider(_FixtureProvider):
                 provenance=Provenance(self.provider_id, _EPOCH),
             )
         return answer
-
-
-def _dig(payload: Any, path: list[str]) -> Any:
-    """Walk a dotted path, split at its dots (``"a.b.0.c".split(".")``),
-    through nested dicts and lists.
-
-    Raises ``KeyError``, ``IndexError`` or ``ValueError`` when the path
-    does not exist, including when it runs into a scalar.
-    """
-    node = payload
-    for part in path:
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif isinstance(node, dict):
-            node = node[part]
-        else:
-            raise KeyError(".".join(path))
-    return node
 
 
 @dataclass(frozen=True)
@@ -325,7 +297,7 @@ class _HTTPProviderBase:
         if status >= 300:  # redirects are not followed
             raise ProviderError(f"{self.provider_id} returned HTTP {status}")
         try:
-            return json.loads(body)
+            return json_body(body)
         except ValueError as exc:
             raise ProviderMalformed(f"{self.provider_id} returned a malformed payload") from exc
 
@@ -336,7 +308,7 @@ class _HTTPProviderBase:
                 raise ProviderError(f"{self.provider_id} profile lacks a path for {field!r}")
             return None
         try:
-            return _dig(payload, path.split("."))
+            return dig(payload, path.split("."))
         except (KeyError, IndexError, ValueError, TypeError):
             if required:
                 raise ProviderError(

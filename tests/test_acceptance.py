@@ -262,8 +262,8 @@ def test_criterion_6_history_contract():
     record = dataclasses.replace(records[10], timestamp=10_000)
     for k in (0, 3, 5):
         context = ContextBuilder(store=store, k=k).build(record)
-        assert len(context.src.history) <= k
-        assert len(context.dst.history) <= k
+        assert len(context.histories.entries[0]) <= k
+        assert len(context.histories.entries[1]) <= k
     _passed(6, "7-entry fixture returns the 5 most recent, contexts never exceed k")
 
 

@@ -25,6 +25,7 @@ from flowexplain.providers import (
 
 from .conftest import (
     CTI_FIXTURE,
+    DEEP_JSON,
     GEO_FIXTURE,
     history_entry,
     make_record,
@@ -89,6 +90,13 @@ class TestClassifyIp:
         assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
 
 
+def fixture_file(tmp_path, *rows: dict):
+    """A provider fixture file holding ``rows``, one JSON object a line."""
+    path = tmp_path / "fixture.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
 class TestGeolocate:
     def test_fixture_hit_carries_provenance(self):
         provider = FixtureGeoProvider(GEO_FIXTURE)
@@ -97,13 +105,14 @@ class TestGeolocate:
         assert info.provenance.provider_id == "fixture-geo"
         assert info.provenance.retrieved_at
 
-    def test_miss_raises_not_found(self):
-        provider = FixtureGeoProvider({})
+    def test_miss_raises_not_found(self, tmp_path):
+        provider = FixtureGeoProvider(fixture_file(tmp_path))
         with pytest.raises(ProviderNotFound):
             provider.lookup("8.8.4.4")
 
-    def test_timeout_simulation(self):
-        provider = FixtureGeoProvider({"5.5.5.5": {"simulate": "timeout"}})
+    def test_timeout_simulation(self, tmp_path):
+        path = fixture_file(tmp_path, {"ip": "5.5.5.5", "simulate": "timeout"})
+        provider = FixtureGeoProvider(path)
         with pytest.raises(ProviderTimeout):
             provider.lookup("5.5.5.5")
 
@@ -147,16 +156,16 @@ class TestThreatLookup:
         assert "scanner" in intel.categories
         assert intel.provenance.provider_id == "fixture-cti"
 
-    def test_absent_ip_gets_unknown_verdict(self):
-        provider = FixtureThreatProvider({})
+    def test_absent_ip_gets_unknown_verdict(self, tmp_path):
+        provider = FixtureThreatProvider(fixture_file(tmp_path))
         intel = provider.lookup("8.8.4.4")
         assert intel.verdict == "unknown"
         assert intel.categories == ()
 
-    def test_malformed_verdict_is_provider_error(self):
-        provider = FixtureThreatProvider({"4.4.4.4": {"verdict": "definitely-evil"}})
-        with pytest.raises(ProviderError):
-            provider.lookup("4.4.4.4")
+    def test_malformed_verdict_is_value_error_at_load(self, tmp_path):
+        path = fixture_file(tmp_path, {"ip": "4.4.4.4", "verdict": "definitely-evil"})
+        with pytest.raises(ValueError, match=r"fixture\.jsonl on line 1: malformed verdict"):
+            FixtureThreatProvider(path)
 
 
 def _context_record(catalog, **overrides):
@@ -191,14 +200,14 @@ class TestBuildContext:
         store = seeded_store(entries)
         record = _context_record(catalog)
         context = ContextBuilder(store=store, k=5).build(record)
-        assert len(context.dst.history) == 5
-        stamps = [e.timestamp for e in context.dst.history]
+        assert len(context.histories.entries[1]) == 5
+        stamps = [e.timestamp for e in context.histories.entries[1]]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_empty_store_still_produces_context(self, catalog):
         store = seeded_store([])
         context = ContextBuilder(store=store).build(_context_record(catalog))
-        assert context.dst.history == ()
+        assert context.histories.entries[1] == ()
         assert all(not u.component.startswith("history") for u in context.unavailable)
 
     def test_history_excludes_entries_at_or_after_record_timestamp(self, catalog):
@@ -211,7 +220,7 @@ class TestBuildContext:
         )
         record = _context_record(catalog, timestamp=50)
         context = ContextBuilder(store=store, k=5).build(record)
-        assert [e.flow_id for e in context.dst.history] == ["old"]
+        assert [e.flow_id for e in context.histories.entries[1]] == ["old"]
 
     def test_providers_populate_public_dst_only(self, catalog):
         geo = FixtureGeoProvider(GEO_FIXTURE)
@@ -232,23 +241,23 @@ class TestBuildContext:
         assert geo.calls == 0
         assert cti.calls == 0
 
-    def test_provider_timeout_degrades_to_unavailable(self, catalog):
-        geo = FixtureGeoProvider({"8.8.8.8": {"simulate": "timeout"}})
+    def test_provider_timeout_degrades_to_unavailable(self, catalog, tmp_path):
+        geo = FixtureGeoProvider(fixture_file(tmp_path, {"ip": "8.8.8.8", "simulate": "timeout"}))
         context = ContextBuilder(geo_provider=geo).build(_context_record(catalog))
         assert context.dst.geo is None
         assert ("geo.dst", "timeout") in {
             (u.component, u.reason) for u in context.unavailable
         }
 
-    def test_geo_not_found_degrades_to_unavailable(self, catalog):
-        geo = FixtureGeoProvider({})
+    def test_geo_not_found_degrades_to_unavailable(self, catalog, tmp_path):
+        geo = FixtureGeoProvider(fixture_file(tmp_path))
         context = ContextBuilder(geo_provider=geo).build(_context_record(catalog))
         assert ("geo.dst", "not_found") in {
             (u.component, u.reason) for u in context.unavailable
         }
 
-    def test_provider_hard_failure_degrades_to_provider_error(self, catalog):
-        cti = FixtureThreatProvider({"8.8.8.8": {"simulate": "error"}})
+    def test_provider_hard_failure_degrades_to_provider_error(self, catalog, tmp_path):
+        cti = FixtureThreatProvider(fixture_file(tmp_path, {"ip": "8.8.8.8", "simulate": "error"}))
         context = ContextBuilder(cti_provider=cti).build(_context_record(catalog))
         assert ("cti.dst", "provider_error") in {
             (u.component, u.reason) for u in context.unavailable
@@ -474,6 +483,17 @@ class TestHTTPProviderFields:
         with pytest.raises(ProviderMalformed) as caught:
             _answer(HTTPThreatProvider, self.CTI_PATHS, payload)
         assert caught.value.reason == "malformed"
+
+    def test_answer_nested_too_deep_is_malformed(self, catalog):
+        from flowexplain.providers import HTTPGeoProvider, HTTPProviderProfile
+
+        with KeepAliveServer(DEEP_JSON.encode("ascii")) as server:
+            geo = HTTPGeoProvider(HTTPProviderProfile(
+                provider_id="http-test", url_template=server.url("/lookup/{ip}"),
+                field_paths=self.GEO_PATHS,
+            ))
+            context = ContextBuilder(geo_provider=geo).build(_context_record(catalog))
+        assert context.dst.geo is None and context.dst.unavailable["geo"] == "malformed"
 
 
 class TestHTTPProviderTransport:

@@ -24,7 +24,7 @@ from flowexplain.gateway import Gateway, RetryPolicy
 from flowexplain.config import PipelineConfig, run_ingest
 from flowexplain.pipeline import Runtime, run_explain
 
-from .conftest import CTI_FIXTURE, DATASET, GEO_FIXTURE
+from .conftest import CTI_FIXTURE, DATASET, DEEP_JSON, GEO_FIXTURE
 from .loopback import KeepAliveServer, SilentServer
 
 FAST_RETRY = RetryPolicy(attempts=2, delays=(0.01,))
@@ -120,6 +120,16 @@ def test_silent_backend_times_each_flow_out(ingested, malicious, fast_retry):
     assert [e["error"]["type"] for e in entries] == ["BackendTimeoutError"] * 3
     assert {e["error"]["message"] for e in entries} == {"local timed out"}
     assert (result.ledger.results, result.ledger.failures) == (0, 3)
+
+
+def test_answer_nested_too_deep_is_a_malformed_response(ingested, malicious):
+    with KeepAliveServer(DEEP_JSON.encode("ascii")) as server:
+        result = run_explain(
+            config_for(ingested, server.url("/v1"), workers=1), "augmented",
+            flow_ids=malicious[:2], run_id="nested",
+        )
+    assert [e["error"]["type"] for e in log_of(result)] == ["MalformedResponseError"] * 2
+    assert (result.ledger.results, result.ledger.failures) == (0, 2)
 
 
 def test_flow_backing_off_lets_later_flows_be_sent(ingested, malicious, monkeypatch):

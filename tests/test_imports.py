@@ -3,7 +3,8 @@
 The package root imports none of its modules, so an import cycle between
 two of them would show only to a caller that imports one of them first.
 ``ingest``, ``sample`` and ``cost`` load only the catalog, the parser and the
-store, and ``evaluate`` loads none of the HTTP code.
+store, ``evaluate`` loads none of the HTTP code, and the LLM backend client
+none of the knowledge providers.
 """
 
 import json
@@ -98,3 +99,11 @@ print(json.dumps(sorted(name for name in {HTTP_STACK!r} if name in sys.modules))
 """)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def test_gateway_loads_no_provider_code():
+    result = run_fresh(
+        "import sys, flowexplain.gateway; print('flowexplain.providers' in sys.modules)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]

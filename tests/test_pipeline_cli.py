@@ -887,6 +887,17 @@ class TestCommandLine:
         assert message in result.output
 
     @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", DEEP_JSON.encode("ascii")], ids=["not-utf-8", "nested-too-deep"]
+    )
+    def test_unreadable_catalog_ends_with_one_error_line(self, tmp_path, content):
+        (tmp_path / "catalog.json").write_bytes(content)
+        config_path = write_config_file(tmp_path, catalog=str(tmp_path / "catalog.json"))
+        result = CliRunner().invoke(main, ["ingest", "-c", str(config_path)])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.output.startswith("Error: malformed catalog document")
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "command,fails",
         [(["ingest"], False), (["sample"], False), (["explain", "--mode", "basic"], True),
          (["serve", "--port", "0"], True)],
